@@ -8,7 +8,7 @@ method, and terminates on asymptotic optimality residuals.
 
 __version__ = "0.1.0"
 
-from .alm import (AlmConfig, AlmState, IterationRecord, SolveReport, SolveStatus,
+from .alm import (AlmConfig, IterationRecord, SolveReport, SolveStatus,
                   multiplier_update, penalty_update, safeguard_project, solve)
 from .diagnostics import (Certificate, CertificateKind, ErrorMetrics,
                           infeasibility_report, solution_error,
@@ -27,7 +27,7 @@ from .problems import (Convexity, EvalBundle, EvaluationError,
                        builtin_names, evaluate_all, reference_solution)
 
 __all__ = [
-    "AlmConfig", "AlmState", "Certificate", "CertificateKind", "Convexity",
+    "AlmConfig", "Certificate", "CertificateKind", "Convexity",
     "ErrorMetrics", "EvalBundle", "EvaluationError", "InnerConfig", "InnerResult",
     "InnerStatus", "IterationRecord", "MissingReferenceError", "MultiplierSet",
     "ProblemDefinition", "Residuals", "SolveReport", "SolveStatus", "TimeGrid",

@@ -22,9 +22,10 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .grid import TimeGrid, Trajectory, _trapezoid_sum, sup_node_norm
+from . import diagnostics
+from .grid import TimeGrid, Trajectory, _trapezoid_sum
 from .inner import InnerConfig, InnerStatus, solve_subproblem
-from .lagrangian import Residuals
+from .lagrangian import Residuals, akkt_holds, akkt_residuals, violations
 from .problems import EvalBundle, ProblemDefinition, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
@@ -72,29 +73,12 @@ class AlmConfig:
                 InnerConfig(grad_tol=max(1e-8, 0.1 * self.eps_stop)))
 
 
-@dataclass
-class AlmState:
-    """Evolving iterate of the outer loop."""
-
-    k: int
-    rho: float
-    x: Trajectory
-    u_tilde: Trajectory
-    v_tilde: Trajectory
-    u: Optional[Trajectory] = None
-    v: Optional[Trajectory] = None
-    H: Optional[Trajectory] = None
-    V: Optional[Trajectory] = None
-    infeas_measure: float = 0.0
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     k: int
     rho: float
     residuals: Residuals
     infeas_measure: float
-    primal_infeasibility: float
     objective_quadrature: float
     inner_worst_status: InnerStatus
     inner_max_grad: float
@@ -129,7 +113,7 @@ class SolveReport:
 
 def multiplier_update(bundle: EvalBundle, u_tilde: np.ndarray, v_tilde: np.ndarray,
                       rho: float):
-    """First-order update: u = u~ + rho h, v = max(v~ + rho g, 0) at one node."""
+    """First-order update at every node: u = u~ + rho h, v = max(v~ + rho g, 0)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     u = u_tilde + rho * bundle.h
@@ -144,15 +128,14 @@ def safeguard_project(u: np.ndarray, v: np.ndarray, bound_M: float, bound_N: flo
     return np.clip(u, -bound_M, bound_M), np.clip(v, 0.0, bound_N)
 
 
-def penalty_update(state: AlmState, prev_infeas: float, cur_H: Trajectory,
-                   cur_V: Trajectory, cfg: AlmConfig) -> float:
+def penalty_update(rho: float, prev_infeas: float, cur_infeas: float,
+                   cfg: AlmConfig) -> float:
     """Keep rho when infeasibility improved by factor tau, else grow it."""
     if prev_infeas < 0:
         raise ValueError("prev_infeas must be nonnegative")
-    cur = max(sup_node_norm(cur_H), sup_node_norm(cur_V))
-    if cur <= cfg.tau * prev_infeas:
-        return state.rho
-    return cfg.gamma * state.rho
+    if cur_infeas <= cfg.tau * prev_infeas:
+        return rho
+    return cfg.gamma * rho
 
 
 def _constant_like(grid: TimeGrid, dim: int) -> Trajectory:
@@ -185,21 +168,11 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
             v_tilde1.values.min() < 0.0 or v_tilde1.values.max() > cfg.bound_N):
         raise ValueError("initial inequality multipliers outside the safeguard box")
 
-    n_nodes = grid.num_nodes
-    nodes = grid.nodes
+    # Baseline infeasibility from the starting guess: the sup of |h(x0)| and
+    # of max(g(x0), 0).
+    prev_infeas = max(violations(evaluate_all(problem, x0.values, grid.nodes)))
 
-    # Baseline infeasibility from the starting guess: H0 = h(x0),
-    # V0_j = max(g_j(x0), 0).
-    h0 = np.empty((n_nodes, problem.p))
-    v0m = np.empty((n_nodes, problem.m))
-    for i in range(n_nodes):
-        b = evaluate_all(problem, x0.values[i], nodes[i])
-        h0[i] = b.h
-        v0m[i] = np.maximum(b.g, 0.0)
-    prev_infeas = max(sup_node_norm(Trajectory(grid, h0)),
-                      sup_node_norm(Trajectory(grid, v0m)))
-
-    state = AlmState(k=0, rho=cfg.rho_init, x=x0, u_tilde=u_tilde1, v_tilde=v_tilde1)
+    rho, x, u_tilde, v_tilde = cfg.rho_init, x0, u_tilde1, v_tilde1
     records = []
     diverged_streak = 0
     status = SolveStatus.MAX_OUTER_REACHED
@@ -209,65 +182,27 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         iteration_csv.flush()
 
     for k in range(1, cfg.max_outer + 1):
-        state.k = k
-        x_traj, inner_worst, inner_max_grad = solve_subproblem(
-            problem, grid, state.x, state.u_tilde, state.v_tilde, state.rho, cfg.inner)
-        state.x = x_traj
+        x, inner_worst, inner_max_grad = solve_subproblem(
+            problem, grid, x, u_tilde, v_tilde, rho, cfg.inner)
 
         # One evaluation pass feeds the update, the residuals and the log.
-        u_rows = np.empty((n_nodes, problem.p))
-        v_rows = np.empty((n_nodes, problem.m))
-        h_rows = np.empty((n_nodes, problem.p))
-        vmeas_rows = np.empty((n_nodes, problem.m))
-        grad_l1 = np.empty(n_nodes)
-        phi_vals = np.empty(n_nodes)
-        comp = 0.0
-        primal_infeas = 0.0
-        for i in range(n_nodes):
-            t = nodes[i]
-            b = evaluate_all(problem, x_traj.values[i], t)
-            u_i, v_i = multiplier_update(b, state.u_tilde.values[i],
-                                         state.v_tilde.values[i], state.rho)
-            u_rows[i] = u_i
-            v_rows[i] = v_i
-            h_rows[i] = b.h
-            phi_vals[i] = b.phi
-            gl = b.grad_phi.copy()
-            if problem.p:
-                gl += b.jac_h.T @ u_i
-                primal_infeas = max(primal_infeas, float(np.abs(b.h).max()))
-            if problem.m:
-                gl += b.jac_g.T @ v_i
-                vmeas_rows[i] = np.maximum(b.g, -state.v_tilde.values[i] / state.rho)
-                comp = max(comp, float((v_i * np.maximum(-b.g, 0.0)).max()))
-                gplus = float(np.maximum(b.g, 0.0).max())
-                if gplus > primal_infeas:
-                    primal_infeas = gplus
-            grad_l1[i] = float(np.abs(gl).sum())
-
-        state.u = Trajectory(grid, u_rows)
-        state.v = Trajectory(grid, v_rows)
-        state.H = Trajectory(grid, h_rows)
-        state.V = Trajectory(grid, vmeas_rows)
-        residuals = Residuals(
-            stationarity_l1=_trapezoid_sum(grad_l1, grid.spacing),
-            complementarity_sup=comp,
-            multiplier_min=float(v_rows.min()) if v_rows.size else 0.0)
-        state.infeas_measure = max(sup_node_norm(state.H), sup_node_norm(state.V))
+        bundle = evaluate_all(problem, x.values, grid.nodes)
+        u_rows, v_rows = multiplier_update(bundle, u_tilde.values, v_tilde.values, rho)
+        u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)
+        residuals = akkt_residuals(grid, bundle, u, v)
+        # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
+        infeas_measure = float(np.abs(np.hstack(
+            [bundle.h, np.maximum(bundle.g, -v_tilde.values / rho)])).max(initial=0.0))
         record = IterationRecord(
-            k=k, rho=state.rho, residuals=residuals,
-            infeas_measure=state.infeas_measure,
-            primal_infeasibility=primal_infeas,
-            objective_quadrature=_trapezoid_sum(phi_vals, grid.spacing),
+            k=k, rho=rho, residuals=residuals, infeas_measure=infeas_measure,
+            objective_quadrature=_trapezoid_sum(bundle.phi, grid.spacing),
             inner_worst_status=inner_worst, inner_max_grad=inner_max_grad)
         records.append(record)
         if iteration_csv is not None:
             iteration_csv.write(record.csv_row() + "\n")
             iteration_csv.flush()
 
-        if (residuals.stationarity_l1 <= cfg.eps_stop
-                and residuals.complementarity_sup <= cfg.eps_stop
-                and primal_infeas <= cfg.eps_stop):
+        if akkt_holds(residuals, cfg.eps_stop):
             status = SolveStatus.AKKT_CONVERGED
             break
 
@@ -276,43 +211,16 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
             status = SolveStatus.INNER_FAILURE
             break
 
-        rho_next = penalty_update(state, prev_infeas, state.H, state.V, cfg)
-        prev_infeas = state.infeas_measure
+        rho_next = penalty_update(rho, prev_infeas, infeas_measure, cfg)
+        prev_infeas = infeas_measure
         u_next, v_next = safeguard_project(u_rows, v_rows, cfg.bound_M, cfg.bound_N)
-        state.u_tilde = Trajectory(grid, u_next)
-        state.v_tilde = Trajectory(grid, v_next)
-        state.rho = rho_next
+        u_tilde, v_tilde = Trajectory(grid, u_next), Trajectory(grid, v_next)
+        rho = rho_next
 
     report = SolveReport(status=status, problem_name=problem.name, grid=grid,
-                         iterations=records, x=state.x, u=state.u, v=state.v)
-    _attach_diagnostics(report, problem, cfg)
-    return report
-
-
-def _attach_diagnostics(report: SolveReport, problem: ProblemDefinition,
-                        cfg: AlmConfig) -> None:
-    """Certificates and reference-error metrics for the final iterate."""
-    from . import diagnostics  # local import to keep module layering acyclic
-
-    final = report.final
-    certs = {"akkt": None, "sufficiency": None, "infeasibility": None}
-    if report.status is SolveStatus.AKKT_CONVERGED:
-        certs["akkt"] = diagnostics.Certificate(
-            kind=diagnostics.CertificateKind.AKKT_HOLDS,
-            evidence={
-                "stationarity_l1": final.residuals.stationarity_l1,
-                "complementarity_sup": final.residuals.complementarity_sup,
-                "multiplier_min": final.residuals.multiplier_min,
-                "primal_infeasibility": final.primal_infeasibility,
-                "eps_stop": cfg.eps_stop,
-            })
-        # Feasibility at eps_stop is guaranteed by the stopping test, so the
-        # convexity-based certificate is meaningful here and only here.
-        certs["sufficiency"] = diagnostics.sufficiency_certificate(
-            problem, report.grid, report.x, report.u, report.v)
-    else:
-        certs["infeasibility"] = diagnostics.infeasibility_report(
-            problem, report.grid, report.x)
-    report.certificates = certs
+                         iterations=records, x=x, u=u, v=v)
+    report.certificates = diagnostics.certify(problem, grid, bundle, u, v,
+                                              residuals, cfg.eps_stop)
     if problem.reference is not None:
-        report.error_metrics = diagnostics.solution_error(report.grid, report.x, problem)
+        report.error_metrics = diagnostics.solution_error(grid, x, problem)
+    return report

@@ -2,13 +2,14 @@
 and list the registry.
 
 Exit codes: 0 converged (or check passed), 1 check failed, 2 iteration limit,
-3 inner-solver failure, 64 usage errors, 65 malformed data or dimension
-mismatches.
+3 inner-solver failure, 64 usage errors, 65 malformed data, dimension
+mismatches or an evaluator returning a non-finite value.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,13 +19,14 @@ import numpy as np
 
 from . import __version__
 from .alm import AlmConfig, SolveStatus, solve
-from .diagnostics import infeasibility_report, sufficiency_certificate
+from .diagnostics import certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv)
 from .inner import InnerConfig
-from .lagrangian import akkt_residuals, feasibility_factor
+from .lagrangian import akkt_holds, akkt_residuals, feasibility_factor, violations
 from .plots import residuals_svg, trajectory_svg
-from .problems import UnknownProblemError, builtin, builtin_names, reference_solution
+from .problems import (EvaluationError, UnknownProblemError, builtin, builtin_names,
+                       evaluate_all, reference_solution)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,19 +60,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# Flag name -> (type, built-in default).  None defaults let a --config file
-# fill values in; flags always win when both are present.
+# AlmConfig fields with a flag each; the flag is the lower-cased field name.
+_ALM_FIELDS = tuple(f for f in dataclasses.fields(AlmConfig) if f.name != "inner")
+
+# Flag name -> (type, built-in default), the defaults taken from AlmConfig and
+# InnerConfig.  None defaults let a --config file fill values in; flags always
+# win when both are present.
 _SOLVE_DEFAULTS = {
     "nodes": (int, 85),
-    "rho_init": (float, 1.0),
-    "gamma": (float, 1.001),
-    "tau": (float, 1e-3),
-    "bound_m": (float, 1e50),
-    "bound_n": (float, 1e50),
-    "eps_stop": (float, 1e-5),
-    "max_outer": (int, 1000),
-    "inner_grad_tol": (float, None),   # derived from eps_stop when unset
-    "inner_max_iters": (int, 500),
+    **{f.name.lower(): (type(f.default), f.default) for f in _ALM_FIELDS},
+    "inner_grad_tol": (float, None),   # AlmConfig derives it from eps_stop
+    "inner_max_iters": (int, InnerConfig().max_iters),
 }
 
 
@@ -171,6 +171,11 @@ def _merged_options(args) -> dict:
     return merged
 
 
+def _certificates_json(certificates: dict) -> dict:
+    return {key: (cert.as_json_obj() if cert is not None else None)
+            for key, cert in certificates.items()}
+
+
 def _summary_bytes(summary: dict) -> bytes:
     return (json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
             + "\n").encode("utf-8")
@@ -187,14 +192,11 @@ def cmd_solve(args) -> int:
     u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, "--u0")
     v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, "--v0")
 
-    inner_tol = opts["inner_grad_tol"]
-    if inner_tol is None:
-        inner_tol = max(1e-8, 0.1 * opts["eps_stop"])
-    cfg = AlmConfig(rho_init=opts["rho_init"], gamma=opts["gamma"], tau=opts["tau"],
-                    bound_M=opts["bound_m"], bound_N=opts["bound_n"],
-                    eps_stop=opts["eps_stop"], max_outer=opts["max_outer"],
-                    inner=InnerConfig(grad_tol=inner_tol,
-                                      max_iters=opts["inner_max_iters"]))
+    cfg = AlmConfig(**{f.name: opts[f.name.lower()] for f in _ALM_FIELDS})
+    inner = {"max_iters": opts["inner_max_iters"]}
+    if opts["inner_grad_tol"] is not None:
+        inner["grad_tol"] = opts["inner_grad_tol"]
+    cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, **inner))
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -236,19 +238,14 @@ def cmd_solve(args) -> int:
                 "multiplier_min": final.residuals.multiplier_min,
             },
             "infeas_measure": final.infeas_measure,
-            "primal_infeasibility": final.primal_infeasibility,
+            "primal_infeasibility": final.residuals.primal_infeasibility,
             "objective": final.objective_quadrature,
-            "certificates": {
-                key: (cert.as_json_obj() if cert is not None else None)
-                for key, cert in report.certificates.items()
-            },
+            "certificates": _certificates_json(report.certificates),
             "error_metrics": (report.error_metrics.as_json_obj()
                               if report.error_metrics is not None else None),
             "config": {
                 "problem": problem.name, "nodes": opts["nodes"],
-                "rho_init": cfg.rho_init, "gamma": cfg.gamma, "tau": cfg.tau,
-                "bound_M": cfg.bound_M, "bound_N": cfg.bound_N,
-                "eps_stop": cfg.eps_stop, "max_outer": cfg.max_outer,
+                **{f.name: getattr(cfg, f.name) for f in _ALM_FIELDS},
                 "inner_grad_tol": cfg.inner.grad_tol,
                 "inner_max_iters": cfg.inner.max_iters,
                 "x0": opts["x0"], "u0": opts["u0"], "v0": opts["v0"],
@@ -295,19 +292,9 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_DATA, "negative inequality multiplier entries")
     v = Trajectory(grid, v_vals)
 
-    residuals = akkt_residuals(problem, grid, x, u, v)
-    max_h = 0.0
-    max_gp = 0.0
-    for i, t in enumerate(grid.nodes):
-        if problem.p:
-            max_h = max(max_h, float(np.abs(problem.eval_h(x.values[i], t)).max()))
-        if problem.m:
-            max_gp = max(max_gp, float(
-                np.maximum(problem.eval_g(x.values[i], t), 0.0).max()))
-    passed = (residuals.stationarity_l1 <= args.eps_stop
-              and residuals.complementarity_sup <= args.eps_stop)
-    infeas = infeasibility_report(problem, grid, x)
-    suff = sufficiency_certificate(problem, grid, x, u, v)
+    bundle = evaluate_all(problem, x.values, grid.nodes)
+    residuals = akkt_residuals(grid, bundle, u, v)
+    max_h, max_gp = violations(bundle)
     out = {
         "problem": problem.name,
         "eps_stop": args.eps_stop,
@@ -315,20 +302,19 @@ def cmd_check(args) -> int:
             "stationarity_l1": residuals.stationarity_l1,
             "complementarity_sup": residuals.complementarity_sup,
             "multiplier_min": residuals.multiplier_min,
+            "primal_infeasibility": residuals.primal_infeasibility,
         },
         "feasibility": {
             "max_equality_violation": max_h,
             "max_inequality_violation": max_gp,
-            "feasibility_factor": feasibility_factor(problem, grid, x),
+            "feasibility_factor": feasibility_factor(grid, bundle),
         },
-        "certificates": {
-            "sufficiency": suff.as_json_obj(),
-            "infeasibility": infeas.as_json_obj() if infeas is not None else None,
-        },
-        "pass": passed,
+        "certificates": _certificates_json(
+            certify(problem, grid, bundle, u, v, residuals, args.eps_stop)),
+        "pass": akkt_holds(residuals, args.eps_stop),
     }
     print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_list() -> int:
@@ -352,6 +338,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    except EvaluationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

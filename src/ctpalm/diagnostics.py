@@ -10,12 +10,13 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
-from .lagrangian import feasibility_stationarity_residual
-from .problems import MissingReferenceError, ProblemDefinition, reference_solution
+from .lagrangian import (Residuals, _row_dots, akkt_holds,
+                         feasibility_stationarity_residual, violations)
+from .problems import (EvalBundle, MissingReferenceError, ProblemDefinition,
+                       reference_solution)
 
 # Default tolerances: loose enough to absorb quadrature and inner-solver slack.
 SUFFICIENCY_TOL = 1e-6
-FEASIBILITY_TOL = 1e-6
 STATIONARITY_TOL = 1e-4
 
 
@@ -49,7 +50,7 @@ class ErrorMetrics:
 
 
 def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
-                            x: Trajectory, u: Trajectory, v: Trajectory,
+                            bundle: EvalBundle, u: Trajectory, v: Trajectory,
                             tol: float = SUFFICIENCY_TOL) -> Certificate:
     """Convexity-based global-optimality check.
 
@@ -65,19 +66,9 @@ def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
             "h_affine": list(problem.convexity.h_affine),
         }
         return Certificate(CertificateKind.NOT_APPLICABLE, {"convexity": flags})
-    worst = 0.0
-    worst_node = -1
-    for i in range(grid.num_nodes):
-        t = grid.nodes[i]
-        xi = x.values[i]
-        s = 0.0
-        if problem.p:
-            s += float(u.values[i] @ np.asarray(problem.eval_h(xi, t), dtype=float))
-        if problem.m:
-            s += float(v.values[i] @ np.asarray(problem.eval_g(xi, t), dtype=float))
-        if s < worst:
-            worst = s
-            worst_node = i
+    pairing = _row_dots(u.values, bundle.h) + _row_dots(v.values, bundle.g)
+    worst_node = int(np.argmin(pairing))
+    worst = min(0.0, float(pairing[worst_node]))
     if worst >= -tol:
         return Certificate(CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY,
                            {"min_pairing_sum": worst, "tol": tol})
@@ -87,34 +78,47 @@ def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
                         "worst_time": float(grid.nodes[worst_node])})
 
 
-def infeasibility_report(problem: ProblemDefinition, grid: TimeGrid, x: Trajectory,
-                         feas_tol: float = FEASIBILITY_TOL,
+def infeasibility_report(grid: TimeGrid, bundle: EvalBundle, feas_tol: float,
                          stat_tol: float = STATIONARITY_TOL) -> Optional[Certificate]:
-    """Classify an infeasible trajectory; None when the point is feasible.
+    """Classify an infeasible trajectory; None when its violation is within feas_tol.
 
     An infeasible point whose squared-violation gradient vanishes is the
     expected limit of the method on problems with no feasible point at all.
     """
-    violation = 0.0
-    for i in range(grid.num_nodes):
-        t = grid.nodes[i]
-        xi = x.values[i]
-        if problem.p:
-            h = np.asarray(problem.eval_h(xi, t), dtype=float)
-            if h.size:
-                violation = max(violation, float(np.abs(h).max()))
-        if problem.m:
-            g = np.asarray(problem.eval_g(xi, t), dtype=float)
-            if g.size:
-                violation = max(violation, float(np.maximum(g, 0.0).max()))
+    violation = max(violations(bundle))
     if violation <= feas_tol:
         return None
-    residual = feasibility_stationarity_residual(problem, grid, x)
+    residual = feasibility_stationarity_residual(grid, bundle)
     evidence = {"max_violation": violation, "feas_tol": feas_tol,
                 "stationarity_residual": residual, "stat_tol": stat_tol}
     if residual <= stat_tol:
         return Certificate(CertificateKind.INFEASIBLE_BUT_THETA_STATIONARY, evidence)
     return Certificate(CertificateKind.INFEASIBLE_NOT_STATIONARY, evidence)
+
+
+def certify(problem: ProblemDefinition, grid: TimeGrid, bundle: EvalBundle,
+            u: Trajectory, v: Trajectory, residuals: Residuals,
+            eps_stop: float) -> dict:
+    """The akkt, sufficiency and infeasibility verdicts on one evaluated iterate.
+
+    A point that passes the stopping test gets the akkt certificate and, since
+    the test includes feasibility within eps_stop, the convexity-based
+    sufficiency check.  Any other point gets the infeasibility report, which
+    is None when its violation is within eps_stop.
+    """
+    certs = {"akkt": None, "sufficiency": None, "infeasibility": None}
+    if akkt_holds(residuals, eps_stop):
+        certs["akkt"] = Certificate(CertificateKind.AKKT_HOLDS, {
+            "stationarity_l1": residuals.stationarity_l1,
+            "complementarity_sup": residuals.complementarity_sup,
+            "multiplier_min": residuals.multiplier_min,
+            "primal_infeasibility": residuals.primal_infeasibility,
+            "eps_stop": eps_stop,
+        })
+        certs["sufficiency"] = sufficiency_certificate(problem, grid, bundle, u, v)
+    else:
+        certs["infeasibility"] = infeasibility_report(grid, bundle, eps_stop)
+    return certs
 
 
 def solution_error(grid: TimeGrid, x: Trajectory,

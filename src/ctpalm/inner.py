@@ -23,8 +23,6 @@ the outer multiplier update stable.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,8 +31,6 @@ import numpy as np
 from .grid import TimeGrid, Trajectory
 from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
 from .problems import ProblemDefinition
-
-THREADS_ENV_VAR = "CTP_ALM_THREADS"
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
@@ -251,41 +247,21 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
     return InnerResult(minpen_x, gn, iters, status)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        requested = int(raw) if raw.strip() else 1
-    except ValueError:
-        return 1
-    if requested == 0:
-        return os.cpu_count() or 1
-    return max(1, requested)
-
-
 def solve_subproblem(problem: ProblemDefinition, grid: TimeGrid, x_warm: Trajectory,
                      u_tilde: Trajectory, v_tilde: Trajectory, rho: float,
                      cfg: InnerConfig):
     """Solve every node independently, warm-started from x_warm.
 
-    Returns (trajectory of node solutions, worst status, max grad norm).
-    Node solves are independent; with CTP_ALM_THREADS > 1 they run on a thread
-    pool, and results are reduced in ascending node order either way.
+    Returns (trajectory of node solutions, worst status, max grad norm), with
+    nodes solved and reduced in ascending order.
     """
     for tr in (x_warm, u_tilde, v_tilde):
         if not grid.same_as(tr.grid):
             raise ValueError("trajectories must share the grid")
 
-    def run(i: int) -> InnerResult:
-        mult = MultiplierSet(u_tilde.values[i], v_tilde.values[i])
-        return solve_node(problem, grid.nodes[i], x_warm.values[i], mult, rho, cfg)
-
-    workers = _worker_count()
-    indices = range(grid.num_nodes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, indices))
-    else:
-        results = [run(i) for i in indices]
+    results = [solve_node(problem, grid.nodes[i], x_warm.values[i],
+                          MultiplierSet(u_tilde.values[i], v_tilde.values[i]), rho, cfg)
+               for i in range(grid.num_nodes)]
 
     values = np.vstack([r.x_star for r in results])
     worst = InnerStatus.CONVERGED

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import TimeGrid, Trajectory, _trapezoid_sum, l1_time_norm
-from .problems import ProblemDefinition
+from .problems import EvalBundle, ProblemDefinition
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class Residuals:
     stationarity_l1: float
     complementarity_sup: float
     multiplier_min: float
+    primal_infeasibility: float
 
 
 def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
@@ -114,74 +115,67 @@ def _require_shared_grid(grid: TimeGrid, *trajs: Trajectory) -> None:
             raise ValueError("trajectories must share the grid")
 
 
-def akkt_residuals(problem: ProblemDefinition, grid: TimeGrid, x_traj: Trajectory,
-                   u_traj: Trajectory, v_traj: Trajectory) -> Residuals:
-    """Stationarity, complementarity and multiplier-sign residuals on a grid."""
-    _require_shared_grid(grid, x_traj, u_traj, v_traj)
-    if u_traj.dim != problem.p or v_traj.dim != problem.m or x_traj.dim != problem.n:
+def _sup(a: np.ndarray) -> float:
+    """Largest entry of a nonnegative array; 0.0 when it is empty."""
+    return max(0.0, float(a.max())) if a.size else 0.0
+
+
+def _transposed_product(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J_i^T w_i at every node i: (N, k, n) and (N, k) to (N, n)."""
+    return np.matmul(jac.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i at every node i: (N, k) and (N, k) to (N,)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def violations(bundle: EvalBundle) -> tuple:
+    """Largest |h_i| and largest max(g_j, 0) over all nodes (0.0 when absent)."""
+    return _sup(np.abs(bundle.h)), _sup(np.maximum(bundle.g, 0.0))
+
+
+def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
+                   v_traj: Trajectory) -> Residuals:
+    """Residuals of the asymptotic optimality test at the evaluated nodes."""
+    _require_shared_grid(grid, u_traj, v_traj)
+    if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
+            or v_traj.dim != bundle.g.shape[1]):
         raise ValueError("trajectory dimensions do not match the problem")
-    if problem.m and v_traj.values.min() < 0.0:
+    v = v_traj.values
+    if v.size and v.min() < 0.0:
         raise ValueError("negative inequality multiplier entry")
-    n_nodes = grid.num_nodes
-    grad_l1 = np.empty(n_nodes)
-    comp = 0.0
-    for i in range(n_nodes):
-        t = grid.nodes[i]
-        x = x_traj.values[i]
-        gl = np.asarray(problem.eval_grad_phi(x, t), dtype=float).copy()
-        if problem.p:
-            gl += np.asarray(problem.eval_jac_h(x, t), dtype=float).T @ u_traj.values[i]
-        if problem.m:
-            g = np.asarray(problem.eval_g(x, t), dtype=float)
-            gl += np.asarray(problem.eval_jac_g(x, t), dtype=float).T @ v_traj.values[i]
-            node_comp = float((v_traj.values[i] * np.maximum(-g, 0.0)).max())
-            if node_comp > comp:
-                comp = node_comp
-        grad_l1[i] = float(np.abs(gl).sum())
-    stationarity = _trapezoid_sum(grad_l1, grid.spacing)
-    mult_min = float(v_traj.values.min()) if v_traj.values.size else 0.0
-    return Residuals(stationarity_l1=stationarity, complementarity_sup=comp,
-                     multiplier_min=mult_min)
+    grad = (bundle.grad_phi + _transposed_product(bundle.jac_h, u_traj.values)
+            + _transposed_product(bundle.jac_g, v))
+    return Residuals(
+        stationarity_l1=_trapezoid_sum(np.abs(grad).sum(axis=1), grid.spacing),
+        complementarity_sup=_sup(v * np.maximum(-bundle.g, 0.0)),
+        multiplier_min=float(v.min()) if v.size else 0.0,
+        primal_infeasibility=max(violations(bundle)))
 
 
-def feasibility_factor(problem: ProblemDefinition, grid: TimeGrid,
-                       x_traj: Trajectory) -> float:
+def akkt_holds(residuals: Residuals, eps_stop: float) -> bool:
+    """The stopping test: stationarity, complementarity and primal violation
+    each within eps_stop."""
+    return (residuals.stationarity_l1 <= eps_stop
+            and residuals.complementarity_sup <= eps_stop
+            and residuals.primal_infeasibility <= eps_stop)
+
+
+def feasibility_factor(grid: TimeGrid, bundle: EvalBundle) -> float:
     """Integral of sum h_i^2 + sum max(g_j, 0)^2 along the trajectory."""
-    _require_shared_grid(grid, x_traj)
-    vals = np.empty(grid.num_nodes)
-    for i in range(grid.num_nodes):
-        t = grid.nodes[i]
-        x = x_traj.values[i]
-        total = 0.0
-        if problem.p:
-            h = np.asarray(problem.eval_h(x, t), dtype=float)
-            total += float(h @ h)
-        if problem.m:
-            gp = np.maximum(np.asarray(problem.eval_g(x, t), dtype=float), 0.0)
-            total += float(gp @ gp)
-        vals[i] = total
+    gp = np.maximum(bundle.g, 0.0)
+    vals = _row_dots(bundle.h, bundle.h) + _row_dots(gp, gp)
     return _trapezoid_sum(vals, grid.spacing)
 
 
-def feasibility_stationarity_residual(problem: ProblemDefinition, grid: TimeGrid,
-                                      x_traj: Trajectory) -> float:
+def feasibility_stationarity_residual(grid: TimeGrid, bundle: EvalBundle) -> float:
     """l1-in-time norm of the gradient of the squared-violation integrand.
 
     The integrand gradient is 2 sum h_i grad h_i + 2 sum max(g_j, 0) grad g_j;
     a zero residual certifies stationarity for the violation-minimization
     problem (the scale factor is immaterial for that test).
     """
-    _require_shared_grid(grid, x_traj)
-    rows = np.empty((grid.num_nodes, problem.n))
-    for i in range(grid.num_nodes):
-        t = grid.nodes[i]
-        x = x_traj.values[i]
-        gvec = np.zeros(problem.n)
-        if problem.p:
-            h = np.asarray(problem.eval_h(x, t), dtype=float)
-            gvec += np.asarray(problem.eval_jac_h(x, t), dtype=float).T @ (2.0 * h)
-        if problem.m:
-            gp = np.maximum(np.asarray(problem.eval_g(x, t), dtype=float), 0.0)
-            gvec += np.asarray(problem.eval_jac_g(x, t), dtype=float).T @ (2.0 * gp)
-        rows[i] = gvec
+    rows = (_transposed_product(bundle.jac_h, 2.0 * bundle.h)
+            + _transposed_product(bundle.jac_g, 2.0 * np.maximum(bundle.g, 0.0)))
     return l1_time_norm(Trajectory(grid, rows))

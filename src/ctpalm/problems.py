@@ -24,7 +24,8 @@ class EvaluationError(RuntimeError):
     """An evaluator produced a non-finite value; carries (t, x)."""
 
     def __init__(self, what: str, t: float, x: np.ndarray):
-        super().__init__(f"{what} returned a non-finite value at t={t!r}, x={x!r}")
+        super().__init__(f"{what} returned a non-finite value at t={float(t)!r}, "
+                         f"x={np.asarray(x).tolist()!r}")
         self.t = t
         self.x = np.array(x)
 
@@ -53,7 +54,7 @@ class ProblemDefinition:
     """Dimensions, evaluators and metadata for one problem instance.
 
     Evaluators must be pure: repeated calls with identical (x, t) return
-    identical values, and they must be callable from several workers at once.
+    identical values.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise
@@ -85,9 +86,13 @@ class ProblemDefinition:
 
 @dataclass(frozen=True)
 class EvalBundle:
-    """Single-pass cache of every evaluator at one (x, t)."""
+    """Every evaluator at each node of a trajectory, stacked on a node axis.
 
-    phi: float
+    For N nodes: phi (N,), grad_phi (N, n), h (N, p), jac_h (N, p, n),
+    g (N, m) and jac_g (N, m, n).
+    """
+
+    phi: np.ndarray
     grad_phi: np.ndarray
     h: np.ndarray
     jac_h: np.ndarray
@@ -95,19 +100,41 @@ class EvalBundle:
     jac_g: np.ndarray
 
 
-def evaluate_all(problem: ProblemDefinition, x: np.ndarray, t: float) -> EvalBundle:
-    """Evaluate phi, h, g and their spatial derivatives at one point."""
-    x = np.asarray(x, dtype=float)
-    phi = float(problem.eval_phi(x, t))
-    grad_phi = np.asarray(problem.eval_grad_phi(x, t), dtype=float)
-    h = np.asarray(problem.eval_h(x, t), dtype=float).reshape(problem.p)
-    jac_h = np.asarray(problem.eval_jac_h(x, t), dtype=float).reshape(problem.p, problem.n)
-    g = np.asarray(problem.eval_g(x, t), dtype=float).reshape(problem.m)
-    jac_g = np.asarray(problem.eval_jac_g(x, t), dtype=float).reshape(problem.m, problem.n)
-    for what, arr in (("phi", phi), ("grad_phi", grad_phi), ("h", h),
-                      ("jac_h", jac_h), ("g", g), ("jac_g", jac_g)):
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError(what, t, x)
+def evaluate_all(problem: ProblemDefinition, xs: np.ndarray, ts) -> EvalBundle:
+    """Evaluate phi, h, g and their spatial derivatives at every node.
+
+    Row i of `xs` is the state at time `ts[i]`.  Each evaluator runs once per
+    node, in ascending node order; those of h and g only when p, m > 0.  A
+    non-finite value raises `EvaluationError` for the lowest offending node,
+    naming the first non-finite field there.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n, p, m = problem.n, problem.p, problem.m
+    count = len(ts)
+    if xs.shape != (count, n):
+        raise ValueError(f"states have shape {xs.shape}, expected ({count}, {n})")
+    phi = np.empty(count)
+    grad_phi = np.empty((count, n))
+    h, jac_h = np.empty((count, p)), np.empty((count, p, n))
+    g, jac_g = np.empty((count, m)), np.empty((count, m, n))
+    for i in range(count):
+        x, t = xs[i], ts[i]
+        phi[i] = float(problem.eval_phi(x, t))
+        grad_phi[i] = problem.eval_grad_phi(x, t)
+        if p:
+            h[i] = np.reshape(problem.eval_h(x, t), p)
+            jac_h[i] = np.reshape(problem.eval_jac_h(x, t), (p, n))
+        if m:
+            g[i] = np.reshape(problem.eval_g(x, t), m)
+            jac_g[i] = np.reshape(problem.eval_jac_g(x, t), (m, n))
+    fields = (("phi", phi), ("grad_phi", grad_phi), ("h", h),
+              ("jac_h", jac_h), ("g", g), ("jac_g", jac_g))
+    finite = [np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))) for _, arr in fields]
+    bad = ~np.logical_and.reduce(finite)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = next(name for (name, _), ok in zip(fields, finite) if not ok[i])
+        raise EvaluationError(what, ts[i], xs[i])
     return EvalBundle(phi, grad_phi, h, jac_h, g, jac_g)
 
 

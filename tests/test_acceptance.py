@@ -91,10 +91,10 @@ def test_criterion_4_ex4_reproduction(ex4_run):
     violation = gap = 0.0
     for i in metrics.masked_nodes:
         t = report.grid.nodes[i]
-        b = evaluate_all(prob, report.x.values[i], t)
+        b = evaluate_all(prob, report.x.values[i:i + 1], [t])
         violation = max(violation, np.abs(b.h).max(initial=0.0),
                         np.maximum(b.g, 0.0).max(initial=0.0))
-        gap = max(gap, b.phi - prob.eval_phi(reference_solution(prob, t), t))
+        gap = max(gap, b.phi[0] - prob.eval_phi(reference_solution(prob, t), t))
     masked_ok = (bool(metrics.masked_nodes) and violation <= cfg.eps_stop
                  and gap <= cfg.eps_stop)
     ok = converged and cert_ok and sup_ok and l1_ok and masked_ok
@@ -125,9 +125,9 @@ def test_criterion_5_update_identity_1000_draws():
         u = rng.uniform(-10.0, 10.0, size=prob.p)
         v = rng.uniform(0.0, 10.0, size=prob.m)
         rho = 10.0 ** rng.uniform(-2.0, 4.0)
-        bundle = evaluate_all(prob, x, t)
-        u_new = u + rho * bundle.h
-        v_new = np.maximum(v + rho * bundle.g, 0.0)
+        bundle = evaluate_all(prob, x[None], [t])
+        u_new = u + rho * bundle.h[0]
+        v_new = np.maximum(v + rho * bundle.g[0], 0.0)
         lhs = aug_lagrangian_gradient(prob, x, MultiplierSet(u, v), rho, t)
         rhs = lagrangian_gradient(prob, x, MultiplierSet(u_new, v_new), t)
         diff = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
@@ -175,7 +175,8 @@ def test_criterion_7_asymptotic_fixture():
     details = []
     for k in (1, 10, 100):
         x, v = akkt_example_sequence(grid, k)
-        res = akkt_residuals(prob, grid, x, u_empty, v)
+        res = akkt_residuals(grid, evaluate_all(prob, x.values, grid.nodes),
+                             u_empty, v)
         s = grid.nodes - 0.5
         hand = float(np.max(s * s / (3.0 * k)))
         assert res.stationarity_l1 <= 1e-12, k

@@ -8,7 +8,7 @@ import pytest
 
 import ctpalm as c
 import ctpalm.alm as alm_mod
-from ctpalm.alm import (ITERATION_CSV_HEADER, AlmState, SolveStatus,
+from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus,
                         multiplier_update, penalty_update, safeguard_project)
 from ctpalm.inner import InnerStatus
 from ctpalm.problems import EvalBundle
@@ -16,29 +16,33 @@ from conftest import run_builtin, unconstrained_quadratic
 
 
 def bundle_with(h=(), g=()):
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return EvalBundle(phi=0.0, grad_phi=np.zeros(1), h=h,
-                      jac_h=np.zeros((h.size, 1)), g=g, jac_g=np.zeros((g.size, 1)))
+    """One-node bundle (n = 1) with the given constraint values."""
+    h = np.asarray(h, dtype=float).reshape(1, -1)
+    g = np.asarray(g, dtype=float).reshape(1, -1)
+    return EvalBundle(phi=np.zeros(1), grad_phi=np.zeros((1, 1)), h=h,
+                      jac_h=np.zeros((1, h.shape[1], 1)), g=g,
+                      jac_g=np.zeros((1, g.shape[1], 1)))
 
 
 # -- multiplier_update --------------------------------------------------------
 
 def test_update_equality_arithmetic():
-    u, v = multiplier_update(bundle_with(h=[0.5]), np.array([1.0]), np.zeros(0), 2.0)
-    assert np.array_equal(u, [2.0])
+    u, v = multiplier_update(bundle_with(h=[0.5]), np.array([[1.0]]),
+                             np.zeros((1, 0)), 2.0)
+    assert np.array_equal(u, [[2.0]])
 
 
 def test_update_clamps_inequality_at_zero():
-    u, v = multiplier_update(bundle_with(g=[-1.0]), np.zeros(0), np.array([1.0]), 2.0)
-    assert np.array_equal(v, [0.0])
+    u, v = multiplier_update(bundle_with(g=[-1.0]), np.zeros((1, 0)),
+                             np.array([[1.0]]), 2.0)
+    assert np.array_equal(v, [[0.0]])
 
 
 def test_update_fixed_point_at_zero_violation():
     u, v = multiplier_update(bundle_with(h=[0.0], g=[0.0]),
-                             np.array([1.3]), np.array([0.7]), 5.0)
-    assert np.array_equal(u, [1.3])
-    assert np.array_equal(v, [0.7])
+                             np.array([[1.3]]), np.array([[0.7]]), 5.0)
+    assert np.array_equal(u, [[1.3]])
+    assert np.array_equal(v, [[0.7]])
 
 
 # -- safeguard_project --------------------------------------------------------
@@ -68,23 +72,14 @@ def test_projection_is_identity_with_huge_bounds(ex1_run):
 
 # -- penalty_update -----------------------------------------------------------
 
-def _state_with_rho(rho):
-    grid = c.make_uniform_grid(1.0, 2)
-    z = c.Trajectory(grid, np.zeros((2, 1)))
-    return AlmState(k=1, rho=rho, x=z, u_tilde=z, v_tilde=z), grid
-
-
 @pytest.mark.parametrize("cur,prev,expect_growth", [
     (0.1, 200.0, False),   # 0.1 <= 1e-3 * 200
     (0.1, 50.0, True),     # 0.1 > 1e-3 * 50
     (0.0, 0.0, False),     # ties keep rho
 ])
 def test_penalty_rule(cur, prev, expect_growth):
-    state, grid = _state_with_rho(2.0)
     cfg = c.AlmConfig(tau=1e-3)
-    cur_H = c.Trajectory(grid, np.zeros((2, 0)))
-    cur_V = c.Trajectory(grid, np.full((2, 1), cur))
-    rho_next = penalty_update(state, prev, cur_H, cur_V, cfg)
+    rho_next = penalty_update(2.0, prev, cur, cfg)
     if expect_growth:
         assert rho_next == pytest.approx(2.0 * cfg.gamma, rel=1e-15)
     else:

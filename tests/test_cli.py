@@ -100,6 +100,31 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert summary["config"]["max_outer"] == 300  # flag overrides file
 
 
+def test_default_solve_config_is_the_dataclass_defaults(tmp_path):
+    proc = run_cli(["solve", "--problem", "ex1", "--out-dir", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    cfg = c.AlmConfig()
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert config == {
+        "problem": "ex1", "nodes": 85, "rho_init": cfg.rho_init,
+        "gamma": cfg.gamma, "tau": cfg.tau, "bound_M": cfg.bound_M,
+        "bound_N": cfg.bound_N, "eps_stop": cfg.eps_stop,
+        "max_outer": cfg.max_outer, "inner_grad_tol": cfg.inner.grad_tol,
+        "inner_max_iters": cfg.inner.max_iters,
+        "x0": None, "u0": None, "v0": None,
+    }
+
+
+def test_solve_nonfinite_evaluation_is_data_error(tmp_path):
+    proc = run_cli(["solve", "--problem", "ex1", "--nodes", "5", "--x0=1e200,0",
+                    "--out-dir", str(tmp_path)])
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_exit_code_for_iteration_limit(tmp_path):
     out = tmp_path / "out"
     proc = run_cli(["solve", "--problem", "infeasible1", "--x0", "5",
@@ -121,6 +146,64 @@ def _write_csvs(tmp_path, grid, x, mults):
     with open(m_path, "w") as fh:
         write_trajectory_csv(mults, fh)
     return str(x_path), str(m_path)
+
+
+def _split_trajectory_csv(out, n, tmp_path):
+    """State and multiplier CSVs cut from a solve's trajectory.csv, cells as written."""
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+    x_path, m_path = tmp_path / "x.csv", tmp_path / "m.csv"
+    x_path.write_text("".join(",".join(r[:1 + n]) + "\n" for r in rows))
+    m_path.write_text("".join(",".join(r[:1] + r[1 + n:]) + "\n" for r in rows))
+    return str(x_path), str(m_path)
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("ex1", ["--x0", "1,1", "--v0", "1,1"]),
+    ("ex4", ["--x0", "1,1", "--v0", "1,1,1,1,1"]),
+])
+def test_check_reproduces_the_solver_stop_test(tmp_path, name, flags):
+    out = tmp_path / "out"
+    proc = run_cli(["solve", "--problem", name, *flags, "--out-dir", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    x_path, m_path = _split_trajectory_csv(out, builtin(name).n, tmp_path)
+    check = run_cli(["check", name, x_path, m_path])
+    assert check.returncode == 0, check.stdout + check.stderr
+    data = json.loads(check.stdout)
+    last = (out / "iterations.csv").read_text().splitlines()[-1].split(",")
+    summary = json.loads((out / "summary.json").read_text())
+    assert data["residuals"]["stationarity_l1"] == float(last[2])
+    assert data["residuals"]["complementarity_sup"] == float(last[3])
+    feas = data["feasibility"]
+    assert (max(feas["max_equality_violation"], feas["max_inequality_violation"])
+            == summary["primal_infeasibility"])
+    assert data["pass"] is True
+
+
+def test_check_infeasible_limit_point_fails(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(["solve", "--problem", "infeasible1", "--x0", "5",
+                    "--max-outer", "25", "--out-dir", str(out)])
+    assert proc.returncode == 2
+    x_path, m_path = _split_trajectory_csv(out, 1, tmp_path)
+    check = run_cli(["check", "infeasible1", x_path, m_path])
+    assert check.returncode == 1
+    data = json.loads(check.stdout)
+    assert data["pass"] is False
+    certs = data["certificates"]
+    assert certs["infeasibility"]["kind"] == "InfeasibleButThetaStationary"
+    assert certs["sufficiency"] is None
+
+
+def test_check_nonfinite_evaluation_is_data_error(tmp_path):
+    x_path = tmp_path / "x.csv"
+    x_path.write_text("t,c0,c1\n0,1e200,0\n1,0,0\n")
+    m_path = tmp_path / "m.csv"
+    m_path.write_text("t,c0,c1\n0,0,0\n1,0,0\n")
+    proc = run_cli(["check", "ex1", str(x_path), str(m_path)])
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
 
 
 def test_check_asymptotic_fixture_fails_tolerance(tmp_path):

@@ -19,6 +19,10 @@ def empty(grid):
     return c.Trajectory(grid, np.zeros((grid.num_nodes, 0)))
 
 
+def bundle_of(prob, x):
+    return c.evaluate_all(prob, x.values, x.grid.nodes)
+
+
 # -- sufficiency certificate ---------------------------------------------------
 
 def test_linear_problem_run_is_certified(ex4_run):
@@ -32,7 +36,8 @@ def test_nonconvex_problem_not_applicable(ex1_run):
     report, prob, _ = ex1_run
     cert = report.certificates["sufficiency"]
     assert cert.kind is CertificateKind.NOT_APPLICABLE
-    direct = sufficiency_certificate(prob, report.grid, report.x, report.u, report.v)
+    direct = sufficiency_certificate(prob, report.grid, bundle_of(prob, report.x),
+                                     report.u, report.v)
     assert direct.kind is CertificateKind.NOT_APPLICABLE
 
 
@@ -41,7 +46,7 @@ def test_constructed_violation_detected():
     grid = c.make_uniform_grid(prob.horizon, 9)
     x = const(grid, [1.0, 1.0])          # feasible; row 1 gives g1 = -1
     v = const(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
-    cert = sufficiency_certificate(prob, grid, x, empty(grid), v)
+    cert = sufficiency_certificate(prob, grid, bundle_of(prob, x), empty(grid), v)
     assert cert.kind is CertificateKind.HYPOTHESIS_VIOLATED
     assert cert.evidence["min_pairing_sum"] == pytest.approx(-1.0)
     assert 0 <= cert.evidence["worst_node"] < 9
@@ -53,7 +58,7 @@ def test_certificate_invariant_under_positive_rescaling():
     x = const(grid, [4.0, 4.0])          # infeasible: positive pairing products
     v = const(grid, [0.0, 0.0, 0.0, 2.0, 0.0])
     for scale in (1.0, 7.3, 1e4):
-        cert = sufficiency_certificate(prob, grid, x, empty(grid),
+        cert = sufficiency_certificate(prob, grid, bundle_of(prob, x), empty(grid),
                                        const(grid, [0.0, 0.0, 0.0, 2.0 * scale, 0.0]),
                                        tol=0.0)
         assert cert.kind is CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY
@@ -70,14 +75,15 @@ def test_stalled_run_is_theta_stationary(infeasible1_run):
 
 
 def test_feasible_trajectory_gets_no_report(ex1_run):
-    report, prob, _ = ex1_run
-    assert infeasibility_report(prob, report.grid, report.x) is None
+    report, prob, cfg = ex1_run
+    assert infeasibility_report(report.grid, bundle_of(prob, report.x),
+                                cfg.eps_stop) is None
 
 
 def test_infeasible_point_away_from_stationarity():
     prob = c.builtin("infeasible1")
     grid = c.make_uniform_grid(1.0, 17)
-    cert = infeasibility_report(prob, grid, const(grid, [1.0]))
+    cert = infeasibility_report(grid, bundle_of(prob, const(grid, [1.0])), 1e-5)
     assert cert.kind is CertificateKind.INFEASIBLE_NOT_STATIONARY
     assert cert.evidence["stationarity_residual"] == pytest.approx(8.0, rel=1e-12)
 
@@ -85,12 +91,13 @@ def test_infeasible_point_away_from_stationarity():
 def test_report_never_theta_stationary_for_feasible_points():
     prob = c.builtin("ex1")
     grid = c.make_uniform_grid(1.0, 9)
+    eps = c.AlmConfig().eps_stop
     rng = np.random.default_rng(8)
     for _ in range(25):
         vals = rng.normal(size=(9, 2))
-        cert = infeasibility_report(prob, grid, c.Trajectory(grid, vals))
+        cert = infeasibility_report(grid, bundle_of(prob, c.Trajectory(grid, vals)), eps)
         feasible = all(
-            float(np.maximum(prob.eval_g(vals[i], t), 0.0).max()) <= 1e-6
+            float(np.maximum(prob.eval_g(vals[i], t), 0.0).max()) <= eps
             for i, t in enumerate(grid.nodes))
         if feasible:
             assert cert is None

@@ -158,20 +158,6 @@ def test_subproblem_two_node_grid():
         assert np.array_equal(traj.values[i], solo.x_star)
 
 
-def test_thread_pool_gives_identical_results(monkeypatch):
-    prob = c.builtin("ex2")
-    grid = c.make_uniform_grid(1.0, 11)
-    cfg = c.InnerConfig()
-    warm = c.Trajectory.constant(grid, [0.5, 0.5])
-    u0 = c.Trajectory(grid, np.zeros((11, 0)))
-    v0 = c.Trajectory.constant(grid, [1.0, 1.0, 1.0])
-    seq, worst_a, grad_a = c.solve_subproblem(prob, grid, warm, u0, v0, 1.0, cfg)
-    monkeypatch.setenv("CTP_ALM_THREADS", "4")
-    par, worst_b, grad_b = c.solve_subproblem(prob, grid, warm, u0, v0, 1.0, cfg)
-    assert np.array_equal(seq.values, par.values)
-    assert worst_a == worst_b and grad_a == grad_b
-
-
 def test_status_severity_ordering():
     assert worst_of(InnerStatus.CONVERGED, InnerStatus.MAX_ITERS) is InnerStatus.MAX_ITERS
     assert worst_of(InnerStatus.DIVERGED, InnerStatus.MAX_ITERS) is InnerStatus.DIVERGED

@@ -4,8 +4,10 @@ analytic fixtures, and the squared-violation diagnostics."""
 import numpy as np
 import pytest
 
-from ctpalm.grid import Trajectory, make_uniform_grid
-from ctpalm.lagrangian import (MultiplierSet, akkt_residuals,
+from ctpalm.grid import (Trajectory, l1_time_norm, make_uniform_grid,
+                         trapezoid_integral)
+from ctpalm.lagrangian import (MultiplierSet, _row_dots, _transposed_product,
+                               akkt_residuals,
                                aug_lagrangian_gradient, aug_lagrangian_value,
                                feasibility_factor,
                                feasibility_stationarity_residual,
@@ -20,6 +22,10 @@ ALL_NAMES = ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1")
 
 def const_traj(grid, value):
     return Trajectory.constant(grid, value)
+
+
+def bundle_of(prob, x):
+    return evaluate_all(prob, x.values, x.grid.nodes)
 
 
 # -- lagrangian_gradient -----------------------------------------------------
@@ -104,9 +110,9 @@ def test_multiplier_update_identity_random():
             u = rng.uniform(-10.0, 10.0, size=prob.p)
             v = rng.uniform(0.0, 10.0, size=prob.m)
             rho = 10.0 ** rng.uniform(-2, 4)
-            bundle = evaluate_all(prob, x, t)
-            u_new = u + rho * bundle.h
-            v_new = np.maximum(v + rho * bundle.g, 0.0)
+            bundle = evaluate_all(prob, x[None], [t])
+            u_new = u + rho * bundle.h[0]
+            v_new = np.maximum(v + rho * bundle.g[0], 0.0)
             lhs = aug_lagrangian_gradient(prob, x, MultiplierSet(u, v), rho, t)
             rhs = lagrangian_gradient(prob, x, MultiplierSet(u_new, v_new), t)
             assert np.all(np.abs(lhs - rhs) <= 1e-12), (name, t, rho)
@@ -160,7 +166,7 @@ def test_residuals_on_asymptotic_fixture_k1():
     grid = make_uniform_grid(1.0, 84)
     x, v = akkt_example_sequence(grid, k=1)
     u = Trajectory(grid, np.zeros((84, 0)))
-    res = akkt_residuals(prob, grid, x, u, v)
+    res = akkt_residuals(grid, bundle_of(prob, x), u, v)
     assert res.stationarity_l1 <= 1e-12
     # worst pointwise pairing v1 * max(-g1, 0) = (t - 1/2)^2 / 3 at the endpoints
     assert res.complementarity_sup == pytest.approx(0.25 / 3.0, rel=1e-12)
@@ -171,7 +177,7 @@ def test_residuals_zero_multipliers_at_reference():
     prob = builtin("ex1")
     grid = make_uniform_grid(1.0, 85)
     x = Trajectory(grid, np.zeros((85, 2)))
-    res = akkt_residuals(prob, grid, x,
+    res = akkt_residuals(grid, bundle_of(prob, x),
                          Trajectory(grid, np.zeros((85, 0))),
                          Trajectory(grid, np.zeros((85, 2))))
     # gradient of the objective alone is (0, 1) at every node
@@ -186,7 +192,7 @@ def test_residuals_reject_negative_multipliers():
     u = Trajectory(grid, np.zeros((5, 0)))
     v = Trajectory(grid, np.full((5, 2), -0.1))
     with pytest.raises(ValueError):
-        akkt_residuals(prob, grid, x, u, v)
+        akkt_residuals(grid, bundle_of(prob, x), u, v)
 
 
 def test_residuals_invariant_under_constraint_reordering():
@@ -204,11 +210,48 @@ def test_residuals_invariant_under_constraint_reordering():
     x = Trajectory(grid, rng.normal(size=(21, 2)))
     u = Trajectory(grid, np.zeros((21, 0)))
     v_vals = rng.uniform(0.0, 2.0, size=(21, 3))
-    res = akkt_residuals(prob, grid, x, u, Trajectory(grid, v_vals))
-    res_p = akkt_residuals(permuted, grid, x, u, Trajectory(grid, v_vals[:, perm]))
+    res = akkt_residuals(grid, bundle_of(prob, x), u, Trajectory(grid, v_vals))
+    res_p = akkt_residuals(grid, bundle_of(permuted, x), u,
+                           Trajectory(grid, v_vals[:, perm]))
     assert res_p.complementarity_sup == res.complementarity_sup
     assert res_p.multiplier_min == res.multiplier_min
     assert res_p.stationarity_l1 == pytest.approx(res.stationarity_l1, rel=1e-13)
+
+
+def test_stacked_reductions_equal_the_node_loop():
+    """The stacked products behind the residuals reproduce per-node `J.T @ w`
+    and `a @ b` bit for bit, and so do the reductions built on them."""
+    rng = np.random.default_rng(5)
+    for name in ALL_NAMES:
+        prob = builtin(name)
+        grid = make_uniform_grid(prob.horizon, 41)
+        x = rng.uniform(-3.0, 3.0, size=(41, prob.n))
+        u = rng.uniform(-2.0, 2.0, size=(41, prob.p))
+        v = rng.uniform(0.0, 2.0, size=(41, prob.m))
+        bundle = evaluate_all(prob, x, grid.nodes)
+        for jac, w in ((bundle.jac_h, u), (bundle.jac_g, v)):
+            assert np.array_equal(_transposed_product(jac, w),
+                                  [jac_i.T @ w_i for jac_i, w_i in zip(jac, w)])
+        assert np.array_equal(_row_dots(bundle.g, v),
+                              [g_i @ v_i for g_i, v_i in zip(bundle.g, v)])
+        stat, comp, factor, feas_grad = [], 0.0, [], []
+        for i, t in enumerate(grid.nodes):
+            h = np.asarray(prob.eval_h(x[i], t), dtype=float)
+            gp = np.maximum(np.asarray(prob.eval_g(x[i], t), dtype=float), 0.0)
+            gl = lagrangian_gradient(prob, x[i], MultiplierSet(u[i], v[i]), t)
+            stat.append(float(np.abs(gl).sum()))
+            comp = max(comp, float((v[i] * np.maximum(
+                -np.asarray(prob.eval_g(x[i], t), dtype=float), 0.0)).max(initial=0.0)))
+            factor.append(float(h @ h) + float(gp @ gp))
+            feas_grad.append(np.asarray(prob.eval_jac_h(x[i], t), dtype=float).T @ (2.0 * h)
+                             + np.asarray(prob.eval_jac_g(x[i], t), dtype=float).T @ (2.0 * gp))
+        res = akkt_residuals(grid, bundle, Trajectory(grid, u), Trajectory(grid, v))
+        assert res.stationarity_l1 == trapezoid_integral(Trajectory(grid, np.array(stat)))
+        assert res.complementarity_sup == comp
+        assert feasibility_factor(grid, bundle) == trapezoid_integral(
+            Trajectory(grid, np.array(factor)))
+        assert feasibility_stationarity_residual(grid, bundle) == l1_time_norm(
+            Trajectory(grid, np.array(feas_grad)))
 
 
 # -- squared-violation diagnostics -------------------------------------------
@@ -217,15 +260,15 @@ def test_feasibility_factor_zero_on_feasible_trajectory():
     prob = builtin("ex2")
     grid = make_uniform_grid(1.0, 41)
     x = Trajectory(grid, np.array([reference_solution(prob, t) for t in grid.nodes]))
-    assert feasibility_factor(prob, grid, x) == 0.0
+    assert feasibility_factor(grid, bundle_of(prob, x)) == 0.0
 
 
 def test_feasibility_factor_hand_values():
     grid = make_uniform_grid(1.0, 33)
-    assert feasibility_factor(builtin("ex1"), grid,
-                              const_traj(grid, [0.0, -1.0])) == pytest.approx(2.0, rel=1e-14)
-    assert feasibility_factor(builtin("infeasible1"), grid,
-                              const_traj(grid, [0.0])) == pytest.approx(1.0, rel=1e-14)
+    assert feasibility_factor(grid, bundle_of(
+        builtin("ex1"), const_traj(grid, [0.0, -1.0]))) == pytest.approx(2.0, rel=1e-14)
+    assert feasibility_factor(grid, bundle_of(
+        builtin("infeasible1"), const_traj(grid, [0.0]))) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_feasibility_factor_zero_iff_feasible():
@@ -235,7 +278,7 @@ def test_feasibility_factor_zero_iff_feasible():
     for _ in range(20):
         vals = rng.normal(size=(9, 2))
         traj = Trajectory(grid, vals)
-        factor = feasibility_factor(prob, grid, traj)
+        factor = feasibility_factor(grid, bundle_of(prob, traj))
         violations = max(
             float(np.maximum(prob.eval_g(vals[i], t), 0.0).max())
             for i, t in enumerate(grid.nodes))
@@ -246,9 +289,9 @@ def test_violation_stationarity_hand_values():
     grid = make_uniform_grid(1.0, 33)
     prob = builtin("infeasible1")
     assert feasibility_stationarity_residual(
-        prob, grid, const_traj(grid, [0.0])) == 0.0
+        grid, bundle_of(prob, const_traj(grid, [0.0]))) == 0.0
     assert feasibility_stationarity_residual(
-        prob, grid, const_traj(grid, [1.0])) == pytest.approx(8.0, rel=1e-14)
+        grid, bundle_of(prob, const_traj(grid, [1.0]))) == pytest.approx(8.0, rel=1e-14)
     ex2 = builtin("ex2")
     feas = Trajectory(grid, np.array([reference_solution(ex2, t) for t in grid.nodes]))
-    assert feasibility_stationarity_residual(ex2, grid, feas) == 0.0
+    assert feasibility_stationarity_residual(grid, bundle_of(ex2, feas)) == 0.0

@@ -54,38 +54,54 @@ def test_convexity_flags():
 # -- evaluate_all ------------------------------------------------------------
 
 def test_evaluate_ex1_at_origin():
-    bundle = evaluate_all(builtin("ex1"), np.array([0.0, 0.0]), 0.3)
-    assert bundle.phi == 0.0
-    assert np.array_equal(bundle.g, [0.0, 0.0])
+    bundle = evaluate_all(builtin("ex1"), np.array([[0.0, 0.0]]), [0.3])
+    assert np.array_equal(bundle.phi, [0.0])
+    assert np.array_equal(bundle.g, [[0.0, 0.0]])
 
 
 def test_evaluate_ex3_at_reference_point():
-    bundle = evaluate_all(builtin("ex3"), np.array([1.0, 1.0, 0.0]), 0.42)
-    assert np.array_equal(bundle.h, [0.0])
-    assert np.array_equal(bundle.g, [0.0, 0.0])
-    assert bundle.phi == 0.0
+    bundle = evaluate_all(builtin("ex3"), np.array([[1.0, 1.0, 0.0]]), [0.42])
+    assert np.array_equal(bundle.h, [[0.0]])
+    assert np.array_equal(bundle.g, [[0.0, 0.0]])
+    assert np.array_equal(bundle.phi, [0.0])
 
 
 def test_evaluate_unconstrained_has_empty_constraint_blocks():
-    bundle = evaluate_all(unconstrained_quadratic(), np.array([2.0]), 0.0)
-    assert bundle.h.shape == (0,)
-    assert bundle.g.shape == (0,)
-    assert bundle.jac_g.shape == (0, 1)
+    bundle = evaluate_all(unconstrained_quadratic(), np.array([[2.0]]), [0.0])
+    assert bundle.h.shape == (1, 0)
+    assert bundle.g.shape == (1, 0)
+    assert bundle.jac_g.shape == (1, 0, 1)
+
+
+def test_evaluate_stacks_one_row_per_node():
+    prob = builtin("ex4")
+    ts = np.array([0.0, 0.5, 1.5])
+    xs = np.array([[1.0, 2.0], [0.5, 0.25], [3.0, 1.0]])
+    bundle = evaluate_all(prob, xs, ts)
+    assert bundle.jac_g.shape == (3, 5, 2)
+    for i, t in enumerate(ts):
+        assert bundle.phi[i] == prob.eval_phi(xs[i], t)
+        assert np.array_equal(bundle.g[i], prob.eval_g(xs[i], t))
+        assert np.array_equal(bundle.jac_g[i], prob.eval_jac_g(xs[i], t))
 
 
 def test_evaluate_nonfinite_raises_with_context():
+    # phi fails from t = 0.5 on, grad_phi from t = 0.25 on: the lowest
+    # offending node is t = 0.25, where grad_phi is the first bad field.
     bad = ProblemDefinition(
         name="bad", n=1, p=0, m=0, horizon=1.0,
-        eval_phi=lambda x, t: float("inf"),
-        eval_grad_phi=lambda x, t: np.array([0.0]),
+        eval_phi=lambda x, t: float("inf") if t >= 0.5 else 0.0,
+        eval_grad_phi=lambda x, t: np.array([np.nan if t >= 0.25 else 0.0]),
         eval_h=lambda x, t: np.zeros(0),
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
         convexity=Convexity(True, (), ()))
     with pytest.raises(EvaluationError) as err:
-        evaluate_all(bad, np.array([1.0]), 0.25)
+        evaluate_all(bad, np.array([[1.0], [2.0], [3.0], [4.0]]), [0.0, 0.25, 0.5, 0.75])
     assert err.value.t == 0.25
+    assert np.array_equal(err.value.x, [2.0])
+    assert str(err.value).startswith("grad_phi returned a non-finite value")
 
 
 # -- reference solutions -----------------------------------------------------
