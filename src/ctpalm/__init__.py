@@ -24,7 +24,8 @@ from .lagrangian import (MultiplierSet, Residuals, akkt_residuals,
 from .problems import (Convexity, EvalBundle, EvaluationError,
                        MissingReferenceError, ProblemDefinition,
                        UnknownProblemError, akkt_example_sequence, builtin,
-                       builtin_names, evaluate_all, reference_solution)
+                       builtin_names, evaluate_all, pointwise,
+                       reference_solution)
 
 __all__ = [
     "AlmConfig", "Certificate", "CertificateKind", "Convexity",
@@ -35,7 +36,7 @@ __all__ = [
     "aug_lagrangian_gradient", "aug_lagrangian_value", "builtin", "builtin_names",
     "evaluate_all", "feasibility_factor", "feasibility_stationarity_residual",
     "infeasibility_report", "l1_time_norm", "lagrangian_gradient",
-    "make_uniform_grid", "multiplier_update", "penalty_update",
+    "make_uniform_grid", "multiplier_update", "penalty_update", "pointwise",
     "read_trajectory_csv", "reference_solution", "safeguard_project", "solution_error",
     "solve", "solve_node", "solve_subproblem", "sufficiency_certificate",
     "sup_node_norm", "trapezoid_integral", "write_trajectory_csv",

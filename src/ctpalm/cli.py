@@ -132,6 +132,8 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
         if constants.size != dim:
             raise CliError(EXIT_DATA,
                            f"{flag}: expected {dim} component(s), got {constants.size}")
+        if not np.all(np.isfinite(constants)):
+            raise CliError(EXIT_DATA, f"{flag}: non-finite value in {spec!r}")
         return Trajectory.constant(grid, constants)
     if not os.path.exists(spec):
         raise CliError(EXIT_DATA, f"{flag}: {spec!r} is neither a number list "
@@ -161,7 +163,11 @@ def _merged_options(args) -> dict:
     for flag, (typ, default) in _SOLVE_DEFAULTS.items():
         value = getattr(args, flag)
         if value is None and flag in file_values:
-            value = typ(file_values[flag])
+            try:
+                value = typ(file_values[flag])
+            except (TypeError, ValueError):
+                raise CliError(EXIT_DATA, f"--config: {flag}: expected {typ.__name__}, "
+                                          f"got {file_values[flag]!r}") from None
         merged[flag] = default if value is None else value
     for flag in ("x0", "u0", "v0"):
         value = getattr(args, flag)
@@ -184,19 +190,26 @@ def _summary_bytes(summary: dict) -> bytes:
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     opts = _merged_options(args)
-    grid = make_uniform_grid(problem.horizon, opts["nodes"])
+    try:
+        grid = make_uniform_grid(problem.horizon, opts["nodes"])
+        cfg = AlmConfig(**{f.name: opts[f.name.lower()] for f in _ALM_FIELDS})
+        inner = {"max_iters": opts["inner_max_iters"]}
+        if opts["inner_grad_tol"] is not None:
+            inner["grad_tol"] = opts["inner_grad_tol"]
+        cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, **inner))
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
 
     x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, "--x0")
     if x0 is None:
         x0 = Trajectory.constant(grid, np.zeros(problem.n))
     u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, "--u0")
     v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, "--v0")
-
-    cfg = AlmConfig(**{f.name: opts[f.name.lower()] for f in _ALM_FIELDS})
-    inner = {"max_iters": opts["inner_max_iters"]}
-    if opts["inner_grad_tol"] is not None:
-        inner["grad_tol"] = opts["inner_grad_tol"]
-    cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, **inner))
+    for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, "--u0"),
+                                  (v0, 0.0, cfg.bound_N, "--v0")):
+        if traj is not None and traj.values.size and not (
+                low <= traj.values.min() and traj.values.max() <= high):
+            raise CliError(EXIT_DATA, f"{flag}: entries must lie in [{low:g}, {high:g}]")
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)

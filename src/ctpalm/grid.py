@@ -183,6 +183,8 @@ def read_trajectory_csv(src) -> Trajectory:
             vals = [float(c) for c in cells]
         except ValueError:
             raise TrajectoryCsvError("non-numeric cell", lineno) from None
+        if not all(np.isfinite(vals)):
+            raise TrajectoryCsvError("non-finite cell", lineno)
         ts.append(vals[0])
         rows.append(vals[1:])
     if len(ts) < 2:

@@ -1,23 +1,26 @@
-"""Node-wise solver for the penalized subproblems.
+"""Lockstep solver for the penalized subproblems.
 
 The discretized subproblem separates across grid nodes because every function
 depends only on the state at the same time, so each node is an independent
-small unconstrained problem.  A node solve runs in up to two phases:
+small unconstrained problem.  All nodes are solved together, as the rows of a
+stack: every phase below advances each unfinished row by one step per pass,
+with the row's own step size, Barzilai-Borwein memory, Armijo backtracking and
+termination, and evaluates only the rows still working.  A row's arithmetic
+is that of a solve of its node alone.
 
 1. Spectral (Barzilai-Borwein) gradient descent with a monotone Armijo
    backtracking safeguard on the augmented objective.
-2. If descent stops short (budget exhausted or iterates escaping the guard
-   box), a stationary-point polish minimizes half the squared gradient norm
-   from the best point seen.  Penalized subproblems can be unbounded below
-   while still owning the stationary point the outer iteration needs, and a
-   pure descent method cannot terminate at a stationary point that is not a
-   local minimum; the polish can.
-
-When both phases fail, the returned iterate is the one with the smallest
-penalty (shifted-violation) value seen during descent rather than the one
-with the smallest gradient.  On an unbounded subproblem, descent progress is
-meaningless, and the most nearly shifted-feasible point is the one that keeps
-the outer multiplier update stable.
+2. Rows where descent stops short (budget exhausted or iterates escaping the
+   guard box) go on to a stationary-point polish, which minimizes half the
+   squared gradient norm from the best point seen.  Penalized subproblems can
+   be unbounded below while still owning the stationary point the outer
+   iteration needs, and a pure descent method cannot terminate at a
+   stationary point that is not a local minimum; the polish can.
+3. Rows where both phases fail return the iterate with the smallest penalty
+   (shifted-violation) value seen during descent rather than the one with the
+   smallest gradient.  On an unbounded subproblem, descent progress is
+   meaningless, and the most nearly shifted-feasible point is the one that
+   keeps the outer multiplier update stable.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .grid import TimeGrid, Trajectory
 from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
-from .problems import ProblemDefinition
+from .problems import ProblemDefinition, _row_dots, evaluate
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
@@ -42,12 +45,13 @@ class InnerStatus(enum.Enum):
     DIVERGED = "Diverged"
 
 
-_STATUS_SEVERITY = {InnerStatus.CONVERGED: 0, InnerStatus.MAX_ITERS: 1,
-                    InnerStatus.DIVERGED: 2}
+# Statuses by severity; the solver carries each row's status as an index here.
+_BY_SEVERITY = (InnerStatus.CONVERGED, InnerStatus.MAX_ITERS, InnerStatus.DIVERGED)
+_CONVERGED, _MAX_ITERS, _DIVERGED = range(3)
 
 
 def worst_of(a: InnerStatus, b: InnerStatus) -> InnerStatus:
-    return a if _STATUS_SEVERITY[a] >= _STATUS_SEVERITY[b] else b
+    return a if _BY_SEVERITY.index(a) >= _BY_SEVERITY.index(b) else b
 
 
 @dataclass(frozen=True)
@@ -77,197 +81,273 @@ class InnerResult:
     status: InnerStatus
 
 
-def _value_and_penalty(problem, x, u, v, rho, t):
-    pen = _penalty_value(problem, x, u, v, rho, t)
-    return float(problem.eval_phi(x, t)) + pen, pen
+class _Rows:
+    """State of the rows still iterating, one array entry per row; `rows`
+    holds their indices in the batch."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask: np.ndarray) -> None:
+        if not mask.all():
+            self.__dict__.update({k: a[mask] for k, a in vars(self).items()})
 
 
-def _descend(problem, t, x_init, u, v, rho, cfg, trace):
-    """Phase 1: BB descent.
+def _value_and_penalty(problem, xs, us, vs, rho, ts):
+    pen = _penalty_value(problem, xs, us, vs, rho, ts)
+    return evaluate(problem, "phi", xs, ts) + pen, pen
 
-    Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) where
-    best_* track the smallest gradient norm seen and minpen_x the first
-    iterate with strictly smallest penalty value.
+
+def _grad_norms(gr: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row; inf for rows with a non-finite entry."""
+    return np.where(np.isfinite(gr).all(axis=1), np.abs(gr).max(axis=1), np.inf)
+
+
+def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> np.ndarray:
+    """Barzilai-Borwein step s.s / s.y of each row; `fallback` where s.y or
+    the step is not positive and finite."""
+    sy = _row_dots(s, y)
+    usable = (sy > 0.0) & np.isfinite(sy)
+    alpha = _row_dots(s, s) / np.where(usable, sy, 1.0)
+    return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, fallback)
+
+
+def _trace_steps(trace, phase, accepted, f_old, f_new, alpha, slope, cfg):
+    for i in np.flatnonzero(accepted):
+        trace(dict(phase=phase, f_old=float(f_old[i]), f_new=float(f_new[i]),
+                   alpha=float(alpha[i]), slope=float(slope[i]), armijo_c=cfg.armijo_c))
+
+
+def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
+    """Phase 1 at every row: BB descent.
+
+    Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
+    entry per row: best_* track the smallest gradient norm seen and minpen_x
+    the first iterate with strictly smallest penalty value; status holds
+    `_BY_SEVERITY` indices.
     """
-    x = np.array(x_init, dtype=float)
-    f, pen = _value_and_penalty(problem, x, u, v, rho, t)
-    gr = _aug_gradient(problem, x, u, v, rho, t)
-    if not (np.isfinite(f) and np.all(np.isfinite(gr))):
-        return x, float("inf"), x.copy(), float("inf"), 0, InnerStatus.MAX_ITERS
-    gn = float(np.abs(gr).max())
-    gn0 = gn
-    best_x, best_gn = x.copy(), gn
-    minpen_x, minpen = x.copy(), pen
-    prev_x = prev_g = None
+    count = len(ts)
+    f, pen = _value_and_penalty(problem, xs, us, vs, rho, ts)
+    gr = _aug_gradient(problem, xs, us, vs, rho, ts)
+    gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
+    best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
+    iters = np.zeros(count, dtype=int)
+    status = np.full(count, _MAX_ITERS)
+    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, f=f, gr=gr, gn=gn)
+    w.keep(np.isfinite(gn))
     for it in range(1, cfg.max_iters + 1):
-        if gn <= cfg.grad_tol:
-            return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.CONVERGED
-        if float(np.abs(x).max()) > cfg.iterate_box:
-            return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.DIVERGED
-        d = -gr
-        gd = float(gr @ d)
-        if prev_x is not None:
-            s = x - prev_x
-            y = gr - prev_g
-            sy = float(s @ y)
-            alpha = float(s @ s) / sy if sy > 0.0 and np.isfinite(sy) else cfg.step_init
-            if not np.isfinite(alpha) or alpha <= 0.0:
-                alpha = cfg.step_init
-        else:
-            alpha = cfg.step_init
-        accepted = False
-        while alpha >= cfg.step_min:
-            xn = x + alpha * d
-            fn, pn = _value_and_penalty(problem, xn, u, v, rho, t)
-            if np.isfinite(fn) and fn <= f + cfg.armijo_c * alpha * gd:
-                gn_new_vec = _aug_gradient(problem, xn, u, v, rho, t)
-                if np.all(np.isfinite(gn_new_vec)):
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            return best_x, best_gn, minpen_x, gn0, it, InnerStatus.MAX_ITERS
+        converged = w.gn <= cfg.grad_tol
+        diverged = ~converged & (np.abs(w.x).max(axis=1) > cfg.iterate_box)
+        stop = converged | diverged
+        if stop.any():
+            iters[w.rows[stop]] = it - 1
+            status[w.rows[converged]] = _CONVERGED
+            status[w.rows[diverged]] = _DIVERGED
+            w.keep(~stop)
+        if not w.rows.size:
+            break
+        d = -w.gr
+        gd = _row_dots(w.gr, d)
+        # Every row past its first step has accepted one, so has BB memory.
+        alpha = (_bb_step(w.x - w.prev_x, w.gr - w.prev_g, cfg.step_init) if it > 1
+                 else np.full(len(w.rows), cfg.step_init))
+        accepted = np.zeros(len(w.rows), dtype=bool)
+        xn, grn = np.empty_like(w.x), np.empty_like(w.x)
+        fn, pn = np.empty(len(w.rows)), np.empty(len(w.rows))
+        trial = np.flatnonzero(alpha >= cfg.step_min)
+        while trial.size:
+            xt = w.x[trial] + alpha[trial, None] * d[trial]
+            ft, pt = _value_and_penalty(problem, xt, w.u[trial], w.v[trial], rho,
+                                        w.t[trial])
+            ok = np.isfinite(ft) & (ft <= w.f[trial] + cfg.armijo_c * alpha[trial]
+                                    * gd[trial])
+            if ok.any():
+                j = trial[ok]
+                gt = _aug_gradient(problem, xt[ok], w.u[j], w.v[j], rho, w.t[j])
+                finite = np.isfinite(gt).all(axis=1)
+                ok[ok] = finite
+                j = trial[ok]
+                xn[j], fn[j], pn[j], grn[j] = xt[ok], ft[ok], pt[ok], gt[finite]
+                accepted[j] = True
+            trial = trial[~ok]
+            alpha[trial] *= 0.5
+            trial = trial[alpha[trial] >= cfg.step_min]
+        # Rows without an acceptable step stop here with MaxIters.
+        iters[w.rows[~accepted]] = it
         if trace is not None:
-            trace(dict(phase="descent", f_old=f, f_new=fn, alpha=alpha,
-                       slope=gd, armijo_c=cfg.armijo_c))
-        prev_x, prev_g = x, gr
-        x, f, pen, gr = xn, fn, pn, gn_new_vec
-        gn = float(np.abs(gr).max())
-        if gn <= best_gn:
-            best_x, best_gn = x.copy(), gn
-        if pen < minpen:
-            minpen_x, minpen = x.copy(), pen
-    return best_x, best_gn, minpen_x, gn0, cfg.max_iters, InnerStatus.MAX_ITERS
+            _trace_steps(trace, "descent", accepted, w.f, fn, alpha, gd, cfg)
+        w.prev_x, w.prev_g = w.x, w.gr
+        w.x, w.f, w.pen, w.gr = xn, fn, pn, grn
+        w.keep(accepted)
+        w.gn = np.abs(w.gr).max(axis=1)
+        rows = w.rows
+        better = w.gn <= best_gn[rows]
+        best_x[rows[better]], best_gn[rows[better]] = w.x[better], w.gn[better]
+        lower = w.pen < minpen[rows]
+        minpen_x[rows[lower]], minpen[rows[lower]] = w.x[lower], w.pen[lower]
+    iters[w.rows] = cfg.max_iters
+    return best_x, best_gn, minpen_x, gn, iters, status
 
 
-def _polish(problem, t, x_init, u, v, rho, cfg, trace):
-    """Phase 2: minimize psi = 0.5 ||grad||^2 to land on a stationary point.
+def _psi_gradient(problem, w, rho):
+    """Gradient of psi = 0.5 ||F||^2 at every row of `w`: the directional
+    derivative of F along itself (central difference) times ||F||, which
+    needs no second derivatives from the problem; zero where F = 0."""
+    norm = np.sqrt(_row_dots(w.F, w.F))
+    out = np.zeros_like(w.x)
+    j = np.flatnonzero(norm != 0.0)
+    if j.size:
+        scale = norm[j, None]
+        step = _POLISH_FD_STEP * (w.F[j] / scale)
+        u, v, t = w.u[j], w.v[j], w.t[j]
+        plus = _aug_gradient(problem, w.x[j] + step, u, v, rho, t)
+        minus = _aug_gradient(problem, w.x[j] - step, u, v, rho, t)
+        out[j] = (plus - minus) / (2.0 * _POLISH_FD_STEP) * scale
+    return out
 
-    The psi gradient is the directional derivative of the gradient field along
-    itself (central difference), which needs no second derivatives from the
-    problem.  Returns (best_x, best_grad_inf_norm, iterations).
-    """
-    x = np.array(x_init, dtype=float)
-    F = _aug_gradient(problem, x, u, v, rho, t)
-    if not np.all(np.isfinite(F)):
-        return x, float("inf"), 0
 
-    def psi_gradient(xx, FF):
-        norm = float(np.linalg.norm(FF))
-        if norm == 0.0:
-            return np.zeros_like(xx)
-        p = FF / norm
-        plus = _aug_gradient(problem, xx + _POLISH_FD_STEP * p, u, v, rho, t)
-        minus = _aug_gradient(problem, xx - _POLISH_FD_STEP * p, u, v, rho, t)
-        return (plus - minus) / (2.0 * _POLISH_FD_STEP) * norm
-
-    psi = 0.5 * float(F @ F)
-    gn_F = float(np.abs(F).max())
-    best_x, best_gn = x.copy(), gn_F
-    g = psi_gradient(x, F)
-    prev_x = prev_g = None
-    since_best = 0
-    it = 0
+def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
+    """Phase 2 at every row: minimize psi = 0.5 ||grad||^2 to land on a
+    stationary point.  Returns (best_x, best_grad_inf_norm, iterations)."""
+    count = len(ts)
+    best_x = xs.copy()
+    best_gn = np.full(count, np.inf)
+    iters = np.zeros(count, dtype=int)
+    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs,
+              F=_aug_gradient(problem, xs, us, vs, rho, ts))
+    w.keep(np.isfinite(w.F).all(axis=1))
+    w.psi = 0.5 * _row_dots(w.F, w.F)
+    w.gn = np.abs(w.F).max(axis=1)
+    w.since_best = np.zeros(len(w.rows), dtype=int)
+    best_gn[w.rows] = w.gn
+    w.g = _psi_gradient(problem, w, rho)
     for it in range(1, cfg.polish_iters + 1):
-        if gn_F <= cfg.grad_tol or not np.all(np.isfinite(g)):
-            return best_x, best_gn, it - 1
-        if since_best > 30:
-            # Gradient norm stopped improving: no stationary point nearby.
+        d = -w.g
+        gd = _row_dots(w.g, d)
+        landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.g).all(axis=1)
+        # Gradient norm stopped improving (no stationary point nearby), or
+        # -g is no descent direction for psi.
+        stalled = ~landed & ((w.since_best > 30) | (gd >= 0.0))
+        iters[w.rows[landed]] = it - 1
+        iters[w.rows[stalled]] = it
+        going = ~(landed | stalled)
+        w.keep(going)
+        d, gd = d[going], gd[going]
+        if not w.rows.size:
             break
-        d = -g
-        gd = float(g @ d)
-        if gd >= 0.0:
-            break
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(s @ y)
-            alpha = float(s @ s) / sy if sy > 0.0 and np.isfinite(sy) else 1.0
-            if not np.isfinite(alpha) or alpha <= 0.0:
-                alpha = 1.0
-        else:
-            alpha = min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))
-        accepted = False
-        while alpha >= cfg.step_min:
-            xn = x + alpha * d
-            Fn = _aug_gradient(problem, xn, u, v, rho, t)
-            psin = 0.5 * float(Fn @ Fn) if np.all(np.isfinite(Fn)) else float("inf")
-            if np.isfinite(psin) and psin <= psi + cfg.armijo_c * alpha * gd:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
+        alpha = (_bb_step(w.x - w.prev_x, w.g - w.prev_g, 1.0) if it > 1 else
+                 np.minimum(1.0, 1.0 / np.maximum(1.0, np.abs(w.g).max(axis=1))))
+        accepted = np.zeros(len(w.rows), dtype=bool)
+        xn, Fn, psin = np.empty_like(w.x), np.empty_like(w.x), np.empty(len(w.rows))
+        trial = np.flatnonzero(alpha >= cfg.step_min)
+        while trial.size:
+            xt = w.x[trial] + alpha[trial, None] * d[trial]
+            Ft = _aug_gradient(problem, xt, w.u[trial], w.v[trial], rho, w.t[trial])
+            psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
+            ok = np.isfinite(psit) & (psit <= w.psi[trial] + cfg.armijo_c * alpha[trial]
+                                      * gd[trial])
+            j = trial[ok]
+            xn[j], Fn[j], psin[j] = xt[ok], Ft[ok], psit[ok]
+            accepted[j] = True
+            trial = trial[~ok]
+            alpha[trial] *= 0.5
+            trial = trial[alpha[trial] >= cfg.step_min]
+        iters[w.rows[~accepted]] = it
         if trace is not None:
-            trace(dict(phase="polish", f_old=psi, f_new=psin, alpha=alpha,
-                       slope=gd, armijo_c=cfg.armijo_c))
-        prev_x, prev_g = x, g
-        x, F, psi = xn, Fn, psin
-        gn_F = float(np.abs(F).max())
-        if gn_F <= 0.99 * best_gn:
-            best_x, best_gn, since_best = x.copy(), gn_F, 0
-        elif gn_F <= best_gn:
-            best_x, best_gn = x.copy(), gn_F
-            since_best += 1
-        else:
-            since_best += 1
-        if float(np.abs(x).max()) > cfg.iterate_box:
+            _trace_steps(trace, "polish", accepted, w.psi, psin, alpha, gd, cfg)
+        w.prev_x, w.prev_g = w.x, w.g
+        w.x, w.F, w.psi = xn, Fn, psin
+        w.keep(accepted)
+        w.gn = np.abs(w.F).max(axis=1)
+        best = best_gn[w.rows]
+        improved = w.gn <= 0.99 * best
+        kept = w.gn <= best
+        best_x[w.rows[kept]], best_gn[w.rows[kept]] = w.x[kept], w.gn[kept]
+        w.since_best = np.where(improved, 0, w.since_best + 1)
+        escaped = np.abs(w.x).max(axis=1) > cfg.iterate_box
+        iters[w.rows[escaped]] = it
+        w.keep(~escaped)
+        if not w.rows.size:
             break
-        g = psi_gradient(x, F)
-    return best_x, best_gn, it
+        w.g = _psi_gradient(problem, w, rho)
+    iters[w.rows] = cfg.polish_iters
+    return best_x, best_gn, iters
+
+
+def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None):
+    """Solve the node problem of every row: states xs (N, n) at times ts (N,)
+    with multipliers us (N, p), vs (N, m).
+
+    Returns (x_star, grad_inf_norm, iterations, status) with one entry per
+    row, status as `_BY_SEVERITY` indices.  `trace` receives one event per
+    accepted step of each row.
+    """
+    # Overflow in a trial point shows up as a non-finite value, which the
+    # phases reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_star, grad, minpen_x, initial_gn, iters, status = _descend(
+            problem, ts, xs, us, vs, rho, cfg, trace)
+        # The polish targets stationary points of penalized subproblems, whose
+        # one-sided curvature can make pure descent escape.  Without
+        # constraints the augmented objective is the plain objective: there a
+        # diverging descent is definitive unless the path itself passed a
+        # better stationarity candidate.
+        polish = status != _CONVERGED
+        if not problem.p + problem.m:
+            polish &= grad < initial_gn
+        if cfg.polish_iters and polish.any():
+            j = np.flatnonzero(polish)
+            px, pgn, extra = _polish(problem, ts[j], x_star[j], us[j], vs[j], rho,
+                                     cfg, trace)
+            iters[j] += extra
+            rescued = pgn <= cfg.grad_tol
+            j = j[rescued]
+            x_star[j], grad[j], status[j] = px[rescued], pgn[rescued], _CONVERGED
+        # Both phases failed: report the most nearly shifted-feasible iterate.
+        j = np.flatnonzero(status != _CONVERGED)
+        if j.size:
+            x_star[j] = minpen_x[j]
+            grad[j] = _grad_norms(_aug_gradient(problem, minpen_x[j], us[j], vs[j],
+                                                rho, ts[j]))
+    return x_star, grad, iters, status
+
+
+def _check_inputs(xs, rho):
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x_init must be finite")
 
 
 def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
                safeguarded: MultiplierSet, rho: float, cfg: InnerConfig,
                trace: Optional[Callable[[dict], None]] = None) -> InnerResult:
-    """Find a stationary point of x -> augmented objective at one node."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    """Find a stationary point of x -> augmented objective at one node.
+
+    `trace`, when given, receives one dict per accepted step (phase, f_old,
+    f_new, alpha, slope, armijo_c).
+    """
     x_init = np.asarray(x_init, dtype=float)
-    if not np.all(np.isfinite(x_init)):
-        raise ValueError("x_init must be finite")
-    u, v = safeguarded.u, safeguarded.v
-    best_x, best_gn, minpen_x, initial_gn, iters, status = _descend(
-        problem, t, x_init, u, v, rho, cfg, trace)
-    if status is InnerStatus.CONVERGED:
-        return InnerResult(best_x, best_gn, iters, status)
-    # The polish targets stationary points of penalized subproblems, whose
-    # one-sided curvature can make pure descent escape.  Without constraints
-    # the augmented objective is the plain objective: there a diverging
-    # descent is definitive unless the path itself passed a better
-    # stationarity candidate.
-    if cfg.polish_iters and (problem.p + problem.m > 0 or best_gn < initial_gn):
-        px, pgn, extra = _polish(problem, t, best_x, u, v, rho, cfg, trace)
-        iters += extra
-        if pgn <= cfg.grad_tol:
-            return InnerResult(px, pgn, iters, InnerStatus.CONVERGED)
-    # Both phases failed: report the most nearly shifted-feasible iterate.
-    gr = _aug_gradient(problem, minpen_x, u, v, rho, t)
-    gn = float(np.abs(gr).max()) if np.all(np.isfinite(gr)) else float("inf")
-    return InnerResult(minpen_x, gn, iters, status)
+    _check_inputs(x_init, rho)
+    x, grad, iters, status = _solve_rows(
+        problem, np.array([t], dtype=float), x_init[None], safeguarded.u[None],
+        safeguarded.v[None], rho, cfg, trace)
+    return InnerResult(x[0], float(grad[0]), int(iters[0]), _BY_SEVERITY[status[0]])
 
 
 def solve_subproblem(problem: ProblemDefinition, grid: TimeGrid, x_warm: Trajectory,
                      u_tilde: Trajectory, v_tilde: Trajectory, rho: float,
                      cfg: InnerConfig):
-    """Solve every node independently, warm-started from x_warm.
+    """Solve every node, warm-started from x_warm, in lockstep.
 
-    Returns (trajectory of node solutions, worst status, max grad norm), with
-    nodes solved and reduced in ascending order.
+    Returns (trajectory of node solutions, worst status, max grad norm).
     """
     for tr in (x_warm, u_tilde, v_tilde):
         if not grid.same_as(tr.grid):
             raise ValueError("trajectories must share the grid")
-
-    results = [solve_node(problem, grid.nodes[i], x_warm.values[i],
-                          MultiplierSet(u_tilde.values[i], v_tilde.values[i]), rho, cfg)
-               for i in range(grid.num_nodes)]
-
-    values = np.vstack([r.x_star for r in results])
-    worst = InnerStatus.CONVERGED
-    max_grad = 0.0
-    for r in results:
-        worst = worst_of(worst, r.status)
-        if r.grad_inf_norm > max_grad:
-            max_grad = r.grad_inf_norm
-    return Trajectory(grid, values), worst, max_grad
+    _check_inputs(x_warm.values, rho)
+    mult = MultiplierSet(u_tilde.values, v_tilde.values)
+    x, grad, _, status = _solve_rows(problem, grid.nodes, x_warm.values, mult.u,
+                                     mult.v, rho, cfg)
+    return (Trajectory(grid, x), _BY_SEVERITY[status.max()],
+            max(0.0, float(grad.max())))

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import TimeGrid, Trajectory, _trapezoid_sum, l1_time_norm
-from .problems import EvalBundle, ProblemDefinition
+from .problems import EvalBundle, ProblemDefinition, _matvec, _row_dots, evaluate
 
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """One node's equality and inequality multipliers; v must be nonnegative.
+    """Equality and inequality multipliers of one node, or of a stack of nodes
+    (one row each); v must be nonnegative.
 
     Raw pre-projection values (which may be negative) travel as plain arrays;
     only validated multiplier iterates are wrapped in this type.
@@ -47,28 +48,40 @@ class Residuals:
     primal_infeasibility: float
 
 
-def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
-                        mult: MultiplierSet, t: float) -> np.ndarray:
-    """grad phi + sum_i u_i grad h_i + sum_j v_j grad g_j at one node."""
-    x = np.asarray(x, dtype=float)
-    out = np.asarray(problem.eval_grad_phi(x, t), dtype=float).copy()
+def _one_row(x, t):
+    """One state and time as a one-row stack."""
+    return np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
+
+
+def _weighted_gradient(problem: ProblemDefinition, xs: np.ndarray, ts: np.ndarray,
+                       u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """grad phi + J_h^T u + J_g^T v at every row of a stack."""
+    out = evaluate(problem, "grad_phi", xs, ts)
     if problem.p:
-        out += np.asarray(problem.eval_jac_h(x, t), dtype=float).T @ mult.u
+        out = out + _transposed_product(evaluate(problem, "jac_h", xs, ts), u)
     if problem.m:
-        out += np.asarray(problem.eval_jac_g(x, t), dtype=float).T @ mult.v
+        out = out + _transposed_product(evaluate(problem, "jac_g", xs, ts), v)
     return out
 
 
-def _penalty_value(problem: ProblemDefinition, x: np.ndarray,
-                   u: np.ndarray, v: np.ndarray, rho: float, t: float) -> float:
-    """Quadratic penalty part of the augmented Lagrangian (shifted violations)."""
-    pen = 0.0
+def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
+                        mult: MultiplierSet, t: float) -> np.ndarray:
+    """grad phi + sum_i u_i grad h_i + sum_j v_j grad g_j at one node."""
+    xs, ts = _one_row(x, t)
+    return _weighted_gradient(problem, xs, ts, mult.u[None], mult.v[None])[0]
+
+
+def _penalty_value(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
+                   vs: np.ndarray, rho: float, ts: np.ndarray) -> np.ndarray:
+    """Quadratic penalty part of the augmented Lagrangian (shifted violations)
+    at every row of a stack, with that row's multipliers."""
+    pen = np.zeros(len(ts))
     if problem.p:
-        r = np.asarray(problem.eval_h(x, t), dtype=float) + u / rho
-        pen += 0.5 * rho * float(r @ r)
+        r = evaluate(problem, "h", xs, ts) + us / rho
+        pen = pen + 0.5 * rho * _row_dots(r, r)
     if problem.m:
-        s = np.maximum(np.asarray(problem.eval_g(x, t), dtype=float) + v / rho, 0.0)
-        pen += 0.5 * rho * float(s @ s)
+        s = np.maximum(evaluate(problem, "g", xs, ts) + vs / rho, 0.0)
+        pen = pen + 0.5 * rho * _row_dots(s, s)
     return pen
 
 
@@ -77,22 +90,17 @@ def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
     """phi + (rho/2) sum [h_i + u_i/rho]^2 + (rho/2) sum [max(0, g_j + v_j/rho)]^2."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    x = np.asarray(x, dtype=float)
-    return float(problem.eval_phi(x, t)) + _penalty_value(
-        problem, x, safeguarded.u, safeguarded.v, rho, t
-    )
+    xs, ts = _one_row(x, t)
+    pen = _penalty_value(problem, xs, safeguarded.u[None], safeguarded.v[None], rho, ts)
+    return float(evaluate(problem, "phi", xs, ts)[0] + pen[0])
 
 
-def _aug_gradient(problem: ProblemDefinition, x: np.ndarray,
-                  u: np.ndarray, v: np.ndarray, rho: float, t: float) -> np.ndarray:
-    out = np.asarray(problem.eval_grad_phi(x, t), dtype=float).copy()
-    if problem.p:
-        coeff = u + rho * np.asarray(problem.eval_h(x, t), dtype=float)
-        out += np.asarray(problem.eval_jac_h(x, t), dtype=float).T @ coeff
-    if problem.m:
-        coeff = np.maximum(v + rho * np.asarray(problem.eval_g(x, t), dtype=float), 0.0)
-        out += np.asarray(problem.eval_jac_g(x, t), dtype=float).T @ coeff
-    return out
+def _aug_gradient(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
+                  vs: np.ndarray, rho: float, ts: np.ndarray) -> np.ndarray:
+    """Augmented Lagrangian gradient at every row of a stack."""
+    u = us + rho * evaluate(problem, "h", xs, ts) if problem.p else us
+    v = np.maximum(vs + rho * evaluate(problem, "g", xs, ts), 0.0) if problem.m else vs
+    return _weighted_gradient(problem, xs, ts, u, v)
 
 
 def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
@@ -105,8 +113,9 @@ def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    return _aug_gradient(problem, np.asarray(x, dtype=float),
-                         safeguarded.u, safeguarded.v, rho, t)
+    xs, ts = _one_row(x, t)
+    return _aug_gradient(problem, xs, safeguarded.u[None], safeguarded.v[None],
+                         rho, ts)[0]
 
 
 def _require_shared_grid(grid: TimeGrid, *trajs: Trajectory) -> None:
@@ -122,12 +131,7 @@ def _sup(a: np.ndarray) -> float:
 
 def _transposed_product(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
     """J_i^T w_i at every node i: (N, k, n) and (N, k) to (N, n)."""
-    return np.matmul(jac.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i at every node i: (N, k) and (N, k) to (N,)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return _matvec(np.swapaxes(jac, -1, -2), w)
 
 
 def violations(bundle: EvalBundle) -> tuple:

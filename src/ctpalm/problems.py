@@ -2,13 +2,15 @@
 
 A problem is an integral cost phi over [0, T] subject to pointwise equality
 constraints h = 0 and inequality constraints g <= 0, all functions of the
-state vector x and time t.  Evaluators are plain callables of (x, t); user
-problems enter through this same dataclass, not through a text format.
+state vector x and time t.  Evaluators are plain callables over a stack of
+states, one row per node; user problems enter through this same dataclass,
+not through a text format, and `pointwise` adapts callables of one (x, t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,8 +55,13 @@ class Convexity:
 class ProblemDefinition:
     """Dimensions, evaluators and metadata for one problem instance.
 
-    Evaluators must be pure: repeated calls with identical (x, t) return
-    identical values.
+    Evaluators are stacked: each takes states x of shape (N, n) and times t
+    of shape (N,), row i being the state at time t[i], and returns, for the
+    N rows, phi (N,), grad_phi (N, n), h (N, p), jac_h (N, p, n), g (N, m)
+    or jac_g (N, m, n).  Callers check these shapes exactly.  Evaluators must
+    be pure and act row by row: a row's values depend only on that row's
+    (x, t), and repeated calls return identical values.  Wrap callables of
+    one state x (n,) at one time with `pointwise`.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise
@@ -69,12 +76,12 @@ class ProblemDefinition:
     p: int
     m: int
     horizon: float
-    eval_phi: Callable[[np.ndarray, float], float]
-    eval_grad_phi: Callable[[np.ndarray, float], np.ndarray]
-    eval_h: Callable[[np.ndarray, float], np.ndarray]
-    eval_jac_h: Callable[[np.ndarray, float], np.ndarray]
-    eval_g: Callable[[np.ndarray, float], np.ndarray]
-    eval_jac_g: Callable[[np.ndarray, float], np.ndarray]
+    eval_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_grad_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_jac_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_jac_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     convexity: Convexity
     reference: Optional[Callable[[float], np.ndarray]] = None
     reference_discontinuities: tuple = ()
@@ -82,6 +89,15 @@ class ProblemDefinition:
     def __post_init__(self):
         if self.n < 1 or self.p < 0 or self.m < 0:
             raise ValueError("dimensions must satisfy n >= 1, p >= 0, m >= 0")
+
+    def row_shape(self, name: str) -> tuple:
+        """Shape of one node's value of evaluator `name` ("phi", "jac_g", ...)."""
+        n, p, m = self.n, self.p, self.m
+        return {"phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
+                "g": (m,), "jac_g": (m, n)}[name]
+
+
+EVALUATORS = ("phi", "grad_phi", "h", "jac_h", "g", "jac_g")
 
 
 @dataclass(frozen=True)
@@ -100,42 +116,89 @@ class EvalBundle:
     jac_g: np.ndarray
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i along the last axis at every row, by stacked matmul.
+
+    Stacked matmul takes the same dot kernel as a 1-D `a @ b` and gives the
+    same bits; einsum and `(a * b).sum(...)` sum in another order.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """M_i v_i at every row, by stacked matmul (the kernel of a 2-D @ 1-D)."""
+    return np.matmul(mat, vec[..., :, None])[..., 0]
+
+
+def evaluate(problem: ProblemDefinition, name: str, xs: np.ndarray,
+             ts: np.ndarray) -> np.ndarray:
+    """Evaluator `name` on states xs (N, n) at times ts (N,).
+
+    Raises ValueError, naming the evaluator and both shapes, unless the
+    output has exactly the contracted shape (N,) + `problem.row_shape(name)`.
+    """
+    out = np.asarray(getattr(problem, "eval_" + name)(xs, ts), dtype=float)
+    expected = (len(ts),) + problem.row_shape(name)
+    if out.shape != expected:
+        raise ValueError(f"eval_{name} returned shape {out.shape}, expected {expected}")
+    return out
+
+
 def evaluate_all(problem: ProblemDefinition, xs: np.ndarray, ts) -> EvalBundle:
     """Evaluate phi, h, g and their spatial derivatives at every node.
 
-    Row i of `xs` is the state at time `ts[i]`.  Each evaluator runs once per
-    node, in ascending node order; those of h and g only when p, m > 0.  A
-    non-finite value raises `EvaluationError` for the lowest offending node,
-    naming the first non-finite field there.
+    Row i of `xs` is the state at time `ts[i]`.  Each evaluator runs once on
+    the whole stack; those of h and g only when p, m > 0.  A non-finite value
+    raises `EvaluationError` for the lowest offending node, naming the first
+    non-finite field there.
     """
     xs = np.asarray(xs, dtype=float)
-    n, p, m = problem.n, problem.p, problem.m
+    ts = np.asarray(ts, dtype=float)
     count = len(ts)
-    if xs.shape != (count, n):
-        raise ValueError(f"states have shape {xs.shape}, expected ({count}, {n})")
-    phi = np.empty(count)
-    grad_phi = np.empty((count, n))
-    h, jac_h = np.empty((count, p)), np.empty((count, p, n))
-    g, jac_g = np.empty((count, m)), np.empty((count, m, n))
-    for i in range(count):
-        x, t = xs[i], ts[i]
-        phi[i] = float(problem.eval_phi(x, t))
-        grad_phi[i] = problem.eval_grad_phi(x, t)
-        if p:
-            h[i] = np.reshape(problem.eval_h(x, t), p)
-            jac_h[i] = np.reshape(problem.eval_jac_h(x, t), (p, n))
-        if m:
-            g[i] = np.reshape(problem.eval_g(x, t), m)
-            jac_g[i] = np.reshape(problem.eval_jac_g(x, t), (m, n))
-    fields = (("phi", phi), ("grad_phi", grad_phi), ("h", h),
-              ("jac_h", jac_h), ("g", g), ("jac_g", jac_g))
-    finite = [np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))) for _, arr in fields]
+    if xs.shape != (count, problem.n):
+        raise ValueError(f"states have shape {xs.shape}, expected ({count}, {problem.n})")
+    fields = {}
+    # Overflow shows up as a non-finite value, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in EVALUATORS:
+            shape = problem.row_shape(name)
+            # Absent constraints (p or m = 0) have empty values: no call.
+            fields[name] = (np.empty((count,) + shape) if 0 in shape
+                            else evaluate(problem, name, xs, ts))
+    finite = [np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+              for arr in fields.values()]
     bad = ~np.logical_and.reduce(finite)
     if bad.any():
         i = int(np.argmax(bad))
-        what = next(name for (name, _), ok in zip(fields, finite) if not ok[i])
+        what = next(name for name, ok in zip(fields, finite) if not ok[i])
         raise EvaluationError(what, ts[i], xs[i])
-    return EvalBundle(phi, grad_phi, h, jac_h, g, jac_g)
+    return EvalBundle(**fields)
+
+
+def pointwise(problem: ProblemDefinition) -> ProblemDefinition:
+    """The problem with evaluators of one state wrapped into stacked ones.
+
+    Each of `problem`'s evaluators takes one state x (n,) and one time t; the
+    wrapper calls it once per row, in ascending row order, and raises
+    ValueError when a row's value does not have exactly the per-node shape.
+    """
+    def stacked(name):
+        fn = getattr(problem, "eval_" + name)
+        shape = problem.row_shape(name)
+
+        def evaluator(xs, ts):
+            out = np.empty((len(ts),) + shape)
+            for i in range(len(ts)):
+                row = np.asarray(fn(xs[i], ts[i]), dtype=float)
+                if row.shape != shape:
+                    raise ValueError(f"eval_{name} returned shape {row.shape} at "
+                                     f"t={float(ts[i])!r}, expected {shape}")
+                out[i] = row
+            return out
+        return evaluator
+
+    return dataclasses.replace(
+        problem, **{"eval_" + name: stacked(name) for name in EVALUATORS})
 
 
 def reference_solution(problem: ProblemDefinition, t: float) -> np.ndarray:
@@ -148,22 +211,49 @@ def reference_solution(problem: ProblemDefinition, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Built-in instances
 # ---------------------------------------------------------------------------
+#
+# The built-in evaluators take one state (n,) at one time, or a stack (N, n)
+# at times (N,), and index components with x[..., i].
 
-_E2 = np.zeros((0, 2))
-_E3 = np.zeros((0, 3))
-_E0 = np.zeros(0)
+# libm's pow, the function a scalar `x ** k` calls.  Array `**` takes numpy's
+# own kernels (x * x for squares, SIMD pow otherwise), which can differ from it
+# in the last bit.
+_pow = np.float_power
+
+
+def _vector(like, *entries):
+    """Entries stacked on a new last axis; each broadcasts to `like`'s shape."""
+    out = np.empty(np.shape(like) + (len(entries),))
+    for i, entry in enumerate(entries):
+        out[..., i] = entry
+    return out
+
+
+def _matrix(like, *rows):
+    """Rows stacked on a new second-to-last axis, as `_vector` does entries."""
+    return np.stack([_vector(like, *row) for row in rows], axis=-2)
+
+
+def _no_rows(x, t):
+    return np.zeros(np.shape(x)[:-1] + (0,))
+
+
+def _no_jacobian(x, t):
+    return np.zeros(np.shape(x)[:-1] + (0, np.shape(x)[-1]))
 
 
 def _ex1() -> ProblemDefinition:
     # minimize  int x1^2 + x2  s.t.  -x2 <= 0,  -x1^2 - x2 <= 0   on [0, 1]
     return ProblemDefinition(
         name="ex1", n=2, p=0, m=2, horizon=1.0,
-        eval_phi=lambda x, t: x[0] ** 2 + x[1],
-        eval_grad_phi=lambda x, t: np.array([2.0 * x[0], 1.0]),
-        eval_h=lambda x, t: _E0,
-        eval_jac_h=lambda x, t: _E2,
-        eval_g=lambda x, t: np.array([-x[1], -x[0] ** 2 - x[1]]),
-        eval_jac_g=lambda x, t: np.array([[0.0, -1.0], [-2.0 * x[0], -1.0]]),
+        eval_phi=lambda x, t: _pow(x[..., 0], 2) + x[..., 1],
+        eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0], 1.0),
+        eval_h=_no_rows,
+        eval_jac_h=_no_jacobian,
+        eval_g=lambda x, t: _vector(x[..., 0], -x[..., 1],
+                                    -_pow(x[..., 0], 2) - x[..., 1]),
+        eval_jac_g=lambda x, t: _matrix(x[..., 0], (0.0, -1.0),
+                                        (-2.0 * x[..., 0], -1.0)),
         convexity=Convexity(phi_convex=True, g_convex=(True, False), h_affine=()),
         reference=lambda t: np.array([0.0, 0.0]),
     )
@@ -171,22 +261,25 @@ def _ex1() -> ProblemDefinition:
 
 def _ex2() -> ProblemDefinition:
     # minimize  int x1  subject to three parabolic constraints pinching x at (0, t)
+    def g(x, t):
+        x1, x2 = x[..., 0], x[..., 1]
+        sq = _pow(x1, 2)
+        return _vector(x1, sq - 2.0 * x1 + x2 - t, sq - 2.0 * x1 - x2 + t,
+                       -sq + 0.5 * x1 + x2 - t)
+
+    def jac_g(x, t):
+        x1 = x[..., 0]
+        return _matrix(x1, (2.0 * x1 - 2.0, 1.0), (2.0 * x1 - 2.0, -1.0),
+                       (-2.0 * x1 + 0.5, 1.0))
+
     return ProblemDefinition(
         name="ex2", n=2, p=0, m=3, horizon=1.0,
-        eval_phi=lambda x, t: x[0],
-        eval_grad_phi=lambda x, t: np.array([1.0, 0.0]),
-        eval_h=lambda x, t: _E0,
-        eval_jac_h=lambda x, t: _E2,
-        eval_g=lambda x, t: np.array([
-            x[0] ** 2 - 2.0 * x[0] + x[1] - t,
-            x[0] ** 2 - 2.0 * x[0] - x[1] + t,
-            -x[0] ** 2 + 0.5 * x[0] + x[1] - t,
-        ]),
-        eval_jac_g=lambda x, t: np.array([
-            [2.0 * x[0] - 2.0, 1.0],
-            [2.0 * x[0] - 2.0, -1.0],
-            [-2.0 * x[0] + 0.5, 1.0],
-        ]),
+        eval_phi=lambda x, t: x[..., 0].copy(),
+        eval_grad_phi=lambda x, t: _vector(x[..., 0], 1.0, 0.0),
+        eval_h=_no_rows,
+        eval_jac_h=_no_jacobian,
+        eval_g=g,
+        eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=True, g_convex=(True, True, False), h_affine=()),
         reference=lambda t: np.array([0.0, t]),
     )
@@ -194,44 +287,45 @@ def _ex2() -> ProblemDefinition:
 
 def _ex3() -> ProblemDefinition:
     # Equality + inequality constrained instance with solution (1, 1, 0).
+    def phi(x, t):
+        return (_pow(x[..., 0] - 1.0, 2) + _pow(x[..., 1] - 1.0, 2)
+                - _pow(x[..., 2], 2))
+
+    def g(x, t):
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        return _vector(x1, 2.0 * x1 * x2 - 4.0 * x2 - x3 + 2.0,
+                       -x1 - 0.5 * x3 + 1.0)
+
     return ProblemDefinition(
         name="ex3", n=3, p=1, m=2, horizon=1.0,
-        eval_phi=lambda x, t: (x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2 - x[2] ** 2,
-        eval_grad_phi=lambda x, t: np.array([
-            2.0 * (x[0] - 1.0), 2.0 * (x[1] - 1.0), -2.0 * x[2],
-        ]),
-        eval_h=lambda x, t: np.array([x[0] ** 2 + x[1] ** 2 - x[2] - 2.0]),
-        eval_jac_h=lambda x, t: np.array([[2.0 * x[0], 2.0 * x[1], -1.0]]),
-        eval_g=lambda x, t: np.array([
-            2.0 * x[0] * x[1] - 4.0 * x[1] - x[2] + 2.0,
-            -x[0] - 0.5 * x[2] + 1.0,
-        ]),
-        eval_jac_g=lambda x, t: np.array([
-            [2.0 * x[1], 2.0 * x[0] - 4.0, -1.0],
-            [-1.0, 0.0, -0.5],
-        ]),
+        eval_phi=phi,
+        eval_grad_phi=lambda x, t: _vector(
+            x[..., 0], 2.0 * (x[..., 0] - 1.0), 2.0 * (x[..., 1] - 1.0), -2.0 * x[..., 2]),
+        eval_h=lambda x, t: _vector(
+            x[..., 0], _pow(x[..., 0], 2) + _pow(x[..., 1], 2) - x[..., 2] - 2.0),
+        eval_jac_h=lambda x, t: _matrix(
+            x[..., 0], (2.0 * x[..., 0], 2.0 * x[..., 1], -1.0)),
+        eval_g=g,
+        eval_jac_g=lambda x, t: _matrix(
+            x[..., 0], (2.0 * x[..., 1], 2.0 * x[..., 0] - 4.0, -1.0),
+            (-1.0, 0.0, -0.5)),
         convexity=Convexity(phi_convex=False, g_convex=(False, True), h_affine=(False,)),
         reference=lambda t: np.array([1.0, 1.0, 0.0]),
     )
 
 
-def _ex4_A(t: float) -> np.ndarray:
+def _ex4_A(t) -> np.ndarray:
     # sign(0) = 0, so at the kink t = 1 the third row degenerates to (0, 0).
-    return np.array([
-        [0.0, -1.0],
-        [-1.0, 0.0],
-        [np.sign(t - 1.0), np.sign(1.0 - t)],
-        [1.0, 1.0],
-        [0.0, 1.0],
-    ])
+    return _matrix(t, (0.0, -1.0), (-1.0, 0.0),
+                   (np.sign(t - 1.0), np.sign(1.0 - t)), (1.0, 1.0), (0.0, 1.0))
 
 
-def _ex4_b(t: float) -> np.ndarray:
-    return np.array([0.0, 0.0, 0.0, 3.0, 0.25 + 0.625 * t])
+def _ex4_b(t) -> np.ndarray:
+    return _vector(t, 0.0, 0.0, 0.0, 3.0, 0.25 + 0.625 * t)
 
 
-def _ex4_c(t: float) -> np.ndarray:
-    return np.array([(t - 1.0) * np.sign(1.0 - t), -1.0])
+def _ex4_c(t) -> np.ndarray:
+    return _vector(t, (t - 1.0) * np.sign(1.0 - t), -1.0)
 
 
 def _ex4_reference(t: float) -> np.ndarray:
@@ -246,11 +340,11 @@ def _ex4() -> ProblemDefinition:
     # the solution jumps, c = (0, -1) and the edge is x2 = 7/8, 0 <= x1 <= 17/8.
     return ProblemDefinition(
         name="ex4", n=2, p=0, m=5, horizon=2.0,
-        eval_phi=lambda x, t: float(_ex4_c(t) @ x),
+        eval_phi=lambda x, t: _row_dots(_ex4_c(t), x),
         eval_grad_phi=lambda x, t: _ex4_c(t),
-        eval_h=lambda x, t: _E0,
-        eval_jac_h=lambda x, t: _E2,
-        eval_g=lambda x, t: _ex4_A(t) @ x - _ex4_b(t),
+        eval_h=_no_rows,
+        eval_jac_h=_no_jacobian,
+        eval_g=lambda x, t: _matvec(_ex4_A(t), x) - _ex4_b(t),
         eval_jac_g=lambda x, t: _ex4_A(t),
         convexity=Convexity(phi_convex=True, g_convex=(True,) * 5, h_affine=()),
         reference=_ex4_reference,
@@ -262,15 +356,14 @@ def _akkt_example() -> ProblemDefinition:
     # KKT never holds at the solution (0, 0), but asymptotic multipliers exist.
     return ProblemDefinition(
         name="akkt_example", n=2, p=0, m=2, horizon=1.0,
-        eval_phi=lambda x, t: (t - 0.5) * x[0],
-        eval_grad_phi=lambda x, t: np.array([t - 0.5, 0.0]),
-        eval_h=lambda x, t: _E0,
-        eval_jac_h=lambda x, t: _E2,
-        eval_g=lambda x, t: np.array([-(t - 0.5) * x[0] ** 3 + x[1], -x[1]]),
-        eval_jac_g=lambda x, t: np.array([
-            [-3.0 * (t - 0.5) * x[0] ** 2, 1.0],
-            [0.0, -1.0],
-        ]),
+        eval_phi=lambda x, t: (t - 0.5) * x[..., 0],
+        eval_grad_phi=lambda x, t: _vector(x[..., 0], t - 0.5, 0.0),
+        eval_h=_no_rows,
+        eval_jac_h=_no_jacobian,
+        eval_g=lambda x, t: _vector(
+            x[..., 0], -(t - 0.5) * _pow(x[..., 0], 3) + x[..., 1], -x[..., 1]),
+        eval_jac_g=lambda x, t: _matrix(
+            x[..., 0], (-3.0 * (t - 0.5) * _pow(x[..., 0], 2), 1.0), (0.0, -1.0)),
         convexity=Convexity(phi_convex=True, g_convex=(False, True), h_affine=()),
         reference=lambda t: np.array([0.0, 0.0]),
     )
@@ -281,12 +374,12 @@ def _infeasible1() -> ProblemDefinition:
     # integral has its unique stationary point at x = 0.
     return ProblemDefinition(
         name="infeasible1", n=1, p=0, m=1, horizon=1.0,
-        eval_phi=lambda x, t: x[0] ** 2,
-        eval_grad_phi=lambda x, t: np.array([2.0 * x[0]]),
-        eval_h=lambda x, t: _E0,
-        eval_jac_h=lambda x, t: np.zeros((0, 1)),
-        eval_g=lambda x, t: np.array([x[0] ** 2 + 1.0]),
-        eval_jac_g=lambda x, t: np.array([[2.0 * x[0]]]),
+        eval_phi=lambda x, t: _pow(x[..., 0], 2),
+        eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0]),
+        eval_h=_no_rows,
+        eval_jac_h=_no_jacobian,
+        eval_g=lambda x, t: _vector(x[..., 0], _pow(x[..., 0], 2) + 1.0),
+        eval_jac_g=lambda x, t: _matrix(x[..., 0], (2.0 * x[..., 0],)),
         convexity=Convexity(phi_convex=True, g_convex=(True,), h_affine=()),
     )
 

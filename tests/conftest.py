@@ -14,7 +14,7 @@ import ctpalm as c
 
 def unconstrained_quadratic():
     """Tiny constraint-free fixture: phi = x^2 on [0, 1]."""
-    return c.ProblemDefinition(
+    return c.pointwise(c.ProblemDefinition(
         name="quad", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: x[0] ** 2,
         eval_grad_phi=lambda x, t: np.array([2.0 * x[0]]),
@@ -22,7 +22,7 @@ def unconstrained_quadratic():
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
-        convexity=c.Convexity(True, (), ()))
+        convexity=c.Convexity(True, (), ())))
 
 
 def run_builtin(name, x0, u0=None, v0=None, nodes=85, **cfg_kwargs):

@@ -205,7 +205,7 @@ def test_iteration_csv_sink_incremental():
 
 
 def test_inner_failure_after_persistent_divergence():
-    prob = c.ProblemDefinition(
+    prob = c.pointwise(c.ProblemDefinition(
         name="runaway", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: -x[0] ** 2,
         eval_grad_phi=lambda x, t: np.array([-2.0 * x[0]]),
@@ -213,7 +213,7 @@ def test_inner_failure_after_persistent_divergence():
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
-        convexity=c.Convexity(False, (), ()))
+        convexity=c.Convexity(False, (), ())))
     grid = c.make_uniform_grid(1.0, 3)
     report = c.solve(prob, c.AlmConfig(max_outer=200),
                      c.Trajectory.constant(grid, [1.0]))

@@ -125,6 +125,37 @@ def test_solve_nonfinite_evaluation_is_data_error(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("code,argv", [
+    (64, lambda d: ["solve", "--problem", "ex1", "--nodes", "1"]),
+    (64, lambda d: ["solve", "--problem", "ex1", "--gamma", "0.5"]),
+    (65, lambda d: ["solve", "--problem", "ex1", "--x0", "nan,1"]),
+    (65, lambda d: ["solve", "--problem", "ex1", "--v0=-1,1"]),
+    (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "5", "--x0=1e200,0"]),
+    (65, lambda d: ["solve", "--problem", "ex1",
+                    "--config", _write(d / "run.json", '{"nodes": "abc"}')]),
+    (65, lambda d: ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,nan,0\n1,0,0\n"),
+                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
+    (65, lambda d: ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n"),
+                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
+], ids=["nodes-1", "gamma-0.5", "x0-nan", "v0-negative", "x0-overflow",
+        "config-nodes-abc", "check-nan-cell", "check-overflow"])
+def test_bad_input_exits_with_one_error_line(tmp_path, code, argv):
+    out = tmp_path / "out"
+    args = argv(tmp_path)
+    if args[0] == "solve":
+        args += ["--out-dir", str(out)]
+    proc = run_cli(args)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_solve_exit_code_for_iteration_limit(tmp_path):
     out = tmp_path / "out"
     proc = run_cli(["solve", "--problem", "infeasible1", "--x0", "5",

@@ -1,11 +1,13 @@
 """Node solver behavior: convergence, divergence, Armijo compliance,
-node independence, and agreement with the brute-force lattice oracle."""
+node independence, agreement with the brute-force lattice oracle, and bit
+equality of the lockstep solver with the per-node reference solver."""
 
 import numpy as np
 import pytest
 
 import ctpalm as c
-from ctpalm.inner import InnerStatus, worst_of
+import node_solver_reference as reference
+from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows, worst_of
 from ctpalm.lagrangian import MultiplierSet, aug_lagrangian_value
 from ctpalm.testkit import dense_grid_min
 from conftest import unconstrained_quadratic
@@ -13,7 +15,7 @@ from conftest import unconstrained_quadratic
 
 def shifted_quadratic():
     target = np.array([3.0, -2.0])
-    return c.ProblemDefinition(
+    return c.pointwise(c.ProblemDefinition(
         name="shifted_quad", n=2, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: float((x - target) @ (x - target)),
         eval_grad_phi=lambda x, t: 2.0 * (x - target),
@@ -21,11 +23,11 @@ def shifted_quadratic():
         eval_jac_h=lambda x, t: np.zeros((0, 2)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 2)),
-        convexity=c.Convexity(True, (), ()))
+        convexity=c.Convexity(True, (), ())))
 
 
 def concave_scalar():
-    return c.ProblemDefinition(
+    return c.pointwise(c.ProblemDefinition(
         name="concave", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: -x[0] ** 2,
         eval_grad_phi=lambda x, t: np.array([-2.0 * x[0]]),
@@ -33,7 +35,7 @@ def concave_scalar():
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
-        convexity=c.Convexity(False, (), ()))
+        convexity=c.Convexity(False, (), ())))
 
 
 # -- solve_node --------------------------------------------------------------
@@ -213,3 +215,104 @@ def test_warm_start_no_worse_than_cold_on_linear_problem():
             cold_counts.append(cold_total)
         rho *= 1.001
     assert np.median(warm_counts) <= np.median(cold_counts)
+
+
+# -- lockstep rows against the per-node reference -------------------------------
+
+# (x0, u0, v0, nodes) of the tests/conftest.py runs; akkt_example has none
+# there, and ex3 takes the benchmark's 17 nodes to keep the reference fast.
+CONFTEST_STARTS = {
+    "ex1": ([1.0, 1.0], [], [1.0, 1.0], 85),
+    "ex2": ([0.5, 0.5], [], [1.0, 1.0, 1.0], 85),
+    "ex3": ([-100.0, -100.0, -100.0], [1.0], [1.0, 1.0], 17),
+    "ex4": ([1.0, 1.0], [], [1.0] * 5, 85),
+    "akkt_example": ([1.0, 1.0], [], [1.0, 1.0], 84),
+    "infeasible1": ([5.0], [], [0.0], 85),
+}
+
+
+def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg):
+    """Every row of the lockstep solve of built-in `name` equals the reference
+    solve of its node alone, and solve_subproblem reduces those rows as the
+    node loop did."""
+    prob, scalar = c.builtin(name), reference.scalar_builtin(name)
+    x, grad, iters, status = _solve_rows(prob, grid.nodes, xs, us, vs, rho, cfg)
+    solo = [reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), rho, cfg)
+            for i, t in enumerate(grid.nodes)]
+    for i, r in enumerate(solo):
+        assert x[i].tobytes() == r.x_star.tobytes(), i
+        assert grad[i] == r.grad_inf_norm, i
+        assert iters[i] == r.iterations, i
+        assert _BY_SEVERITY[status[i]] is r.status, i
+    traj, worst, max_grad = c.solve_subproblem(
+        prob, grid, c.Trajectory(grid, xs), c.Trajectory(grid, us),
+        c.Trajectory(grid, vs), rho, cfg)
+    assert traj.values.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
+    expected_worst = InnerStatus.CONVERGED
+    for r in solo:
+        expected_worst = worst_of(expected_worst, r.status)
+    assert worst is expected_worst
+    assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
+    return solo
+
+
+@pytest.mark.parametrize("name", sorted(CONFTEST_STARTS))
+def test_lockstep_rows_equal_the_node_solver_at_conftest_start(name):
+    x0, u0, v0, nodes = CONFTEST_STARTS[name]
+    prob = c.builtin(name)
+    grid = c.make_uniform_grid(prob.horizon, nodes)
+    cfg = c.AlmConfig()
+
+    def tile(a, k):
+        return np.tile(np.asarray(a, dtype=float), (nodes, 1)).reshape(nodes, k)
+
+    assert_rows_match_reference(name, grid, tile(x0, prob.n), tile(u0, prob.p),
+                                tile(v0, prob.m), cfg.rho_init, cfg.inner)
+
+
+@pytest.mark.parametrize("name", sorted(CONFTEST_STARTS))
+def test_lockstep_rows_equal_the_node_solver_from_random_starts(name):
+    prob = c.builtin(name)
+    grid = c.make_uniform_grid(prob.horizon, 12)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-3.0, 3.0, size=(12, prob.n))
+    us = rng.uniform(-2.0, 2.0, size=(12, prob.p))
+    vs = rng.uniform(0.0, 2.0, size=(12, prob.m))
+    for rho in (1.0, 30.0):
+        assert_rows_match_reference(name, grid, xs, us, vs, rho, c.AlmConfig().inner)
+
+
+def test_lockstep_ex3_batch_mixes_every_outcome():
+    """ex3 at rho = 1: rows converging in descent, rows the polish rescues,
+    rows falling back to the min-penalty iterate (one diverged, one with an
+    exhausted polish) all match the reference."""
+    prob = c.builtin("ex3")
+    starts = [[1.0, 1.0, 0.0], [-100.0, -100.0, -100.0], [0.5, 0.5, 0.5],
+              [2.0, -1.0, 3.0], [0.0, 0.0, 0.0], [10.0, 10.0, 10.0],
+              [-1.0, 2.0, -5.0], [1.0, 1.0, 5.0]]
+    # Two multiplier blocks of the same starts, plus one row whose descent
+    # escapes the iterate box.
+    xs = np.array(starts * 2 + [[-5.0, 3.0, 4.0]])
+    us = np.zeros((len(xs), 1))
+    vs = np.array([[0.0, 0.0]] * len(starts) + [[0.0, 1.0]] * len(starts) + [[0.5, 0.0]])
+    grid = c.make_uniform_grid(1.0, len(xs))
+    cfg = c.AlmConfig().inner
+    solo = assert_rows_match_reference("ex3", grid, xs, us, vs, 1.0, cfg)
+    converged = [r.status is InnerStatus.CONVERGED for r in solo]
+    assert any(ok and r.iterations < cfg.max_iters for ok, r in zip(converged, solo))
+    assert any(ok and r.iterations > cfg.max_iters for ok, r in zip(converged, solo))
+    assert any(r.status is InnerStatus.MAX_ITERS for r in solo)
+    assert any(r.status is InnerStatus.DIVERGED for r in solo)
+    assert any(r.iterations == cfg.max_iters + cfg.polish_iters for r in solo)
+
+
+def test_solve_node_trace_equals_the_reference_trace():
+    prob = c.builtin("ex3")
+    mult = MultiplierSet([0.0], [0.0, 0.0])
+    cfg = c.AlmConfig().inner
+    events, expected = [], []
+    c.solve_node(prob, 0.0, np.array([0.5, 0.5, 0.5]), mult, 1.0, cfg, trace=events.append)
+    reference.solve_node(reference.scalar_builtin("ex3"), 0.0, np.array([0.5, 0.5, 0.5]),
+                         mult, 1.0, cfg, trace=expected.append)
+    assert {e["phase"] for e in expected} == {"descent", "polish"}
+    assert events == expected

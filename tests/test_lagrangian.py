@@ -13,7 +13,7 @@ from ctpalm.lagrangian import (MultiplierSet, _row_dots, _transposed_product,
                                feasibility_stationarity_residual,
                                lagrangian_gradient)
 from ctpalm.problems import (akkt_example_sequence, builtin, evaluate_all,
-                             reference_solution)
+                             pointwise, reference_solution)
 from ctpalm.testkit import FdConfig, fd_gradient
 from conftest import unconstrained_quadratic
 
@@ -199,12 +199,12 @@ def test_residuals_invariant_under_constraint_reordering():
     import dataclasses
     prob = builtin("ex2")
     perm = [2, 0, 1]
-    permuted = dataclasses.replace(
+    permuted = pointwise(dataclasses.replace(
         prob,
         eval_g=lambda x, t, _p=prob: _p.eval_g(x, t)[perm],
         eval_jac_g=lambda x, t, _p=prob: _p.eval_jac_g(x, t)[perm],
         convexity=dataclasses.replace(
-            prob.convexity, g_convex=tuple(prob.convexity.g_convex[i] for i in perm)))
+            prob.convexity, g_convex=tuple(prob.convexity.g_convex[i] for i in perm))))
     grid = make_uniform_grid(1.0, 21)
     rng = np.random.default_rng(3)
     x = Trajectory(grid, rng.normal(size=(21, 2)))

@@ -1,15 +1,19 @@
 """Registry contents, hand-checked evaluations, reference solutions, and
 finite-difference validation of every analytic derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ctpalm.grid import make_uniform_grid
-from ctpalm.problems import (Convexity, EvaluationError, MissingReferenceError,
-                             ProblemDefinition, UnknownProblemError,
+from ctpalm.problems import (EVALUATORS, Convexity, EvaluationError,
+                             MissingReferenceError, ProblemDefinition,
+                             UnknownProblemError,
                              akkt_example_sequence, builtin, builtin_names,
-                             evaluate_all, reference_solution)
+                             evaluate_all, pointwise, reference_solution)
 from ctpalm.testkit import FdConfig, fd_gradient
+import node_solver_reference as reference
 from conftest import unconstrained_quadratic
 
 ALL_NAMES = ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1")
@@ -88,7 +92,7 @@ def test_evaluate_stacks_one_row_per_node():
 def test_evaluate_nonfinite_raises_with_context():
     # phi fails from t = 0.5 on, grad_phi from t = 0.25 on: the lowest
     # offending node is t = 0.25, where grad_phi is the first bad field.
-    bad = ProblemDefinition(
+    bad = pointwise(ProblemDefinition(
         name="bad", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: float("inf") if t >= 0.5 else 0.0,
         eval_grad_phi=lambda x, t: np.array([np.nan if t >= 0.25 else 0.0]),
@@ -96,12 +100,52 @@ def test_evaluate_nonfinite_raises_with_context():
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
-        convexity=Convexity(True, (), ()))
+        convexity=Convexity(True, (), ())))
     with pytest.raises(EvaluationError) as err:
         evaluate_all(bad, np.array([[1.0], [2.0], [3.0], [4.0]]), [0.0, 0.25, 0.5, 0.75])
     assert err.value.t == 0.25
     assert np.array_equal(err.value.x, [2.0])
     assert str(err.value).startswith("grad_phi returned a non-finite value")
+
+
+def test_evaluate_calls_each_evaluator_once_per_pass():
+    calls = []
+    prob = builtin("ex3")
+    counted = dataclasses.replace(prob, **{
+        f"eval_{k}": (lambda fn, k: lambda x, t: calls.append(k) or fn(x, t))(
+            getattr(prob, f"eval_{k}"), k) for k in EVALUATORS})
+    evaluate_all(counted, np.zeros((7, 3)), np.linspace(0.0, 1.0, 7))
+    assert sorted(calls) == sorted(EVALUATORS)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_pointwise_builtin_gives_identical_bundles(name):
+    """Built-ins accept one state as well as a stack: looping over the rows
+    one state at a time gives the same bytes as the stacked call, and so do
+    the scalar evaluators the built-ins were first written with."""
+    prob = builtin(name)
+    rng = np.random.default_rng(11)
+    ts = np.concatenate([np.linspace(0.0, prob.horizon, 37), [0.0, 1.0, 0.5]])
+    xs = rng.normal(size=(len(ts), prob.n)) * 10.0 ** rng.uniform(-3, 3, (len(ts), prob.n))
+    stacked = evaluate_all(prob, xs, ts)
+    for looped in (evaluate_all(pointwise(prob), xs, ts),
+                   evaluate_all(pointwise(reference.scalar_builtin(name)), xs, ts)):
+        for k in EVALUATORS:
+            assert getattr(stacked, k).tobytes() == getattr(looped, k).tobytes(), k
+
+
+def test_evaluate_rejects_a_transposed_jacobian():
+    # ex2 has n = 2, m = 3: the transposed Jacobian has the same size.
+    prob = builtin("ex2")
+    transposed = dataclasses.replace(
+        prob, eval_jac_g=lambda x, t: np.swapaxes(prob.eval_jac_g(x, t), -1, -2))
+    xs, ts = np.array([[0.5, 0.5], [1.0, 2.0]]), np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match=r"eval_jac_g returned shape \(2, 2, 3\), "
+                                         r"expected \(2, 3, 2\)"):
+        evaluate_all(transposed, xs, ts)
+    with pytest.raises(ValueError, match=r"eval_jac_g returned shape \(2, 3\) at "
+                                         r"t=0.0, expected \(3, 2\)"):
+        evaluate_all(pointwise(transposed), xs, ts)
 
 
 # -- reference solutions -----------------------------------------------------
