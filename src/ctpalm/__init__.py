@@ -14,8 +14,7 @@ from .diagnostics import (Certificate, CertificateKind, ErrorMetrics,
                           infeasibility_report, solution_error,
                           sufficiency_certificate)
 from .grid import (TimeGrid, Trajectory, l1_time_norm, make_uniform_grid,
-                   read_trajectory_csv, sup_node_norm, trapezoid_integral,
-                   write_trajectory_csv)
+                   read_trajectory_csv, write_trajectory_csv)
 from .inner import InnerConfig, InnerResult, InnerStatus, solve_node, solve_subproblem
 from .lagrangian import (MultiplierSet, Residuals, akkt_residuals,
                          aug_lagrangian_gradient, aug_lagrangian_value,
@@ -23,21 +22,20 @@ from .lagrangian import (MultiplierSet, Residuals, akkt_residuals,
                          lagrangian_gradient)
 from .problems import (Convexity, EvalBundle, EvaluationError,
                        MissingReferenceError, ProblemDefinition,
-                       UnknownProblemError, akkt_example_sequence, builtin,
-                       builtin_names, evaluate_all, pointwise,
-                       reference_solution)
+                       UnknownProblemError, builtin, builtin_names,
+                       evaluate_all, pointwise, reference_solution)
 
 __all__ = [
     "AlmConfig", "Certificate", "CertificateKind", "Convexity",
     "ErrorMetrics", "EvalBundle", "EvaluationError", "InnerConfig", "InnerResult",
     "InnerStatus", "IterationRecord", "MissingReferenceError", "MultiplierSet",
     "ProblemDefinition", "Residuals", "SolveReport", "SolveStatus", "TimeGrid",
-    "Trajectory", "UnknownProblemError", "akkt_example_sequence", "akkt_residuals",
+    "Trajectory", "UnknownProblemError", "akkt_residuals",
     "aug_lagrangian_gradient", "aug_lagrangian_value", "builtin", "builtin_names",
     "evaluate_all", "feasibility_factor", "feasibility_stationarity_residual",
     "infeasibility_report", "l1_time_norm", "lagrangian_gradient",
     "make_uniform_grid", "multiplier_update", "penalty_update", "pointwise",
     "read_trajectory_csv", "reference_solution", "safeguard_project", "solution_error",
     "solve", "solve_node", "solve_subproblem", "sufficiency_certificate",
-    "sup_node_norm", "trapezoid_integral", "write_trajectory_csv",
+    "write_trajectory_csv",
 ]

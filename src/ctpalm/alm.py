@@ -17,6 +17,7 @@ infeasibility diagnostics cover that exit instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -55,16 +56,19 @@ class AlmConfig:
     inner: Optional[InnerConfig] = None
 
     def __post_init__(self):
-        if self.rho_init <= 0:
-            raise ValueError("rho_init must be positive")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+        # Written so that NaN fails every test.
+        if not 0.0 < self.rho_init < math.inf:
+            raise ValueError("rho_init must be positive and finite")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("gamma must exceed 1 and be finite")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.bound_M <= 0 or self.bound_N <= 0:
-            raise ValueError("safeguard bounds must be positive")
-        if self.eps_stop <= 0 or self.max_outer < 1:
-            raise ValueError("eps_stop must be positive and max_outer >= 1")
+        if not (0.0 < self.bound_M < math.inf and 0.0 < self.bound_N < math.inf):
+            raise ValueError("safeguard bounds must be positive and finite")
+        if not 0.0 < self.eps_stop < math.inf:
+            raise ValueError("eps_stop must be positive and finite")
+        if not self.max_outer >= 1:
+            raise ValueError("max_outer must be >= 1")
         if self.inner is None:
             # Inner solves one order tighter than the outer stopping test,
             # floored so the inner tolerance never chases rounding noise.
@@ -138,10 +142,6 @@ def penalty_update(rho: float, prev_infeas: float, cur_infeas: float,
     return cfg.gamma * rho
 
 
-def _constant_like(grid: TimeGrid, dim: int) -> Trajectory:
-    return Trajectory(grid, np.zeros((grid.num_nodes, dim)))
-
-
 def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
           u_tilde1: Optional[Trajectory] = None, v_tilde1: Optional[Trajectory] = None,
           iteration_csv: Optional[IO] = None) -> SolveReport:
@@ -149,15 +149,16 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
 
     Omitted initial multipliers default to zero.  When `iteration_csv` is
     given, the per-iteration log is written to it incrementally (header plus
-    one row per outer iteration, flushed as produced).
+    one row per outer iteration, flushed as produced).  Raises OverflowError
+    when the penalty parameter or the multiplier update overflows.
     """
     grid = x0.grid
     if x0.dim != problem.n:
         raise ValueError(f"x0 has dim {x0.dim}, problem expects n={problem.n}")
     if u_tilde1 is None:
-        u_tilde1 = _constant_like(grid, problem.p)
+        u_tilde1 = Trajectory.constant(grid, np.zeros(problem.p))
     if v_tilde1 is None:
-        v_tilde1 = _constant_like(grid, problem.m)
+        v_tilde1 = Trajectory.constant(grid, np.zeros(problem.m))
     if u_tilde1.dim != problem.p or v_tilde1.dim != problem.m:
         raise ValueError("initial multiplier trajectories do not match problem dims")
     if not (grid.same_as(u_tilde1.grid) and grid.same_as(v_tilde1.grid)):
@@ -182,13 +183,19 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         iteration_csv.flush()
 
     for k in range(1, cfg.max_outer + 1):
+        if rho == math.inf:
+            raise OverflowError(f"outer iteration {k}: the penalty parameter overflowed")
         x, inner_worst, inner_max_grad = solve_subproblem(
             problem, grid, x, u_tilde, v_tilde, rho, cfg.inner)
 
         # One evaluation pass feeds the update, the residuals and the log.
         bundle = evaluate_all(problem, x.values, grid.nodes)
         u_rows, v_rows = multiplier_update(bundle, u_tilde.values, v_tilde.values, rho)
-        u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)
+        try:
+            u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)
+        except ValueError:  # a non-finite entry
+            raise OverflowError(f"outer iteration {k}: the multiplier update "
+                                f"overflowed (rho = {rho:g})") from None
         residuals = akkt_residuals(grid, bundle, u, v)
         # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
         infeas_measure = float(np.abs(np.hstack(

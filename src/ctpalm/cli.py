@@ -2,8 +2,9 @@
 and list the registry.
 
 Exit codes: 0 converged (or check passed), 1 check failed, 2 iteration limit,
-3 inner-solver failure, 64 usage errors, 65 malformed data, dimension
-mismatches or an evaluator returning a non-finite value.
+3 inner-solver failure, 64 usage errors (an option value out of range, an
+unusable --out-dir), 65 unreadable or malformed data, dimension mismatches or
+an evaluator returning a non-finite value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .alm import AlmConfig, SolveStatus, solve
 from .diagnostics import certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
-                   read_trajectory_csv)
+                   read_trajectory_csv, write_trajectory_csv)
 from .inner import InnerConfig
 from .lagrangian import akkt_holds, akkt_residuals, feasibility_factor, violations
 from .plots import residuals_svg, trajectory_svg
@@ -60,17 +61,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# AlmConfig fields with a flag each; the flag is the lower-cased field name.
+# Config fields with a flag each: an AlmConfig field's flag is its lower-cased
+# name, an InnerConfig field's is inner_<name>.
 _ALM_FIELDS = tuple(f for f in dataclasses.fields(AlmConfig) if f.name != "inner")
+_INNER_FIELDS = dataclasses.fields(InnerConfig)
 
-# Flag name -> (type, built-in default), the defaults taken from AlmConfig and
-# InnerConfig.  None defaults let a --config file fill values in; flags always
-# win when both are present.
+# Flag name -> (type, built-in default), the defaults taken from AlmConfig.
+# None defaults let a --config file fill values in; flags always win when both
+# are present.  Inner flags left unset keep AlmConfig's inner config, whose
+# grad_tol follows eps_stop.
 _SOLVE_DEFAULTS = {
     "nodes": (int, 85),
     **{f.name.lower(): (type(f.default), f.default) for f in _ALM_FIELDS},
-    "inner_grad_tol": (float, None),   # AlmConfig derives it from eps_stop
-    "inner_max_iters": (int, InnerConfig().max_iters),
+    **{f"inner_{f.name}": (type(f.default), None) for f in _INNER_FIELDS},
 }
 
 
@@ -138,10 +141,7 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
     if not os.path.exists(spec):
         raise CliError(EXIT_DATA, f"{flag}: {spec!r} is neither a number list "
                                   f"nor an existing CSV file")
-    try:
-        traj = read_trajectory_csv(spec)
-    except TrajectoryCsvError as exc:
-        raise CliError(EXIT_DATA, f"{flag}: {exc}") from None
+    traj = read_trajectory_csv(spec)
     if traj.dim != dim:
         raise CliError(EXIT_DATA, f"{flag}: expected {dim} column(s), got {traj.dim}")
     if not traj.grid.same_as(grid):
@@ -153,21 +153,21 @@ def _merged_options(args) -> dict:
     merged = {}
     file_values = {}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_DATA, f"--config: {exc}") from None
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise CliError(EXIT_DATA, "--config: top-level JSON object expected")
     for flag, (typ, default) in _SOLVE_DEFAULTS.items():
         value = getattr(args, flag)
         if value is None and flag in file_values:
-            try:
-                value = typ(file_values[flag])
-            except (TypeError, ValueError):
+            # JSON types are kept: an integer flag takes a JSON integer, a
+            # float flag any JSON number.
+            value = file_values[flag]
+            numeric = (int,) if typ is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, numeric):
                 raise CliError(EXIT_DATA, f"--config: {flag}: expected {typ.__name__}, "
-                                          f"got {file_values[flag]!r}") from None
+                                          f"got {value!r}")
+            value = typ(value)
         merged[flag] = default if value is None else value
     for flag in ("x0", "u0", "v0"):
         value = getattr(args, flag)
@@ -182,9 +182,13 @@ def _certificates_json(certificates: dict) -> dict:
             for key, cert in certificates.items()}
 
 
-def _summary_bytes(summary: dict) -> bytes:
-    return (json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-            + "\n").encode("utf-8")
+def _json_text(obj: dict) -> str:
+    """Strict JSON text; a non-finite number (a result that overflowed)
+    raises OverflowError."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OverflowError(f"result out of floating-point range: {exc}") from None
 
 
 def cmd_solve(args) -> int:
@@ -193,9 +197,8 @@ def cmd_solve(args) -> int:
     try:
         grid = make_uniform_grid(problem.horizon, opts["nodes"])
         cfg = AlmConfig(**{f.name: opts[f.name.lower()] for f in _ALM_FIELDS})
-        inner = {"max_iters": opts["inner_max_iters"]}
-        if opts["inner_grad_tol"] is not None:
-            inner["grad_tol"] = opts["inner_grad_tol"]
+        inner = {f.name: opts[f"inner_{f.name}"] for f in _INNER_FIELDS
+                 if opts[f"inner_{f.name}"] is not None}
         cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, **inner))
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
@@ -212,21 +215,21 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_DATA, f"{flag}: entries must lie in [{low:g}, {high:g}]")
 
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     tmp = {name: os.path.join(out_dir, f".tmp.{name}") for name in OUTPUT_FILES}
     try:
-        with open(tmp["iterations.csv"], "w", encoding="utf-8") as log:
+        os.makedirs(out_dir, exist_ok=True)
+        log = open(tmp["iterations.csv"], "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"--out-dir: {exc}") from None
+    try:
+        with log:
             report = solve(problem, cfg, x0, u0, v0, iteration_csv=log)
 
+        columns = ([f"x{i + 1}" for i in range(problem.n)]
+                   + [f"u{i + 1}" for i in range(problem.p)]
+                   + [f"v{i + 1}" for i in range(problem.m)])
         combined = np.hstack([report.x.values, report.u.values, report.v.values])
-        header = (["t"] + [f"x{i + 1}" for i in range(problem.n)]
-                  + [f"u{i + 1}" for i in range(problem.p)]
-                  + [f"v{i + 1}" for i in range(problem.m)])
-        lines = [",".join(header)]
-        for i, t in enumerate(grid.nodes):
-            lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in combined[i]]))
-        with open(tmp["trajectory.csv"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_trajectory_csv(Trajectory(grid, combined), tmp["trajectory.csv"], columns)
 
         reference = None
         if problem.reference is not None:
@@ -259,13 +262,12 @@ def cmd_solve(args) -> int:
             "config": {
                 "problem": problem.name, "nodes": opts["nodes"],
                 **{f.name: getattr(cfg, f.name) for f in _ALM_FIELDS},
-                "inner_grad_tol": cfg.inner.grad_tol,
-                "inner_max_iters": cfg.inner.max_iters,
+                **{f"inner_{f.name}": getattr(cfg.inner, f.name) for f in _INNER_FIELDS},
                 "x0": opts["x0"], "u0": opts["u0"], "v0": opts["v0"],
             },
         }
         with open(tmp["summary.json"], "wb") as fh:
-            fh.write(_summary_bytes(summary))
+            fh.write(_json_text(summary).encode("utf-8"))
     except BaseException:
         for path in tmp.values():
             if os.path.exists(path):
@@ -283,12 +285,11 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     problem = _load_problem(args.problem)
     try:
-        x = read_trajectory_csv(args.trajectory_csv)
-        mults = read_trajectory_csv(args.multipliers_csv)
-    except TrajectoryCsvError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-    except OSError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
+        eps_stop = AlmConfig(eps_stop=args.eps_stop).eps_stop
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"--eps-stop: {exc}") from None
+    x = read_trajectory_csv(args.trajectory_csv)
+    mults = read_trajectory_csv(args.multipliers_csv)
     if x.dim != problem.n:
         raise CliError(EXIT_DATA,
                        f"trajectory has {x.dim} state column(s), expected {problem.n}")
@@ -310,7 +311,7 @@ def cmd_check(args) -> int:
     max_h, max_gp = violations(bundle)
     out = {
         "problem": problem.name,
-        "eps_stop": args.eps_stop,
+        "eps_stop": eps_stop,
         "residuals": {
             "stationarity_l1": residuals.stationarity_l1,
             "complementarity_sup": residuals.complementarity_sup,
@@ -323,10 +324,10 @@ def cmd_check(args) -> int:
             "feasibility_factor": feasibility_factor(grid, bundle),
         },
         "certificates": _certificates_json(
-            certify(problem, grid, bundle, u, v, residuals, args.eps_stop)),
-        "pass": akkt_holds(residuals, args.eps_stop),
+            certify(problem, grid, bundle, u, v, residuals, eps_stop)),
+        "pass": akkt_holds(residuals, eps_stop),
     }
-    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
+    sys.stdout.write(_json_text(out))
     return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
 
 
@@ -343,17 +344,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_list()
+        # Overflow reaches users as the error line below, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "solve":
+                return cmd_solve(args)
+            if args.command == "check":
+                return cmd_check(args)
+            return cmd_list()
     except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
-    except EvaluationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
+        code, message = exc.exit_code, str(exc)
+    # An input file that cannot be opened, decoded or parsed, an evaluator
+    # returning a non-finite value and a run whose values overflow are data
+    # errors.
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TrajectoryCsvError,
+            EvaluationError, OverflowError) as exc:
+        code, message = EXIT_DATA, str(exc)
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

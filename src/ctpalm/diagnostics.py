@@ -15,7 +15,7 @@ from .lagrangian import (Residuals, _row_dots, akkt_holds,
 from .problems import (EvalBundle, MissingReferenceError, ProblemDefinition,
                        reference_solution)
 
-# Default tolerances: loose enough to absorb quadrature and inner-solver slack.
+# Tolerances loose enough to absorb quadrature and inner-solver slack.
 SUFFICIENCY_TOL = 1e-6
 STATIONARITY_TOL = 1e-4
 
@@ -50,14 +50,11 @@ class ErrorMetrics:
 
 
 def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
-                            bundle: EvalBundle, u: Trajectory, v: Trajectory,
-                            tol: float = SUFFICIENCY_TOL) -> Certificate:
+                            bundle: EvalBundle, u: Trajectory, v: Trajectory) -> Certificate:
     """Convexity-based global-optimality check.
 
     Requires every convexity flag and a nonnegative multiplier/constraint
-    pairing sum_i u_i h_i + sum_j v_j g_j >= -tol at every node.  The pairing
-    condition is positively homogeneous in (u, v), so any positive rescaling
-    of multipliers gives the same verdict at tol = 0.
+    pairing sum_i u_i h_i + sum_j v_j g_j >= -SUFFICIENCY_TOL at every node.
     """
     if not problem.convexity.all_hold():
         flags = {
@@ -69,17 +66,17 @@ def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
     pairing = _row_dots(u.values, bundle.h) + _row_dots(v.values, bundle.g)
     worst_node = int(np.argmin(pairing))
     worst = min(0.0, float(pairing[worst_node]))
-    if worst >= -tol:
+    if worst >= -SUFFICIENCY_TOL:
         return Certificate(CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY,
-                           {"min_pairing_sum": worst, "tol": tol})
+                           {"min_pairing_sum": worst, "tol": SUFFICIENCY_TOL})
     return Certificate(CertificateKind.HYPOTHESIS_VIOLATED,
-                       {"min_pairing_sum": worst, "tol": tol,
+                       {"min_pairing_sum": worst, "tol": SUFFICIENCY_TOL,
                         "worst_node": worst_node,
                         "worst_time": float(grid.nodes[worst_node])})
 
 
-def infeasibility_report(grid: TimeGrid, bundle: EvalBundle, feas_tol: float,
-                         stat_tol: float = STATIONARITY_TOL) -> Optional[Certificate]:
+def infeasibility_report(grid: TimeGrid, bundle: EvalBundle,
+                         feas_tol: float) -> Optional[Certificate]:
     """Classify an infeasible trajectory; None when its violation is within feas_tol.
 
     An infeasible point whose squared-violation gradient vanishes is the
@@ -90,8 +87,8 @@ def infeasibility_report(grid: TimeGrid, bundle: EvalBundle, feas_tol: float,
         return None
     residual = feasibility_stationarity_residual(grid, bundle)
     evidence = {"max_violation": violation, "feas_tol": feas_tol,
-                "stationarity_residual": residual, "stat_tol": stat_tol}
-    if residual <= stat_tol:
+                "stationarity_residual": residual, "stat_tol": STATIONARITY_TOL}
+    if residual <= STATIONARITY_TOL:
         return Certificate(CertificateKind.INFEASIBLE_BUT_THETA_STATIONARY, evidence)
     return Certificate(CertificateKind.INFEASIBLE_NOT_STATIONARY, evidence)
 

@@ -108,13 +108,6 @@ def _trapezoid_sum(samples: np.ndarray, h: float) -> float:
     return float(total)
 
 
-def trapezoid_integral(samples: Trajectory) -> float:
-    """Composite trapezoid value of a scalar trajectory."""
-    if samples.dim != 1:
-        raise ValueError(f"trapezoid_integral expects dim=1, got dim={samples.dim}")
-    return _trapezoid_sum(samples.values[:, 0], samples.grid.spacing)
-
-
 def l1_time_norm(v: Trajectory) -> float:
     """Trapezoid quadrature of t -> sum_d |v(t)_d|."""
     if v.dim == 0:
@@ -122,20 +115,15 @@ def l1_time_norm(v: Trajectory) -> float:
     return _trapezoid_sum(np.abs(v.values).sum(axis=1), v.grid.spacing)
 
 
-def sup_node_norm(v: Trajectory) -> float:
-    """Largest absolute entry over all nodes and components (0 for empty dim)."""
-    if v.values.size == 0:
-        return 0.0
-    return float(np.abs(v.values).max())
-
-
-def write_trajectory_csv(traj: Trajectory, dest) -> None:
+def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
     """Write `t,c0,c1,...` rows at full double precision.
 
-    `dest` is a path or a writable text file.  One data row per node,
-    newline-terminated.
+    `dest` is a path or a writable text file.  `columns` names the value
+    columns (default c0, c1, ...).  One data row per node, newline-terminated.
     """
-    header = "t," + ",".join(f"c{d}" for d in range(traj.dim))
+    if columns is None:
+        columns = [f"c{d}" for d in range(traj.dim)]
+    header = "t," + ",".join(columns)
     lines = [header]
     for i, t in enumerate(traj.grid.nodes):
         cells = [f"{t:.17g}"] + [f"{x:.17g}" for x in traj.values[i]]

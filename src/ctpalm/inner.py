@@ -26,6 +26,7 @@ is that of a solve of its node alone.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +38,17 @@ from .problems import ProblemDefinition, _row_dots, evaluate
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
+# Armijo sufficient-decrease constant, first trial step, smallest trial step,
+# the box |x_i| <= _ITERATE_BOX outside which an iterate counts as escaping,
+# and the polish iteration budget.
+_ARMIJO_C = 1e-4
+_STEP_INIT = 1.0
+_STEP_MIN = 1e-14
+_ITERATE_BOX = 1e6
+_POLISH_ITERS = 200
+# Largest descent budget whose iteration counts, polish included, fit the
+# int64 counters.
+_MAX_ITERS_LIMIT = int(np.iinfo(np.int64).max) - _POLISH_ITERS
 
 
 class InnerStatus(enum.Enum):
@@ -50,27 +62,18 @@ _BY_SEVERITY = (InnerStatus.CONVERGED, InnerStatus.MAX_ITERS, InnerStatus.DIVERG
 _CONVERGED, _MAX_ITERS, _DIVERGED = range(3)
 
 
-def worst_of(a: InnerStatus, b: InnerStatus) -> InnerStatus:
-    return a if _BY_SEVERITY.index(a) >= _BY_SEVERITY.index(b) else b
-
-
 @dataclass(frozen=True)
 class InnerConfig:
+    """Stationarity tolerance and descent iteration budget of each node solve."""
+
     grad_tol: float = 1e-6
     max_iters: int = 500
-    armijo_c: float = 1e-4
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    iterate_box: float = 1e6
-    polish_iters: int = 200
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iters <= 0 or self.step_init <= 0:
-            raise ValueError("grad_tol, max_iters and step_init must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if self.step_min <= 0 or self.iterate_box <= 0 or self.polish_iters < 0:
-            raise ValueError("step_min, iterate_box must be positive, polish_iters >= 0")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        if not 1 <= self.max_iters <= _MAX_ITERS_LIMIT:
+            raise ValueError(f"max_iters must lie in [1, {_MAX_ITERS_LIMIT}]")
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,10 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> np.ndarray:
     return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, fallback)
 
 
-def _trace_steps(trace, phase, accepted, f_old, f_new, alpha, slope, cfg):
+def _trace_steps(trace, phase, accepted, f_old, f_new, alpha, slope):
     for i in np.flatnonzero(accepted):
         trace(dict(phase=phase, f_old=float(f_old[i]), f_new=float(f_new[i]),
-                   alpha=float(alpha[i]), slope=float(slope[i]), armijo_c=cfg.armijo_c))
+                   alpha=float(alpha[i]), slope=float(slope[i]), armijo_c=_ARMIJO_C))
 
 
 def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
@@ -137,7 +140,7 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
     w.keep(np.isfinite(gn))
     for it in range(1, cfg.max_iters + 1):
         converged = w.gn <= cfg.grad_tol
-        diverged = ~converged & (np.abs(w.x).max(axis=1) > cfg.iterate_box)
+        diverged = ~converged & (np.abs(w.x).max(axis=1) > _ITERATE_BOX)
         stop = converged | diverged
         if stop.any():
             iters[w.rows[stop]] = it - 1
@@ -149,17 +152,17 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
         d = -w.gr
         gd = _row_dots(w.gr, d)
         # Every row past its first step has accepted one, so has BB memory.
-        alpha = (_bb_step(w.x - w.prev_x, w.gr - w.prev_g, cfg.step_init) if it > 1
-                 else np.full(len(w.rows), cfg.step_init))
+        alpha = (_bb_step(w.x - w.prev_x, w.gr - w.prev_g, _STEP_INIT) if it > 1
+                 else np.full(len(w.rows), _STEP_INIT))
         accepted = np.zeros(len(w.rows), dtype=bool)
         xn, grn = np.empty_like(w.x), np.empty_like(w.x)
         fn, pn = np.empty(len(w.rows)), np.empty(len(w.rows))
-        trial = np.flatnonzero(alpha >= cfg.step_min)
+        trial = np.flatnonzero(alpha >= _STEP_MIN)
         while trial.size:
             xt = w.x[trial] + alpha[trial, None] * d[trial]
             ft, pt = _value_and_penalty(problem, xt, w.u[trial], w.v[trial], rho,
                                         w.t[trial])
-            ok = np.isfinite(ft) & (ft <= w.f[trial] + cfg.armijo_c * alpha[trial]
+            ok = np.isfinite(ft) & (ft <= w.f[trial] + _ARMIJO_C * alpha[trial]
                                     * gd[trial])
             if ok.any():
                 j = trial[ok]
@@ -171,11 +174,11 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
                 accepted[j] = True
             trial = trial[~ok]
             alpha[trial] *= 0.5
-            trial = trial[alpha[trial] >= cfg.step_min]
+            trial = trial[alpha[trial] >= _STEP_MIN]
         # Rows without an acceptable step stop here with MaxIters.
         iters[w.rows[~accepted]] = it
         if trace is not None:
-            _trace_steps(trace, "descent", accepted, w.f, fn, alpha, gd, cfg)
+            _trace_steps(trace, "descent", accepted, w.f, fn, alpha, gd)
         w.prev_x, w.prev_g = w.x, w.gr
         w.x, w.f, w.pen, w.gr = xn, fn, pn, grn
         w.keep(accepted)
@@ -221,7 +224,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     w.since_best = np.zeros(len(w.rows), dtype=int)
     best_gn[w.rows] = w.gn
     w.g = _psi_gradient(problem, w, rho)
-    for it in range(1, cfg.polish_iters + 1):
+    for it in range(1, _POLISH_ITERS + 1):
         d = -w.g
         gd = _row_dots(w.g, d)
         landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.g).all(axis=1)
@@ -239,22 +242,22 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
                  np.minimum(1.0, 1.0 / np.maximum(1.0, np.abs(w.g).max(axis=1))))
         accepted = np.zeros(len(w.rows), dtype=bool)
         xn, Fn, psin = np.empty_like(w.x), np.empty_like(w.x), np.empty(len(w.rows))
-        trial = np.flatnonzero(alpha >= cfg.step_min)
+        trial = np.flatnonzero(alpha >= _STEP_MIN)
         while trial.size:
             xt = w.x[trial] + alpha[trial, None] * d[trial]
             Ft = _aug_gradient(problem, xt, w.u[trial], w.v[trial], rho, w.t[trial])
             psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
-            ok = np.isfinite(psit) & (psit <= w.psi[trial] + cfg.armijo_c * alpha[trial]
+            ok = np.isfinite(psit) & (psit <= w.psi[trial] + _ARMIJO_C * alpha[trial]
                                       * gd[trial])
             j = trial[ok]
             xn[j], Fn[j], psin[j] = xt[ok], Ft[ok], psit[ok]
             accepted[j] = True
             trial = trial[~ok]
             alpha[trial] *= 0.5
-            trial = trial[alpha[trial] >= cfg.step_min]
+            trial = trial[alpha[trial] >= _STEP_MIN]
         iters[w.rows[~accepted]] = it
         if trace is not None:
-            _trace_steps(trace, "polish", accepted, w.psi, psin, alpha, gd, cfg)
+            _trace_steps(trace, "polish", accepted, w.psi, psin, alpha, gd)
         w.prev_x, w.prev_g = w.x, w.g
         w.x, w.F, w.psi = xn, Fn, psin
         w.keep(accepted)
@@ -264,13 +267,13 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
         kept = w.gn <= best
         best_x[w.rows[kept]], best_gn[w.rows[kept]] = w.x[kept], w.gn[kept]
         w.since_best = np.where(improved, 0, w.since_best + 1)
-        escaped = np.abs(w.x).max(axis=1) > cfg.iterate_box
+        escaped = np.abs(w.x).max(axis=1) > _ITERATE_BOX
         iters[w.rows[escaped]] = it
         w.keep(~escaped)
         if not w.rows.size:
             break
         w.g = _psi_gradient(problem, w, rho)
-    iters[w.rows] = cfg.polish_iters
+    iters[w.rows] = _POLISH_ITERS
     return best_x, best_gn, iters
 
 
@@ -295,7 +298,7 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None):
         polish = status != _CONVERGED
         if not problem.p + problem.m:
             polish &= grad < initial_gn
-        if cfg.polish_iters and polish.any():
+        if polish.any():
             j = np.flatnonzero(polish)
             px, pgn, extra = _polish(problem, ts[j], x_star[j], us[j], vs[j], rho,
                                      cfg, trace)

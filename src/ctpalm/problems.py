@@ -15,8 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TimeGrid, Trajectory
-
 
 class UnknownProblemError(KeyError):
     """Requested registry name does not exist."""
@@ -407,25 +405,3 @@ def builtin(name: str) -> ProblemDefinition:
             f"unknown problem {name!r}; valid names: {', '.join(_REGISTRY)}"
         ) from None
     return factory()
-
-
-def akkt_example_sequence(grid: TimeGrid, k: int, guard_halfwidth: float = 1e-3):
-    """Closed-form primal/dual pair for `akkt_example` at sequence index k.
-
-    Returns (x, v) trajectories with x1 = (t - 1/2)/k, x2 = 0 and both
-    inequality multipliers equal to k^2 / (3 (t - 1/2)^2).  The multiplier
-    blows up at t = 1/2, so grids with a node inside |t - 1/2| <
-    guard_halfwidth are rejected.
-    """
-    if k < 1:
-        raise ValueError("sequence index k must be >= 1")
-    s = grid.nodes - 0.5
-    if np.any(np.abs(s) < guard_halfwidth):
-        raise ValueError(
-            "grid has a node too close to t = 1/2 where the multiplier is unbounded; "
-            "use an even node count"
-        )
-    x = np.column_stack([s / k, np.zeros(grid.num_nodes)])
-    v1 = k * k / (3.0 * s * s)
-    v = np.column_stack([v1, v1])
-    return Trajectory(grid, x), Trajectory(grid, v)

@@ -18,6 +18,13 @@ from ctpalm.lagrangian import MultiplierSet
 from ctpalm.problems import Convexity, ProblemDefinition
 
 _POLISH_FD_STEP = 1e-7
+# The solver's fixed step rules and budgets, written out here rather than
+# imported so that the bit-for-bit comparison pins their values.
+ARMIJO_C = 1e-4
+STEP_INIT = 1.0
+STEP_MIN = 1e-14
+ITERATE_BOX = 1e6
+POLISH_ITERS = 200
 
 
 def _penalty_value(problem: ProblemDefinition, x: np.ndarray,
@@ -70,7 +77,7 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
     for it in range(1, cfg.max_iters + 1):
         if gn <= cfg.grad_tol:
             return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.CONVERGED
-        if float(np.abs(x).max()) > cfg.iterate_box:
+        if float(np.abs(x).max()) > ITERATE_BOX:
             return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.DIVERGED
         d = -gr
         gd = float(gr @ d)
@@ -78,16 +85,16 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
             s = x - prev_x
             y = gr - prev_g
             sy = float(s @ y)
-            alpha = float(s @ s) / sy if sy > 0.0 and np.isfinite(sy) else cfg.step_init
+            alpha = float(s @ s) / sy if sy > 0.0 and np.isfinite(sy) else STEP_INIT
             if not np.isfinite(alpha) or alpha <= 0.0:
-                alpha = cfg.step_init
+                alpha = STEP_INIT
         else:
-            alpha = cfg.step_init
+            alpha = STEP_INIT
         accepted = False
-        while alpha >= cfg.step_min:
+        while alpha >= STEP_MIN:
             xn = x + alpha * d
             fn, pn = _value_and_penalty(problem, xn, u, v, rho, t)
-            if np.isfinite(fn) and fn <= f + cfg.armijo_c * alpha * gd:
+            if np.isfinite(fn) and fn <= f + ARMIJO_C * alpha * gd:
                 gn_new_vec = _aug_gradient(problem, xn, u, v, rho, t)
                 if np.all(np.isfinite(gn_new_vec)):
                     accepted = True
@@ -97,7 +104,7 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
             return best_x, best_gn, minpen_x, gn0, it, InnerStatus.MAX_ITERS
         if trace is not None:
             trace(dict(phase="descent", f_old=f, f_new=fn, alpha=alpha,
-                       slope=gd, armijo_c=cfg.armijo_c))
+                       slope=gd, armijo_c=ARMIJO_C))
         prev_x, prev_g = x, gr
         x, f, pen, gr = xn, fn, pn, gn_new_vec
         gn = float(np.abs(gr).max())
@@ -136,7 +143,7 @@ def _polish(problem, t, x_init, u, v, rho, cfg, trace):
     prev_x = prev_g = None
     since_best = 0
     it = 0
-    for it in range(1, cfg.polish_iters + 1):
+    for it in range(1, POLISH_ITERS + 1):
         if gn_F <= cfg.grad_tol or not np.all(np.isfinite(g)):
             return best_x, best_gn, it - 1
         if since_best > 30:
@@ -156,11 +163,11 @@ def _polish(problem, t, x_init, u, v, rho, cfg, trace):
         else:
             alpha = min(1.0, 1.0 / max(1.0, float(np.abs(g).max())))
         accepted = False
-        while alpha >= cfg.step_min:
+        while alpha >= STEP_MIN:
             xn = x + alpha * d
             Fn = _aug_gradient(problem, xn, u, v, rho, t)
             psin = 0.5 * float(Fn @ Fn) if np.all(np.isfinite(Fn)) else float("inf")
-            if np.isfinite(psin) and psin <= psi + cfg.armijo_c * alpha * gd:
+            if np.isfinite(psin) and psin <= psi + ARMIJO_C * alpha * gd:
                 accepted = True
                 break
             alpha *= 0.5
@@ -168,7 +175,7 @@ def _polish(problem, t, x_init, u, v, rho, cfg, trace):
             break
         if trace is not None:
             trace(dict(phase="polish", f_old=psi, f_new=psin, alpha=alpha,
-                       slope=gd, armijo_c=cfg.armijo_c))
+                       slope=gd, armijo_c=ARMIJO_C))
         prev_x, prev_g = x, g
         x, F, psi = xn, Fn, psin
         gn_F = float(np.abs(F).max())
@@ -179,7 +186,7 @@ def _polish(problem, t, x_init, u, v, rho, cfg, trace):
             since_best += 1
         else:
             since_best += 1
-        if float(np.abs(x).max()) > cfg.iterate_box:
+        if float(np.abs(x).max()) > ITERATE_BOX:
             break
         g = psi_gradient(x, F)
     return best_x, best_gn, it
@@ -203,7 +210,7 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
     # the augmented objective is the plain objective: there a diverging
     # descent is definitive unless the path itself passed a better
     # stationarity candidate.
-    if cfg.polish_iters and (problem.p + problem.m > 0 or best_gn < initial_gn):
+    if problem.p + problem.m > 0 or best_gn < initial_gn:
         px, pgn, extra = _polish(problem, t, best_x, u, v, rho, cfg, trace)
         iters += extra
         if pgn <= cfg.grad_tol:

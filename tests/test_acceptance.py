@@ -22,9 +22,8 @@ from ctpalm.inner import InnerStatus
 from ctpalm.lagrangian import (MultiplierSet, akkt_residuals,
                                aug_lagrangian_gradient, aug_lagrangian_value,
                                lagrangian_gradient)
-from ctpalm.problems import (akkt_example_sequence, builtin, builtin_names,
-                             evaluate_all, reference_solution)
-from ctpalm.testkit import FdConfig, dense_grid_min, fd_gradient
+from ctpalm.problems import builtin, builtin_names, evaluate_all, reference_solution
+from testkit import FdConfig, akkt_example_sequence, dense_grid_min, fd_gradient
 from conftest import run_cli
 
 

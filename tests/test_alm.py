@@ -128,6 +128,19 @@ def test_solve_rejects_dimension_mismatch():
         c.solve(prob, c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("cfg_kwargs,x0,message", [
+    ({"rho_init": 1e300}, [0.0, -1e10], "multiplier update overflowed"),
+    ({"gamma": 1e300}, [0.0, 0.0], "penalty parameter overflowed"),
+], ids=["multipliers", "rho"])
+def test_overflow_stops_the_run(cfg_kwargs, x0, message):
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(1.0, 5)
+    cfg = c.AlmConfig(max_outer=3, **cfg_kwargs)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match=message):
+        c.solve(prob, cfg, c.Trajectory.constant(grid, x0))
+
+
 def test_rho_monotone_and_growth_matches_progress_rule(ex4_run):
     report, prob, cfg = ex4_run
     records = report.iterations

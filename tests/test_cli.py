@@ -1,15 +1,22 @@
 """Command-line interface: verbs, exit codes, file outputs, and data checks."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctpalm as c
+from ctpalm import cli
 from ctpalm.grid import write_trajectory_csv
-from ctpalm.problems import akkt_example_sequence, builtin
+from ctpalm.problems import builtin
 from conftest import run_cli
+from testkit import akkt_example_sequence
 
 
 # -- list-problems -------------------------------------------------------------
@@ -125,9 +132,33 @@ def test_solve_nonfinite_evaluation_is_data_error(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def _write(path, text):
-    path.write_text(text)
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     return str(path)
+
+
+NOT_UTF8 = b"t,c0,c1\n0,\xff,0\n1,0,0\n"
+
+
+def _check_args(d, eps_stop=None):
+    """`check` on a feasible ex1 point, with --eps-stop when given."""
+    return ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
+            _write(d / "m.csv", "t,c0,c1\n0,0.5,0.5\n1,0.5,0.5\n"),
+            *([f"--eps-stop={eps_stop}"] if eps_stop is not None else [])]
+
+
+def _out_dir_is_a_file(d):
+    """Solve arguments; the --out-dir the test appends is made an existing file."""
+    _write(d / "out", "")
+    return ["solve", "--problem", "ex1", "--nodes", "5"]
+
+
+_NONFINITE_OPTIONS = [(flag, value) for flag in ("--eps-stop", "--gamma", "--rho-init",
+                                                 "--bound-m", "--inner-grad-tol")
+                      for value in ("nan", "inf")] + [("--bound-n", "inf")]
 
 
 @pytest.mark.parametrize("code,argv", [
@@ -142,8 +173,30 @@ def _write(path, text):
                     _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
     (65, lambda d: ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n"),
                     _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
+    *[(64, lambda d, f=flag, v=value: ["solve", "--problem", "ex1", f"{f}={v}"])
+      for flag, value in _NONFINITE_OPTIONS],
+    *[(64, lambda d, v=value: _check_args(d, v)) for value in ("nan", "inf", "0", "-1")],
+    (64, _out_dir_is_a_file),
+    (65, lambda d: ["solve", "--problem", "ex1", "--x0", str(d)]),
+    (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "2",
+                    "--x0", _write(d / "x0.csv", NOT_UTF8)]),
+    (65, lambda d: ["solve", "--problem", "ex1",
+                    "--config", _write(d / "run.json", b'{"nodes": "\xff"}')]),
+    (65, lambda d: ["check", "ex1", _write(d / "x.csv", NOT_UTF8),
+                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
+    (65, lambda d: ["solve", "--problem", "ex1",
+                    "--config", _write(d / "run.json", '{"nodes": 5.9}')]),
+    (65, lambda d: ["solve", "--problem", "ex1",
+                    "--config", _write(d / "run.json", '{"max_outer": true}')]),
+    (65, lambda d: ["solve", "--problem", "ex1",
+                    "--config", _write(d / "run.json", '{"eps_stop": "1e-3"}')]),
 ], ids=["nodes-1", "gamma-0.5", "x0-nan", "v0-negative", "x0-overflow",
-        "config-nodes-abc", "check-nan-cell", "check-overflow"])
+        "config-nodes-abc", "check-nan-cell", "check-overflow",
+        *[f"{flag[2:]}-{value}" for flag, value in _NONFINITE_OPTIONS],
+        "check-eps-nan", "check-eps-inf", "check-eps-0", "check-eps-negative",
+        "out-dir-is-a-file", "x0-directory", "x0-not-utf8", "config-not-utf8",
+        "check-not-utf8", "config-nodes-float", "config-max-outer-bool",
+        "config-eps-stop-string"])
 def test_bad_input_exits_with_one_error_line(tmp_path, code, argv):
     out = tmp_path / "out"
     args = argv(tmp_path)
@@ -153,7 +206,7 @@ def test_bad_input_exits_with_one_error_line(tmp_path, code, argv):
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 def test_solve_exit_code_for_iteration_limit(tmp_path):
@@ -341,3 +394,74 @@ def test_svg_outputs_are_well_formed_xml(ex1_cli_dirs):
         root = ET.fromstring((ex1_cli_dirs[0] / name).read_text())
         assert root.tag.endswith("svg")
         assert len(list(root.iter())) > 10
+
+
+# -- option coverage and fuzzing ---------------------------------------------------
+
+# A value other than the default for every config field, under its solve flag
+# name; a field missing here fails the coverage test below.
+_NON_DEFAULT = {"rho_init": 2.0, "gamma": 1.5, "tau": 0.5, "bound_m": 1e40,
+                "bound_n": 1e30, "eps_stop": 1e-4, "max_outer": 3,
+                "inner_grad_tol": 1e-7, "inner_max_iters": 400}
+
+
+def test_solve_cli_covers_every_config_field(tmp_path, capsys):
+    """Each AlmConfig field but `inner`, and each InnerConfig field as
+    inner_<name>, is a solve flag, a --config key and a summary config key, so
+    no solver setting is reachable only from code."""
+    fields = {f.name.lower(): f.name for f in dataclasses.fields(c.AlmConfig)
+              if f.name != "inner"}
+    fields.update({f"inner_{f.name}": f"inner_{f.name}"
+                   for f in dataclasses.fields(c.InnerConfig)})
+    values = {flag: _NON_DEFAULT[flag] for flag in fields}
+    flags = [f"--{flag.replace('_', '-')}={value!r}" for flag, value in values.items()]
+    config = _write(tmp_path / "run.json", json.dumps(values))
+    for extra, out in ((flags, tmp_path / "flags"), (["--config", config], tmp_path / "file")):
+        code = cli.main(["solve", "--problem", "ex1", "--nodes", "5", *extra,
+                         "--out-dir", str(out)])
+        assert code in (0, 2), capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())["config"]
+        assert {flag: summary[key] for flag, key in fields.items()} == values
+
+
+# Drawn for every numeric flag besides the valid values: zero, negative,
+# infinite, not a number and huge.
+_EDGE_VALUES = ["0", "-1", "-1e300", "inf", "-inf", "nan", "1e300", "1.7e308"]
+_FLOAT_VALUES = st.sampled_from(["1e-3", "0.5", "2", "1e50"] + _EDGE_VALUES)
+_FUZZ_FLAGS = {
+    **{flag: (_FLOAT_VALUES if typ is float else
+              st.sampled_from(["1", "50", "0", "-1", "inf", "nan", "1" + "0" * 20]))
+       for flag, (typ, _) in cli._SOLVE_DEFAULTS.items()},
+    # Kept small so that each solve is quick.
+    "nodes": st.sampled_from(["2", "5", "9", "0", "-3", "inf", "nan"]),
+    "max_outer": st.sampled_from(["1", "3", "0", "-1", "inf", "nan"]),
+    "x0": st.sampled_from(["1,1", "-1,2", "nan,1", "inf,0", "1e300,0", "1e154,1e154",
+                           "1,1,1"]),
+    "u0": st.sampled_from(["", "0", "nan"]),
+    "v0": st.sampled_from(["1,1", "0,0", "-1,1", "nan,1", "1e300,1e300", "1e49,1e49"]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.fixed_dictionaries({flag: st.none() | values
+                              for flag, values in _FUZZ_FLAGS.items()}),
+       st.none() | _FLOAT_VALUES)
+def test_cli_exit_codes_under_fuzzed_options(tmp_path_factory, flags, eps_stop):
+    """Every drawn option value ends in a documented exit code, and a usage or
+    data error leaves no output files behind."""
+    d = tmp_path_factory.mktemp("fuzz")
+    out = d / "out"
+    solve_args = ["solve", "--problem", "ex1", "--nodes", "5", "--max-outer", "3",
+                  "--out-dir", str(out)]
+    solve_args += [f"--{flag.replace('_', '-')}={value}"
+                   for flag, value in flags.items() if value is not None]
+    for args in (solve_args, _check_args(d, eps_stop)):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 64, 65), args
+        if code in (64, 65) and args is solve_args:
+            assert not out.is_dir() or not any(out.iterdir()), args

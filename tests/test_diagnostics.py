@@ -59,8 +59,7 @@ def test_certificate_invariant_under_positive_rescaling():
     v = const(grid, [0.0, 0.0, 0.0, 2.0, 0.0])
     for scale in (1.0, 7.3, 1e4):
         cert = sufficiency_certificate(prob, grid, bundle_of(prob, x), empty(grid),
-                                       const(grid, [0.0, 0.0, 0.0, 2.0 * scale, 0.0]),
-                                       tol=0.0)
+                                       const(grid, [0.0, 0.0, 0.0, 2.0 * scale, 0.0]))
         assert cert.kind is CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY
 
 

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpalm.grid import (TimeGrid, Trajectory, TrajectoryCsvError, l1_time_norm,
-                         make_uniform_grid, read_trajectory_csv, sup_node_norm,
-                         trapezoid_integral, write_trajectory_csv)
+from ctpalm.grid import (TimeGrid, Trajectory, TrajectoryCsvError, _trapezoid_sum,
+                         l1_time_norm, make_uniform_grid, read_trajectory_csv,
+                         write_trajectory_csv)
 
 
 def traj_of(grid, fn):
     return Trajectory(grid, np.array([np.atleast_1d(fn(t)) for t in grid.nodes]))
+
+
+def trapezoid(grid, fn):
+    return _trapezoid_sum(np.array([fn(t) for t in grid.nodes]), grid.spacing)
 
 
 def oracle_trapezoid(values, h):
@@ -61,18 +65,18 @@ def test_trajectory_rejects_nonfinite_and_bad_shape():
         Trajectory(grid, np.zeros((4, 1)))
 
 
-# -- trapezoid_integral ------------------------------------------------------
+# -- _trapezoid_sum ----------------------------------------------------------
 
 def test_trapezoid_constant_one():
     for n in (2, 5, 85):
         grid = make_uniform_grid(1.0, n)
-        assert trapezoid_integral(traj_of(grid, lambda t: 1.0)) == pytest.approx(1.0, rel=1e-15)
+        assert trapezoid(grid, lambda t: 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_trapezoid_exact_for_identity():
     for n in (2, 9, 85):
         grid = make_uniform_grid(1.0, n)
-        assert trapezoid_integral(traj_of(grid, lambda t: t)) == pytest.approx(0.5, rel=1e-14)
+        assert trapezoid(grid, lambda t: t) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_trapezoid_t_squared_85_nodes_matches_oracle():
@@ -82,14 +86,8 @@ def test_trapezoid_t_squared_85_nodes_matches_oracle():
     h = 1.0 / 84.0
     assert expected == pytest.approx(1.0 / 3.0 + h * h / 6.0, rel=1e-12)
     assert expected == pytest.approx(0.3333570, abs=5e-8)
-    got = trapezoid_integral(traj_of(grid, lambda t: t * t))
+    got = trapezoid(grid, lambda t: t * t)
     assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_trapezoid_requires_scalar_trajectory():
-    grid = make_uniform_grid(1.0, 3)
-    with pytest.raises(ValueError):
-        trapezoid_integral(Trajectory(grid, np.zeros((3, 2))))
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**31))
@@ -100,9 +98,9 @@ def test_trapezoid_linearity(n, seed):
     f = rng.normal(size=n)
     g = rng.normal(size=n)
     a, b = rng.normal(size=2)
-    lhs = trapezoid_integral(Trajectory(grid, a * f + b * g))
-    rhs = (a * trapezoid_integral(Trajectory(grid, f))
-           + b * trapezoid_integral(Trajectory(grid, g)))
+    h = grid.spacing
+    lhs = _trapezoid_sum(a * f + b * g, h)
+    rhs = a * _trapezoid_sum(f, h) + b * _trapezoid_sum(g, h)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -112,7 +110,7 @@ def test_trapezoid_linearity(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_trapezoid_exact_for_affine(n, a, b):
     grid = make_uniform_grid(2.0, n)
-    got = trapezoid_integral(traj_of(grid, lambda t: a * t + b))
+    got = trapezoid(grid, lambda t: a * t + b)
     exact = a * 2.0 + 2.0 * b  # integral of a t + b over [0, 2]
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
@@ -145,42 +143,6 @@ def test_l1_norm_nonnegative_and_zero_iff_zero(n, dim, seed):
     norm = l1_time_norm(Trajectory(grid, vals))
     assert norm >= 0.0
     assert (norm == 0.0) == bool(np.all(vals == 0.0))
-
-
-# -- sup_node_norm -----------------------------------------------------------
-
-def test_sup_norm_zero():
-    grid = make_uniform_grid(1.0, 4)
-    assert sup_node_norm(Trajectory(grid, np.zeros((4, 2)))) == 0.0
-
-
-def test_sup_norm_centered_identity():
-    grid = make_uniform_grid(1.0, 85)
-    assert sup_node_norm(traj_of(grid, lambda t: t - 0.5)) == pytest.approx(0.5)
-
-
-def test_sup_norm_single_spike():
-    grid = make_uniform_grid(1.0, 5)
-    vals = np.zeros((5, 2))
-    vals[3, 1] = 3.2
-    assert sup_node_norm(Trajectory(grid, vals)) == 3.2
-
-
-def test_sup_norm_empty_dim_is_zero():
-    grid = make_uniform_grid(1.0, 4)
-    assert sup_node_norm(Trajectory(grid, np.zeros((4, 0)))) == 0.0
-
-
-@given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=40, deadline=None)
-def test_sup_norm_triangle_inequality(n, seed):
-    rng = np.random.default_rng(seed)
-    grid = make_uniform_grid(1.0, n)
-    a = rng.normal(size=(n, 2))
-    b = rng.normal(size=(n, 2))
-    lhs = sup_node_norm(Trajectory(grid, a + b))
-    rhs = sup_node_norm(Trajectory(grid, a)) + sup_node_norm(Trajectory(grid, b))
-    assert lhs <= rhs + 1e-15
 
 
 # -- CSV serialization -------------------------------------------------------

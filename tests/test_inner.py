@@ -7,10 +7,10 @@ import pytest
 
 import ctpalm as c
 import node_solver_reference as reference
-from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows, worst_of
+from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
 from ctpalm.lagrangian import MultiplierSet, aug_lagrangian_value
-from ctpalm.testkit import dense_grid_min
 from conftest import unconstrained_quadratic
+from testkit import FdConfig, dense_grid_min, fd_gradient
 
 
 def shifted_quadratic():
@@ -137,7 +137,6 @@ def test_subproblem_every_node_converges_on_ex2():
     assert worst is InnerStatus.CONVERGED
     assert max_grad <= cfg.grad_tol
     # independent stationarity check through central differences
-    from ctpalm.testkit import FdConfig, fd_gradient
     for i in (0, 42, 84):
         t = grid.nodes[i]
         mult = MultiplierSet(v=v0.values[i])
@@ -158,12 +157,6 @@ def test_subproblem_two_node_grid():
         solo = c.solve_node(prob, grid.nodes[i], warm.values[i],
                             MultiplierSet(v=v0.values[i]), 1.0, cfg)
         assert np.array_equal(traj.values[i], solo.x_star)
-
-
-def test_status_severity_ordering():
-    assert worst_of(InnerStatus.CONVERGED, InnerStatus.MAX_ITERS) is InnerStatus.MAX_ITERS
-    assert worst_of(InnerStatus.DIVERGED, InnerStatus.MAX_ITERS) is InnerStatus.DIVERGED
-    assert worst_of(InnerStatus.CONVERGED, InnerStatus.CONVERGED) is InnerStatus.CONVERGED
 
 
 # -- lattice-oracle agreement --------------------------------------------------
@@ -248,10 +241,7 @@ def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg):
         prob, grid, c.Trajectory(grid, xs), c.Trajectory(grid, us),
         c.Trajectory(grid, vs), rho, cfg)
     assert traj.values.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
-    expected_worst = InnerStatus.CONVERGED
-    for r in solo:
-        expected_worst = worst_of(expected_worst, r.status)
-    assert worst is expected_worst
+    assert worst is max((r.status for r in solo), key=_BY_SEVERITY.index)
     assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
     return solo
 
@@ -303,7 +293,7 @@ def test_lockstep_ex3_batch_mixes_every_outcome():
     assert any(ok and r.iterations > cfg.max_iters for ok, r in zip(converged, solo))
     assert any(r.status is InnerStatus.MAX_ITERS for r in solo)
     assert any(r.status is InnerStatus.DIVERGED for r in solo)
-    assert any(r.iterations == cfg.max_iters + cfg.polish_iters for r in solo)
+    assert any(r.iterations == cfg.max_iters + reference.POLISH_ITERS for r in solo)
 
 
 def test_solve_node_trace_equals_the_reference_trace():

@@ -4,18 +4,16 @@ analytic fixtures, and the squared-violation diagnostics."""
 import numpy as np
 import pytest
 
-from ctpalm.grid import (Trajectory, l1_time_norm, make_uniform_grid,
-                         trapezoid_integral)
+from ctpalm.grid import Trajectory, _trapezoid_sum, l1_time_norm, make_uniform_grid
 from ctpalm.lagrangian import (MultiplierSet, _row_dots, _transposed_product,
                                akkt_residuals,
                                aug_lagrangian_gradient, aug_lagrangian_value,
                                feasibility_factor,
                                feasibility_stationarity_residual,
                                lagrangian_gradient)
-from ctpalm.problems import (akkt_example_sequence, builtin, evaluate_all,
-                             pointwise, reference_solution)
-from ctpalm.testkit import FdConfig, fd_gradient
+from ctpalm.problems import builtin, evaluate_all, pointwise, reference_solution
 from conftest import unconstrained_quadratic
+from testkit import FdConfig, akkt_example_sequence, fd_gradient
 
 ALL_NAMES = ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1")
 
@@ -246,10 +244,10 @@ def test_stacked_reductions_equal_the_node_loop():
             feas_grad.append(np.asarray(prob.eval_jac_h(x[i], t), dtype=float).T @ (2.0 * h)
                              + np.asarray(prob.eval_jac_g(x[i], t), dtype=float).T @ (2.0 * gp))
         res = akkt_residuals(grid, bundle, Trajectory(grid, u), Trajectory(grid, v))
-        assert res.stationarity_l1 == trapezoid_integral(Trajectory(grid, np.array(stat)))
+        assert res.stationarity_l1 == _trapezoid_sum(np.array(stat), grid.spacing)
         assert res.complementarity_sup == comp
-        assert feasibility_factor(grid, bundle) == trapezoid_integral(
-            Trajectory(grid, np.array(factor)))
+        assert feasibility_factor(grid, bundle) == _trapezoid_sum(np.array(factor),
+                                                                  grid.spacing)
         assert feasibility_stationarity_residual(grid, bundle) == l1_time_norm(
             Trajectory(grid, np.array(feas_grad)))
 

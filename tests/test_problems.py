@@ -9,12 +9,11 @@ import pytest
 from ctpalm.grid import make_uniform_grid
 from ctpalm.problems import (EVALUATORS, Convexity, EvaluationError,
                              MissingReferenceError, ProblemDefinition,
-                             UnknownProblemError,
-                             akkt_example_sequence, builtin, builtin_names,
+                             UnknownProblemError, builtin, builtin_names,
                              evaluate_all, pointwise, reference_solution)
-from ctpalm.testkit import FdConfig, fd_gradient
 import node_solver_reference as reference
 from conftest import unconstrained_quadratic
+from testkit import FdConfig, akkt_example_sequence, fd_gradient
 
 ALL_NAMES = ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1")
 

@@ -1,9 +1,8 @@
-"""Independent oracles for the test suite: finite differences and brute force.
+"""Independent oracles for the test suite: finite differences, brute force,
+and the closed-form asymptotic KKT sequence of `akkt_example`.
 
 These are deliberately naive so they cannot share a failure mode with the
-analytic gradients and the node optimizer they are used to validate.  They
-ship with the package (the test suite imports them) but are not part of the
-solver API.
+analytic gradients and the node optimizer they are used to validate.
 """
 
 from __future__ import annotations
@@ -13,17 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ctpalm.grid import TimeGrid, Trajectory
+
 
 @dataclass(frozen=True)
 class FdConfig:
     step: float = 1e-6
-    scheme: str = "central"
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 def fd_gradient(f, x: np.ndarray, cfg: FdConfig = FdConfig()) -> np.ndarray:
@@ -69,3 +67,25 @@ def dense_grid_min(f, box_center: np.ndarray, radius: float, points_per_axis: in
             best_f = val
             best_x = x
     return best_x, best_f
+
+
+def akkt_example_sequence(grid: TimeGrid, k: int):
+    """Closed-form primal/dual pair for `akkt_example` at sequence index k.
+
+    Returns (x, v) trajectories with x1 = (t - 1/2)/k, x2 = 0 and both
+    inequality multipliers equal to k^2 / (3 (t - 1/2)^2).  The multiplier
+    blows up at t = 1/2, so grids with a node inside |t - 1/2| < 1e-3 are
+    rejected.
+    """
+    if k < 1:
+        raise ValueError("sequence index k must be >= 1")
+    s = grid.nodes - 0.5
+    if np.any(np.abs(s) < 1e-3):
+        raise ValueError(
+            "grid has a node too close to t = 1/2 where the multiplier is unbounded; "
+            "use an even node count"
+        )
+    x = np.column_stack([s / k, np.zeros(grid.num_nodes)])
+    v1 = k * k / (3.0 * s * s)
+    v = np.column_stack([v1, v1])
+    return Trajectory(grid, x), Trajectory(grid, v)
