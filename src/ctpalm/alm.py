@@ -110,10 +110,6 @@ class SolveReport:
     def final(self) -> IterationRecord:
         return self.iterations[-1]
 
-    @property
-    def rho_final(self) -> float:
-        return self.iterations[-1].rho
-
 
 def multiplier_update(bundle: EvalBundle, u_tilde: np.ndarray, v_tilde: np.ndarray,
                       rho: float):

@@ -20,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from .alm import AlmConfig, SolveStatus, solve
-from .diagnostics import certify
+from .diagnostics import _reference_trajectory, certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv, write_trajectory_csv)
 from .inner import InnerConfig
 from .lagrangian import akkt_holds, akkt_residuals, feasibility_factor, violations
 from .plots import residuals_svg, trajectory_svg
 from .problems import (EvaluationError, UnknownProblemError, builtin, builtin_names,
-                       evaluate_all, reference_solution)
+                       evaluate_all)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -152,11 +152,15 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
 def _merged_options(args) -> dict:
     merged = {}
     file_values = {}
+    where = f"--config: {args.config}"
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_values = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CliError(EXIT_DATA, f"{where}: {exc}") from None
         if not isinstance(file_values, dict):
-            raise CliError(EXIT_DATA, "--config: top-level JSON object expected")
+            raise CliError(EXIT_DATA, f"{where}: top-level JSON object expected")
     for flag, (typ, default) in _SOLVE_DEFAULTS.items():
         value = getattr(args, flag)
         if value is None and flag in file_values:
@@ -165,7 +169,7 @@ def _merged_options(args) -> dict:
             value = file_values[flag]
             numeric = (int,) if typ is int else (int, float)
             if isinstance(value, bool) or not isinstance(value, numeric):
-                raise CliError(EXIT_DATA, f"--config: {flag}: expected {typ.__name__}, "
+                raise CliError(EXIT_DATA, f"{where}: {flag}: expected {typ.__name__}, "
                                           f"got {value!r}")
             value = typ(value)
         merged[flag] = default if value is None else value
@@ -182,13 +186,13 @@ def _certificates_json(certificates: dict) -> dict:
             for key, cert in certificates.items()}
 
 
-def _json_text(obj: dict) -> str:
-    """Strict JSON text; a non-finite number (a result that overflowed)
-    raises OverflowError."""
+def _json_text(obj: dict, what: str = "result") -> str:
+    """Strict JSON text; a non-finite number (`what` overflowed) raises
+    OverflowError."""
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise OverflowError(f"result out of floating-point range: {exc}") from None
+        raise OverflowError(f"{what} out of floating-point range: {exc}") from None
 
 
 def cmd_solve(args) -> int:
@@ -201,7 +205,10 @@ def cmd_solve(args) -> int:
                  if opts[f"inner_{f.name}"] is not None}
         cfg = dataclasses.replace(cfg, inner=dataclasses.replace(cfg.inner, **inner))
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+        message = str(exc)
+        if args.config is not None:
+            message += f" (options from the flags and --config {args.config})"
+        raise CliError(EXIT_USAGE, message) from None
 
     x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, "--x0")
     if x0 is None:
@@ -231,10 +238,8 @@ def cmd_solve(args) -> int:
         combined = np.hstack([report.x.values, report.u.values, report.v.values])
         write_trajectory_csv(Trajectory(grid, combined), tmp["trajectory.csv"], columns)
 
-        reference = None
-        if problem.reference is not None:
-            reference = Trajectory(grid, np.array(
-                [reference_solution(problem, t) for t in grid.nodes]))
+        reference = (_reference_trajectory(problem, grid)
+                     if problem.reference is not None else None)
         with open(tmp["trajectory.svg"], "w", encoding="utf-8") as fh:
             fh.write(trajectory_svg(report.x, reference,
                                     title=f"{problem.name}: solver trajectory"))
@@ -312,12 +317,7 @@ def cmd_check(args) -> int:
     out = {
         "problem": problem.name,
         "eps_stop": eps_stop,
-        "residuals": {
-            "stationarity_l1": residuals.stationarity_l1,
-            "complementarity_sup": residuals.complementarity_sup,
-            "multiplier_min": residuals.multiplier_min,
-            "primal_infeasibility": residuals.primal_infeasibility,
-        },
+        "residuals": dataclasses.asdict(residuals),
         "feasibility": {
             "max_equality_violation": max_h,
             "max_inequality_violation": max_gp,
@@ -327,7 +327,8 @@ def cmd_check(args) -> int:
             certify(problem, grid, bundle, u, v, residuals, eps_stop)),
         "pass": akkt_holds(residuals, eps_stop),
     }
-    sys.stdout.write(_json_text(out))
+    sys.stdout.write(_json_text(
+        out, f"residuals of {args.trajectory_csv} with {args.multipliers_csv}"))
     return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
 
 
@@ -353,11 +354,9 @@ def main(argv=None) -> int:
             return cmd_list()
     except CliError as exc:
         code, message = exc.exit_code, str(exc)
-    # An input file that cannot be opened, decoded or parsed, an evaluator
-    # returning a non-finite value and a run whose values overflow are data
-    # errors.
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TrajectoryCsvError,
-            EvaluationError, OverflowError) as exc:
+    # An input file that cannot be opened or parsed, an evaluator returning a
+    # non-finite value and a run whose values overflow are data errors.
+    except (OSError, TrajectoryCsvError, EvaluationError, OverflowError) as exc:
         code, message = EXIT_DATA, str(exc)
     sys.stderr.write(f"error: {message}\n")
     return code

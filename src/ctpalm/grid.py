@@ -7,13 +7,15 @@ run in ascending node order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Relative slack allowed on node spacing before a grid is rejected as non-uniform.
 _UNIFORMITY_RTOL = 1e-15
+# Most nodes a grid may have, whether it comes from `make_uniform_grid` or a
+# trajectory CSV: the solver holds a few rows of evaluator output per node.
+MAX_NODES = 1_000_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -61,8 +63,8 @@ def make_uniform_grid(horizon: float, num_nodes: int) -> TimeGrid:
     """Grid with nodes t_i = i * horizon / (num_nodes - 1)."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if num_nodes < 2:
-        raise ValueError(f"num_nodes must be >= 2, got {num_nodes}")
+    if not 2 <= num_nodes <= MAX_NODES:
+        raise ValueError(f"num_nodes must lie in [2, {MAX_NODES}], got {num_nodes}")
     nodes = np.array([i * horizon / (num_nodes - 1) for i in range(num_nodes)])
     # Guard against rounding at the right endpoint.
     nodes[-1] = horizon
@@ -108,11 +110,15 @@ def _trapezoid_sum(samples: np.ndarray, h: float) -> float:
     return float(total)
 
 
+def _l1_quadrature(rows: np.ndarray, h: float) -> float:
+    """Trapezoid quadrature, node spacing h, of the l1 norm of each row;
+    0.0 for rows without entries."""
+    return _trapezoid_sum(np.abs(rows).sum(axis=1), h)
+
+
 def l1_time_norm(v: Trajectory) -> float:
     """Trapezoid quadrature of t -> sum_d |v(t)_d|."""
-    if v.dim == 0:
-        return 0.0
-    return _trapezoid_sum(np.abs(v.values).sum(axis=1), v.grid.spacing)
+    return _l1_quadrature(v.values, v.grid.spacing)
 
 
 def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
@@ -137,56 +143,73 @@ def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
 
 
 class TrajectoryCsvError(ValueError):
-    """Malformed trajectory CSV; carries the 1-based offending line number."""
+    """Malformed trajectory CSV; carries the 1-based offending line number
+    and the file's path (None when read from an open file)."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
+        self.path = path
 
 
 def read_trajectory_csv(src) -> Trajectory:
-    """Parse a `t,c0,c1,...` CSV back into a trajectory on a uniform grid."""
-    if hasattr(src, "read"):
+    """Parse a `t,c0,c1,...` CSV back into a trajectory on a uniform grid.
+
+    `src` is a path to a UTF-8 file or a readable text file.  Malformed input,
+    including more than MAX_NODES data rows, raises TrajectoryCsvError.
+    """
+    path = None if hasattr(src, "read") else src
+
+    def fail(message, line):
+        return TrajectoryCsvError(message, line, path)
+
+    if path is None:
         text = src.read()
     else:
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [ln for ln in io.StringIO(text).read().splitlines()]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise fail(f"not UTF-8 text ({exc.reason})",
+                       data.count(b"\n", 0, exc.start) + 1) from None
+    lines = text.splitlines()
     if not lines:
-        raise TrajectoryCsvError("empty file", 1)
+        raise fail("empty file", 1)
     header = [c.strip() for c in lines[0].split(",")]
     if not header or header[0] != "t":
-        raise TrajectoryCsvError("header must start with 't'", 1)
+        raise fail("header must start with 't'", 1)
     dim = len(header) - 1
-    ts, rows = [], []
+    ts, rows, linenos = [], [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         cells = ln.split(",")
         if len(cells) != dim + 1:
-            raise TrajectoryCsvError(
-                f"expected {dim + 1} columns, got {len(cells)}", lineno
-            )
+            raise fail(f"expected {dim + 1} columns, got {len(cells)}", lineno)
+        if len(ts) == MAX_NODES:
+            raise fail(f"more than {MAX_NODES} data rows", lineno)
         try:
             vals = [float(c) for c in cells]
         except ValueError:
-            raise TrajectoryCsvError("non-numeric cell", lineno) from None
+            raise fail("non-numeric cell", lineno) from None
         if not all(np.isfinite(vals)):
-            raise TrajectoryCsvError("non-finite cell", lineno)
+            raise fail("non-finite cell", lineno)
         ts.append(vals[0])
         rows.append(vals[1:])
+        linenos.append(lineno)
     if len(ts) < 2:
-        raise TrajectoryCsvError("need at least 2 data rows", len(lines))
+        raise fail("need at least 2 data rows", len(lines))
     horizon = ts[-1]
     if horizon <= 0 or ts[0] != 0.0:
-        raise TrajectoryCsvError("time column must run from 0 to a positive horizon", 2)
-    n = len(ts)
-    canonical = [i * horizon / (n - 1) for i in range(n)]
+        raise fail("time column must run from 0 to a positive horizon", 2)
+    try:
+        grid = make_uniform_grid(horizon, len(ts))
+    except ValueError as exc:  # a horizon too small or too large to divide
+        raise fail(f"time column gives no uniform grid ({exc})", 2) from None
     tol = 1e-12 * max(1.0, horizon)
-    for i, (got, want) in enumerate(zip(ts, canonical)):
+    for lineno, got, want in zip(linenos, ts, grid.nodes):
         if abs(got - want) > tol:
-            raise TrajectoryCsvError(
-                f"time column is not a uniform grid (t={got!r})", i + 2
-            )
-    grid = make_uniform_grid(horizon, n)
+            raise fail(f"time column is not a uniform grid (t={got!r})", lineno)
     return Trajectory(grid, np.array(rows))

@@ -33,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import TimeGrid, Trajectory
-from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
+from .lagrangian import (MultiplierSet, _aug_gradient, _penalty_value,
+                         _require_shared_grid)
 from .problems import ProblemDefinition, _row_dots, evaluate
 
 # Relative step for the directional curvature difference used by the polish.
@@ -106,23 +107,57 @@ def _grad_norms(gr: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(gr).all(axis=1), np.abs(gr).max(axis=1), np.inf)
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> np.ndarray:
-    """Barzilai-Borwein step s.s / s.y of each row; `fallback` where s.y or
+def _bb_step(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Barzilai-Borwein step s.s / s.y of each row; _STEP_INIT where s.y or
     the step is not positive and finite."""
     sy = _row_dots(s, y)
     usable = (sy > 0.0) & np.isfinite(sy)
     alpha = _row_dots(s, s) / np.where(usable, sy, 1.0)
-    return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, fallback)
+    return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, _STEP_INIT)
 
 
-def _trace_steps(trace, phase, accepted, f_old, f_new, alpha, slope):
-    for i in np.flatnonzero(accepted):
-        trace(dict(phase=phase, f_old=float(f_old[i]), f_new=float(f_new[i]),
-                   alpha=float(alpha[i]), slope=float(slope[i]), armijo_c=_ARMIJO_C))
+def _armijo_pass(w, alpha, trial, fields, iters, it, trace, phase):
+    """Pass `it` of a phase: at every row of `w`, one step along -w.gr under a
+    monotone Armijo safeguard on the objective with values w.f, gradients w.gr.
+
+    `alpha` is the phase's first step; None takes the BB step.  Steps halve
+    until `trial(rows, x, bound)` accepts them or drop below _STEP_MIN;
+    `trial` returns the mask of accepted points and their values of `fields`
+    (w.f first), or None for the values when it accepts none.  Rows without
+    an acceptable step stop after `it` iterations.
+    """
+    d = -w.gr
+    gd = _row_dots(w.gr, d)
+    if alpha is None:
+        # Every row past its first step has accepted one, so has BB memory.
+        alpha = _bb_step(w.x - w.prev_x, w.gr - w.prev_g)
+    names = ("x",) + fields
+    new = [np.empty_like(getattr(w, k)) for k in names]
+    accepted = np.zeros(len(w.rows), dtype=bool)
+    rows = np.flatnonzero(alpha >= _STEP_MIN)
+    while rows.size:
+        xt = w.x[rows] + alpha[rows, None] * d[rows]
+        ok, values = trial(rows, xt, w.f[rows] + _ARMIJO_C * alpha[rows] * gd[rows])
+        if values is not None:
+            j = rows[ok]
+            for a, value in zip(new, (xt[ok],) + values):
+                a[j] = value
+            accepted[j] = True
+        rows = rows[~ok]
+        alpha[rows] *= 0.5
+        rows = rows[alpha[rows] >= _STEP_MIN]
+    iters[w.rows[~accepted]] = it
+    if trace is not None:
+        for i in np.flatnonzero(accepted):
+            trace(dict(phase=phase, f_old=float(w.f[i]), f_new=float(new[1][i]),
+                       alpha=float(alpha[i]), slope=float(gd[i]), armijo_c=_ARMIJO_C))
+    w.prev_x, w.prev_g = w.x, w.gr
+    vars(w).update(zip(names, new))
+    w.keep(accepted)
 
 
 def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
-    """Phase 1 at every row: BB descent.
+    """Phase 1 at every row: BB descent on the augmented objective.
 
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
     entry per row: best_* track the smallest gradient norm seen and minpen_x
@@ -136,8 +171,22 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
     best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
     iters = np.zeros(count, dtype=int)
     status = np.full(count, _MAX_ITERS)
-    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, f=f, gr=gr, gn=gn)
+    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, f=f, pen=pen, gr=gr,
+              gn=gn)
     w.keep(np.isfinite(gn))
+
+    def trial(j, xt, bound):
+        # The gradient is evaluated only where the value passes.
+        ft, pt = _value_and_penalty(problem, xt, w.u[j], w.v[j], rho, w.t[j])
+        ok = np.isfinite(ft) & (ft <= bound)
+        if not ok.any():
+            return ok, None
+        k = j[ok]
+        gt = _aug_gradient(problem, xt[ok], w.u[k], w.v[k], rho, w.t[k])
+        finite = np.isfinite(gt).all(axis=1)
+        ok[ok] = finite
+        return ok, (ft[ok], pt[ok], gt[finite])
+
     for it in range(1, cfg.max_iters + 1):
         converged = w.gn <= cfg.grad_tol
         diverged = ~converged & (np.abs(w.x).max(axis=1) > _ITERATE_BOX)
@@ -149,39 +198,8 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
             w.keep(~stop)
         if not w.rows.size:
             break
-        d = -w.gr
-        gd = _row_dots(w.gr, d)
-        # Every row past its first step has accepted one, so has BB memory.
-        alpha = (_bb_step(w.x - w.prev_x, w.gr - w.prev_g, _STEP_INIT) if it > 1
-                 else np.full(len(w.rows), _STEP_INIT))
-        accepted = np.zeros(len(w.rows), dtype=bool)
-        xn, grn = np.empty_like(w.x), np.empty_like(w.x)
-        fn, pn = np.empty(len(w.rows)), np.empty(len(w.rows))
-        trial = np.flatnonzero(alpha >= _STEP_MIN)
-        while trial.size:
-            xt = w.x[trial] + alpha[trial, None] * d[trial]
-            ft, pt = _value_and_penalty(problem, xt, w.u[trial], w.v[trial], rho,
-                                        w.t[trial])
-            ok = np.isfinite(ft) & (ft <= w.f[trial] + _ARMIJO_C * alpha[trial]
-                                    * gd[trial])
-            if ok.any():
-                j = trial[ok]
-                gt = _aug_gradient(problem, xt[ok], w.u[j], w.v[j], rho, w.t[j])
-                finite = np.isfinite(gt).all(axis=1)
-                ok[ok] = finite
-                j = trial[ok]
-                xn[j], fn[j], pn[j], grn[j] = xt[ok], ft[ok], pt[ok], gt[finite]
-                accepted[j] = True
-            trial = trial[~ok]
-            alpha[trial] *= 0.5
-            trial = trial[alpha[trial] >= _STEP_MIN]
-        # Rows without an acceptable step stop here with MaxIters.
-        iters[w.rows[~accepted]] = it
-        if trace is not None:
-            _trace_steps(trace, "descent", accepted, w.f, fn, alpha, gd)
-        w.prev_x, w.prev_g = w.x, w.gr
-        w.x, w.f, w.pen, w.gr = xn, fn, pn, grn
-        w.keep(accepted)
+        first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
+        _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it, trace, "descent")
         w.gn = np.abs(w.gr).max(axis=1)
         rows = w.rows
         better = w.gn <= best_gn[rows]
@@ -210,8 +228,9 @@ def _psi_gradient(problem, w, rho):
 
 
 def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
-    """Phase 2 at every row: minimize psi = 0.5 ||grad||^2 to land on a
-    stationary point.  Returns (best_x, best_grad_inf_norm, iterations)."""
+    """Phase 2 at every row: minimize psi = 0.5 ||F||^2, F the augmented
+    gradient, to land on a stationary point.  The rows carry psi as f and
+    its gradient as gr.  Returns (best_x, best_grad_inf_norm, iterations)."""
     count = len(ts)
     best_x = xs.copy()
     best_gn = np.full(count, np.inf)
@@ -219,48 +238,31 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs,
               F=_aug_gradient(problem, xs, us, vs, rho, ts))
     w.keep(np.isfinite(w.F).all(axis=1))
-    w.psi = 0.5 * _row_dots(w.F, w.F)
+    w.f = 0.5 * _row_dots(w.F, w.F)
     w.gn = np.abs(w.F).max(axis=1)
     w.since_best = np.zeros(len(w.rows), dtype=int)
     best_gn[w.rows] = w.gn
-    w.g = _psi_gradient(problem, w, rho)
+    w.gr = _psi_gradient(problem, w, rho)
+
+    def trial(j, xt, bound):
+        Ft = _aug_gradient(problem, xt, w.u[j], w.v[j], rho, w.t[j])
+        psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
+        ok = np.isfinite(psit) & (psit <= bound)
+        return ok, (psit[ok], Ft[ok])
+
     for it in range(1, _POLISH_ITERS + 1):
-        d = -w.g
-        gd = _row_dots(w.g, d)
-        landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.g).all(axis=1)
+        landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.gr).all(axis=1)
         # Gradient norm stopped improving (no stationary point nearby), or
-        # -g is no descent direction for psi.
-        stalled = ~landed & ((w.since_best > 30) | (gd >= 0.0))
+        # -gr is no descent direction for psi.
+        stalled = ~landed & ((w.since_best > 30) | (_row_dots(w.gr, -w.gr) >= 0.0))
         iters[w.rows[landed]] = it - 1
         iters[w.rows[stalled]] = it
-        going = ~(landed | stalled)
-        w.keep(going)
-        d, gd = d[going], gd[going]
+        w.keep(~(landed | stalled))
         if not w.rows.size:
             break
-        alpha = (_bb_step(w.x - w.prev_x, w.g - w.prev_g, 1.0) if it > 1 else
-                 np.minimum(1.0, 1.0 / np.maximum(1.0, np.abs(w.g).max(axis=1))))
-        accepted = np.zeros(len(w.rows), dtype=bool)
-        xn, Fn, psin = np.empty_like(w.x), np.empty_like(w.x), np.empty(len(w.rows))
-        trial = np.flatnonzero(alpha >= _STEP_MIN)
-        while trial.size:
-            xt = w.x[trial] + alpha[trial, None] * d[trial]
-            Ft = _aug_gradient(problem, xt, w.u[trial], w.v[trial], rho, w.t[trial])
-            psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
-            ok = np.isfinite(psit) & (psit <= w.psi[trial] + _ARMIJO_C * alpha[trial]
-                                      * gd[trial])
-            j = trial[ok]
-            xn[j], Fn[j], psin[j] = xt[ok], Ft[ok], psit[ok]
-            accepted[j] = True
-            trial = trial[~ok]
-            alpha[trial] *= 0.5
-            trial = trial[alpha[trial] >= _STEP_MIN]
-        iters[w.rows[~accepted]] = it
-        if trace is not None:
-            _trace_steps(trace, "polish", accepted, w.psi, psin, alpha, gd)
-        w.prev_x, w.prev_g = w.x, w.g
-        w.x, w.F, w.psi = xn, Fn, psin
-        w.keep(accepted)
+        first = (np.minimum(1.0, 1.0 / np.maximum(1.0, np.abs(w.gr).max(axis=1)))
+                 if it == 1 else None)
+        _armijo_pass(w, first, trial, ("f", "F"), iters, it, trace, "polish")
         w.gn = np.abs(w.F).max(axis=1)
         best = best_gn[w.rows]
         improved = w.gn <= 0.99 * best
@@ -272,7 +274,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
         w.keep(~escaped)
         if not w.rows.size:
             break
-        w.g = _psi_gradient(problem, w, rho)
+        w.gr = _psi_gradient(problem, w, rho)
     iters[w.rows] = _POLISH_ITERS
     return best_x, best_gn, iters
 
@@ -345,9 +347,7 @@ def solve_subproblem(problem: ProblemDefinition, grid: TimeGrid, x_warm: Traject
 
     Returns (trajectory of node solutions, worst status, max grad norm).
     """
-    for tr in (x_warm, u_tilde, v_tilde):
-        if not grid.same_as(tr.grid):
-            raise ValueError("trajectories must share the grid")
+    _require_shared_grid(grid, x_warm, u_tilde, v_tilde)
     _check_inputs(x_warm.values, rho)
     mult = MultiplierSet(u_tilde.values, v_tilde.values)
     x, grad, _, status = _solve_rows(problem, grid.nodes, x_warm.values, mult.u,

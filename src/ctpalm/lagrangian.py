@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import TimeGrid, Trajectory, _trapezoid_sum, l1_time_norm
+from .grid import TimeGrid, Trajectory, _l1_quadrature, _trapezoid_sum
 from .problems import EvalBundle, ProblemDefinition, _matvec, _row_dots, evaluate
 
 
@@ -152,7 +152,7 @@ def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
     grad = (bundle.grad_phi + _transposed_product(bundle.jac_h, u_traj.values)
             + _transposed_product(bundle.jac_g, v))
     return Residuals(
-        stationarity_l1=_trapezoid_sum(np.abs(grad).sum(axis=1), grid.spacing),
+        stationarity_l1=_l1_quadrature(grad, grid.spacing),
         complementarity_sup=_sup(v * np.maximum(-bundle.g, 0.0)),
         multiplier_min=float(v.min()) if v.size else 0.0,
         primal_infeasibility=max(violations(bundle)))
@@ -182,4 +182,4 @@ def feasibility_stationarity_residual(grid: TimeGrid, bundle: EvalBundle) -> flo
     """
     rows = (_transposed_product(bundle.jac_h, 2.0 * bundle.h)
             + _transposed_product(bundle.jac_g, 2.0 * np.maximum(bundle.g, 0.0)))
-    return l1_time_norm(Trajectory(grid, rows))
+    return _l1_quadrature(rows, grid.spacing)

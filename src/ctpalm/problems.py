@@ -284,7 +284,11 @@ def _ex2() -> ProblemDefinition:
 
 
 def _ex3() -> ProblemDefinition:
-    # Equality + inequality constrained instance with solution (1, 1, 0).
+    # Equality + inequality constrained instance.  Its reference (1, 1, 0) is
+    # a KKT point with zero multipliers, the one reached from the reference
+    # start, not a minimizer: the feasible set is unbounded below along
+    # x = (s, s, 2s^2 - 2), s >= 1, and phi = -3s^2 + O(s^3) < 0 on the
+    # feasible curve (1 + s, 1, 2s + s^2) leaving it.
     def phi(x, t):
         return (_pow(x[..., 0] - 1.0, 2) + _pow(x[..., 1] - 1.0, 2)
                 - _pow(x[..., 2], 2))

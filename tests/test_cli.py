@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctpalm as c
-from ctpalm import cli
-from ctpalm.grid import write_trajectory_csv
+from ctpalm import cli, grid
+from ctpalm.grid import MAX_NODES, write_trajectory_csv
 from ctpalm.problems import builtin
 from conftest import run_cli
 from testkit import akkt_example_sequence
@@ -161,43 +161,74 @@ _NONFINITE_OPTIONS = [(flag, value) for flag in ("--eps-stop", "--gamma", "--rho
                       for value in ("nan", "inf")] + [("--bound-n", "inf")]
 
 
-@pytest.mark.parametrize("code,argv", [
-    (64, lambda d: ["solve", "--problem", "ex1", "--nodes", "1"]),
-    (64, lambda d: ["solve", "--problem", "ex1", "--gamma", "0.5"]),
-    (65, lambda d: ["solve", "--problem", "ex1", "--x0", "nan,1"]),
-    (65, lambda d: ["solve", "--problem", "ex1", "--v0=-1,1"]),
-    (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "5", "--x0=1e200,0"]),
-    (65, lambda d: ["solve", "--problem", "ex1",
-                    "--config", _write(d / "run.json", '{"nodes": "abc"}')]),
-    (65, lambda d: ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,nan,0\n1,0,0\n"),
-                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
-    (65, lambda d: ["check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n"),
-                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
-    *[(64, lambda d, f=flag, v=value: ["solve", "--problem", "ex1", f"{f}={v}"])
-      for flag, value in _NONFINITE_OPTIONS],
-    *[(64, lambda d, v=value: _check_args(d, v)) for value in ("nan", "inf", "0", "-1")],
-    (64, _out_dir_is_a_file),
-    (65, lambda d: ["solve", "--problem", "ex1", "--x0", str(d)]),
-    (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "2",
-                    "--x0", _write(d / "x0.csv", NOT_UTF8)]),
-    (65, lambda d: ["solve", "--problem", "ex1",
-                    "--config", _write(d / "run.json", b'{"nodes": "\xff"}')]),
-    (65, lambda d: ["check", "ex1", _write(d / "x.csv", NOT_UTF8),
-                    _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")]),
-    (65, lambda d: ["solve", "--problem", "ex1",
-                    "--config", _write(d / "run.json", '{"nodes": 5.9}')]),
-    (65, lambda d: ["solve", "--problem", "ex1",
-                    "--config", _write(d / "run.json", '{"max_outer": true}')]),
-    (65, lambda d: ["solve", "--problem", "ex1",
-                    "--config", _write(d / "run.json", '{"eps_stop": "1e-3"}')]),
-], ids=["nodes-1", "gamma-0.5", "x0-nan", "v0-negative", "x0-overflow",
-        "config-nodes-abc", "check-nan-cell", "check-overflow",
-        *[f"{flag[2:]}-{value}" for flag, value in _NONFINITE_OPTIONS],
-        "check-eps-nan", "check-eps-inf", "check-eps-0", "check-eps-negative",
-        "out-dir-is-a-file", "x0-directory", "x0-not-utf8", "config-not-utf8",
-        "check-not-utf8", "config-nodes-float", "config-max-outer-bool",
-        "config-eps-stop-string"])
-def test_bad_input_exits_with_one_error_line(tmp_path, code, argv):
+# (exit code, argv from the test's directory, the file under that directory
+# the error line must name or None)
+_BAD_INPUTS = {
+    "nodes-1": (64, lambda d: ["solve", "--problem", "ex1", "--nodes", "1"], None),
+    "gamma-0.5": (64, lambda d: ["solve", "--problem", "ex1", "--gamma", "0.5"], None),
+    "x0-nan": (65, lambda d: ["solve", "--problem", "ex1", "--x0", "nan,1"], None),
+    "v0-negative": (65, lambda d: ["solve", "--problem", "ex1", "--v0=-1,1"], None),
+    "x0-overflow": (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "5",
+                                   "--x0=1e200,0"], None),
+    "config-nodes-abc": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                        _write(d / "run.json", '{"nodes": "abc"}')],
+                         "run.json"),
+    "check-nan-cell": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,nan,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], "x.csv"),
+    "check-overflow": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], None),
+    **{f"{flag[2:]}-{value}": (64, lambda d, f=flag, v=value: [
+        "solve", "--problem", "ex1", f"{f}={v}"], None)
+       for flag, value in _NONFINITE_OPTIONS},
+    **{f"check-eps-{name}": (64, lambda d, v=value: _check_args(d, v), None)
+       for name, value in (("nan", "nan"), ("inf", "inf"), ("0", "0"),
+                           ("negative", "-1"))},
+    "out-dir-is-a-file": (64, _out_dir_is_a_file, "out"),
+    "x0-directory": (65, lambda d: ["solve", "--problem", "ex1", "--x0", str(d)], ""),
+    "x0-not-utf8": (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "2",
+                                   "--x0", _write(d / "x0.csv", NOT_UTF8)], "x0.csv"),
+    "config-not-utf8": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                       _write(d / "run.json", b'{"nodes": "\xff"}')],
+                        "run.json"),
+    "check-not-utf8": (65, lambda d: ["check", "ex1", _write(d / "x.csv", NOT_UTF8),
+                                      _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")],
+                       "x.csv"),
+    "config-nodes-float": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                          _write(d / "run.json", '{"nodes": 5.9}')],
+                           "run.json"),
+    "config-max-outer-bool": (65, lambda d: [
+        "solve", "--problem", "ex1",
+        "--config", _write(d / "run.json", '{"max_outer": true}')], "run.json"),
+    "config-eps-stop-string": (65, lambda d: [
+        "solve", "--problem", "ex1",
+        "--config", _write(d / "run.json", '{"eps_stop": "1e-3"}')], "run.json"),
+    # Residuals that overflow although every cell is finite.
+    "check-residual-overflow": (65, lambda d: [
+        "check", "infeasible1", _write(d / "x.csv", "t,c0\n0,1e154\n1,1e154\n"),
+        _write(d / "m.csv", "t,c0\n0,0\n1,0\n")], "x.csv"),
+    # A horizon too small to divide into a uniform grid.
+    "check-subnormal-horizon": (65, lambda d: [
+        "check", "infeasible1", _write(d / "x.csv", "t,c0\n0,0\n0,0\n5e-324,0\n"),
+        _write(d / "m.csv", "t,c0\n0,0\n0,0\n5e-324,0\n")], "x.csv"),
+    "x0-non-numeric": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--x0", _write(d / "x0.csv", "t,c0,c1\n0,0,0\n1,zap,0\n")], "x0.csv"),
+    "config-malformed": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                        _write(d / "run.json", "{nodes: 5}")],
+                         "run.json"),
+    "nodes-above-limit": (64, lambda d: ["solve", "--problem", "ex1",
+                                         "--nodes", str(MAX_NODES + 1)], None),
+    "config-nodes-above-limit": (64, lambda d: [
+        "solve", "--problem", "ex1",
+        "--config", _write(d / "run.json", f'{{"nodes": {MAX_NODES + 1}}}')],
+        "run.json"),
+}
+
+
+@pytest.mark.parametrize("code,argv,named", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+def test_bad_input_exits_with_one_error_line(tmp_path, code, argv, named):
     out = tmp_path / "out"
     args = argv(tmp_path)
     if args[0] == "solve":
@@ -206,7 +237,22 @@ def test_bad_input_exits_with_one_error_line(tmp_path, code, argv):
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if named is not None:
+        assert str(tmp_path / named) in lines[0]
     assert not out.is_dir() or not any(out.iterdir())
+
+
+def test_csv_with_more_rows_than_the_node_limit_is_data_error(tmp_path, monkeypatch,
+                                                              capsys):
+    # The limit is lowered so that the file stays small: the reader stops at
+    # the first row past it, before any grid is built.
+    monkeypatch.setattr(grid, "MAX_NODES", 3)
+    rows = "".join(f"{t},0\n" for t in (0, 0.25, 0.5, 0.75, 1))
+    args = ["check", "infeasible1", _write(tmp_path / "x.csv", "t,c0\n" + rows),
+            _write(tmp_path / "m.csv", "t,c0\n" + rows)]
+    assert cli.main(args) == 65
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'x.csv'}: line 5: more than 3 data rows\n")
 
 
 def test_solve_exit_code_for_iteration_limit(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctpalm.grid import (TimeGrid, Trajectory, TrajectoryCsvError, _trapezoid_sum,
-                         l1_time_norm, make_uniform_grid, read_trajectory_csv,
-                         write_trajectory_csv)
+from ctpalm.grid import (MAX_NODES, TimeGrid, Trajectory, TrajectoryCsvError,
+                         _trapezoid_sum, l1_time_norm, make_uniform_grid,
+                         read_trajectory_csv, write_trajectory_csv)
 
 
 def traj_of(grid, fn):
@@ -46,7 +46,8 @@ def test_grid_five_nodes_horizon_two():
     assert list(grid.nodes) == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
-@pytest.mark.parametrize("horizon,nodes", [(0.0, 5), (-1.0, 5), (1.0, 1), (1.0, 0)])
+@pytest.mark.parametrize("horizon,nodes", [(0.0, 5), (-1.0, 5), (1.0, 1), (1.0, 0),
+                                           (1.0, MAX_NODES + 1)])
 def test_grid_rejects_bad_arguments(horizon, nodes):
     with pytest.raises(ValueError):
         make_uniform_grid(horizon, nodes)
@@ -174,8 +175,24 @@ def test_csv_reports_offending_line():
     assert err.value.line == 3
 
 
+def test_csv_time_error_reports_the_row_line_after_a_blank_line():
+    text = "t,c0\n0,0\n\n0.3,0\n1,0\n"
+    with pytest.raises(TrajectoryCsvError) as err:
+        read_trajectory_csv(io.StringIO(text))
+    assert err.value.line == 4
+
+
 def test_csv_rejects_column_mismatch():
     text = "t,c0\n0,1.0\n0.5,1.0,2.0\n1,3.0\n"
     with pytest.raises(TrajectoryCsvError) as err:
         read_trajectory_csv(io.StringIO(text))
     assert err.value.line == 3
+
+
+def test_csv_error_names_the_file_and_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"t,c0\n0,1\n1,\xff\n")
+    with pytest.raises(TrajectoryCsvError) as err:
+        read_trajectory_csv(str(path))
+    assert err.value.line == 3 and err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}: line 3: not UTF-8 text")

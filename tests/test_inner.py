@@ -306,3 +306,28 @@ def test_solve_node_trace_equals_the_reference_trace():
                          mult, 1.0, cfg, trace=expected.append)
     assert {e["phase"] for e in expected} == {"descent", "polish"}
     assert events == expected
+
+
+def test_lockstep_pass_without_a_trial_step_equals_the_node_solver():
+    """phi = 1e16 x^2 with an inactive constraint: descent finds no acceptable
+    step, and the polish's first step is already below the smallest trial
+    step, so its first pass tries no point at any row."""
+    scalar = c.ProblemDefinition(
+        name="stiff", n=1, p=0, m=1, horizon=1.0,
+        eval_phi=lambda x, t: 1e16 * x[0] ** 2,
+        eval_grad_phi=lambda x, t: np.array([2e16 * x[0]]),
+        eval_h=lambda x, t: np.zeros(0),
+        eval_jac_h=lambda x, t: np.zeros((0, 1)),
+        eval_g=lambda x, t: np.array([-x[0] - 10.0]),
+        eval_jac_g=lambda x, t: np.array([[-1.0]]),
+        convexity=c.Convexity(True, (True,), ()))
+    ts = c.make_uniform_grid(1.0, 3).nodes
+    xs, us, vs = np.array([[1.0], [2.0], [-3.0]]), np.zeros((3, 0)), np.zeros((3, 1))
+    cfg = c.AlmConfig().inner
+    x, grad, iters, status = _solve_rows(c.pointwise(scalar), ts, xs, us, vs, 1.0, cfg)
+    for i, t in enumerate(ts):
+        r = reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), 1.0, cfg)
+        assert x[i].tobytes() == r.x_star.tobytes() == xs[i].tobytes(), i
+        assert grad[i] == r.grad_inf_norm, i
+        assert iters[i] == r.iterations == 2, i
+        assert _BY_SEVERITY[status[i]] is r.status is InnerStatus.MAX_ITERS, i

@@ -236,6 +236,29 @@ def test_ex4_declared_instants_are_the_non_unique_optima():
                 assert _ex4_unique_vertex_certificate(prob, t), (nodes, t)
 
 
+def test_ex3_reference_is_a_kkt_point_not_a_minimizer():
+    """(1, 1, 0) is feasible with a vanishing objective gradient, so it is a
+    KKT point with zero multipliers.  Feasible points of lower cost approach
+    it along (1 + s, 1, 2s + s^2), where phi = -3s^2 + O(s^3), and phi is
+    unbounded below on the feasible ray (s, s, 2s^2 - 2), s >= 1."""
+    prob = builtin("ex3")
+
+    def feasible(x, t):
+        return abs(prob.eval_h(x, t)[0]) <= 1e-12 and max(prob.eval_g(x, t)) <= 1e-12
+
+    for t in (0.0, 0.5, 1.0):
+        ref = reference_solution(prob, t)
+        assert feasible(ref, t) and prob.eval_phi(ref, t) == 0.0
+        assert np.array_equal(prob.eval_grad_phi(ref, t), np.zeros(3))
+        for s in (1e-1, 1e-2, 1e-3):
+            x = np.array([1.0 + s, 1.0, 2.0 * s + s * s])
+            assert feasible(x, t), s
+            assert 1.0 < prob.eval_phi(x, t) / (-3.0 * s * s) <= 1.0 + 2.0 * s, s
+        for s, phi in ((1.0, 0.0), (2.0, -34.0), (10.0, -39042.0)):
+            x = np.array([s, s, 2.0 * s * s - 2.0])
+            assert feasible(x, t) and prob.eval_phi(x, t) == phi, s
+
+
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
 def test_smooth_references_feasible_everywhere(name):
     prob = builtin(name)
