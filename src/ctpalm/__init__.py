@@ -13,13 +13,11 @@ from .alm import (AlmConfig, IterationRecord, SolveReport, SolveStatus,
 from .diagnostics import (Certificate, CertificateKind, ErrorMetrics,
                           infeasibility_report, solution_error,
                           sufficiency_certificate)
-from .grid import (TimeGrid, Trajectory, l1_time_norm, make_uniform_grid,
-                   read_trajectory_csv, write_trajectory_csv)
+from .grid import (TimeGrid, Trajectory, make_uniform_grid, read_trajectory_csv,
+                   write_trajectory_csv)
 from .inner import InnerConfig, InnerResult, InnerStatus, solve_node, solve_subproblem
 from .lagrangian import (MultiplierSet, Residuals, akkt_residuals,
-                         aug_lagrangian_gradient, aug_lagrangian_value,
-                         feasibility_factor, feasibility_stationarity_residual,
-                         lagrangian_gradient)
+                         feasibility_factor, feasibility_stationarity_residual)
 from .problems import (Convexity, EvalBundle, EvaluationError,
                        MissingReferenceError, ProblemDefinition,
                        UnknownProblemError, builtin, builtin_names,
@@ -30,12 +28,10 @@ __all__ = [
     "ErrorMetrics", "EvalBundle", "EvaluationError", "InnerConfig", "InnerResult",
     "InnerStatus", "IterationRecord", "MissingReferenceError", "MultiplierSet",
     "ProblemDefinition", "Residuals", "SolveReport", "SolveStatus", "TimeGrid",
-    "Trajectory", "UnknownProblemError", "akkt_residuals",
-    "aug_lagrangian_gradient", "aug_lagrangian_value", "builtin", "builtin_names",
-    "evaluate_all", "feasibility_factor", "feasibility_stationarity_residual",
-    "infeasibility_report", "l1_time_norm", "lagrangian_gradient",
-    "make_uniform_grid", "multiplier_update", "penalty_update", "pointwise",
-    "read_trajectory_csv", "reference_solution", "safeguard_project", "solution_error",
-    "solve", "solve_node", "solve_subproblem", "sufficiency_certificate",
-    "write_trajectory_csv",
+    "Trajectory", "UnknownProblemError", "akkt_residuals", "builtin",
+    "builtin_names", "evaluate_all", "feasibility_factor",
+    "feasibility_stationarity_residual", "infeasibility_report", "make_uniform_grid",
+    "multiplier_update", "penalty_update", "pointwise", "read_trajectory_csv",
+    "reference_solution", "safeguard_project", "solution_error", "solve",
+    "solve_node", "solve_subproblem", "sufficiency_certificate", "write_trajectory_csv",
 ]

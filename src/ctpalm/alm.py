@@ -97,7 +97,6 @@ class IterationRecord:
 @dataclass
 class SolveReport:
     status: SolveStatus
-    problem_name: str
     grid: TimeGrid
     iterations: list
     x: Trajectory
@@ -169,7 +168,8 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     # of max(g(x0), 0).
     prev_infeas = max(violations(evaluate_all(problem, x0.values, grid.nodes)))
 
-    rho, x, u_tilde, v_tilde = cfg.rho_init, x0, u_tilde1, v_tilde1
+    rho, xs = cfg.rho_init, x0.values
+    u_tilde, v_tilde = u_tilde1.values, v_tilde1.values
     records = []
     diverged_streak = 0
     status = SolveStatus.MAX_OUTER_REACHED
@@ -181,12 +181,12 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     for k in range(1, cfg.max_outer + 1):
         if rho == math.inf:
             raise OverflowError(f"outer iteration {k}: the penalty parameter overflowed")
-        x, inner_worst, inner_max_grad = solve_subproblem(
-            problem, grid, x, u_tilde, v_tilde, rho, cfg.inner)
+        xs, inner_worst, inner_max_grad = solve_subproblem(
+            problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner)
 
         # One evaluation pass feeds the update, the residuals and the log.
-        bundle = evaluate_all(problem, x.values, grid.nodes)
-        u_rows, v_rows = multiplier_update(bundle, u_tilde.values, v_tilde.values, rho)
+        bundle = evaluate_all(problem, xs, grid.nodes)
+        u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
         try:
             u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)
         except ValueError:  # a non-finite entry
@@ -195,7 +195,7 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         residuals = akkt_residuals(grid, bundle, u, v)
         # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
         infeas_measure = float(np.abs(np.hstack(
-            [bundle.h, np.maximum(bundle.g, -v_tilde.values / rho)])).max(initial=0.0))
+            [bundle.h, np.maximum(bundle.g, -v_tilde / rho)])).max(initial=0.0))
         record = IterationRecord(
             k=k, rho=rho, residuals=residuals, infeas_measure=infeas_measure,
             objective_quadrature=_trapezoid_sum(bundle.phi, grid.spacing),
@@ -216,12 +216,11 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
 
         rho_next = penalty_update(rho, prev_infeas, infeas_measure, cfg)
         prev_infeas = infeas_measure
-        u_next, v_next = safeguard_project(u_rows, v_rows, cfg.bound_M, cfg.bound_N)
-        u_tilde, v_tilde = Trajectory(grid, u_next), Trajectory(grid, v_next)
+        u_tilde, v_tilde = safeguard_project(u_rows, v_rows, cfg.bound_M, cfg.bound_N)
         rho = rho_next
 
-    report = SolveReport(status=status, problem_name=problem.name, grid=grid,
-                         iterations=records, x=x, u=u, v=v)
+    x = Trajectory(grid, xs)
+    report = SolveReport(status=status, grid=grid, iterations=records, x=x, u=u, v=v)
     report.certificates = diagnostics.certify(problem, grid, bundle, u, v,
                                               residuals, cfg.eps_stop)
     if problem.reference is not None:

@@ -141,7 +141,10 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
     if not os.path.exists(spec):
         raise CliError(EXIT_DATA, f"{flag}: {spec!r} is neither a number list "
                                   f"nor an existing CSV file")
-    traj = read_trajectory_csv(spec)
+    try:
+        traj = read_trajectory_csv(spec)
+    except (OSError, TrajectoryCsvError) as exc:
+        raise CliError(EXIT_DATA, f"{flag}: {exc}") from None
     if traj.dim != dim:
         raise CliError(EXIT_DATA, f"{flag}: expected {dim} column(s), got {traj.dim}")
     if not traj.grid.same_as(grid):
@@ -176,7 +179,10 @@ def _merged_options(args) -> dict:
     for flag in ("x0", "u0", "v0"):
         value = getattr(args, flag)
         if value is None and flag in file_values:
-            value = str(file_values[flag])
+            value = file_values[flag]
+            if not isinstance(value, str):
+                raise CliError(EXIT_DATA, f"{where}: {flag}: expected a string, "
+                                          f"got {value!r}")
         merged[flag] = value
     return merged
 
@@ -311,7 +317,10 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_DATA, "negative inequality multiplier entries")
     v = Trajectory(grid, v_vals)
 
-    bundle = evaluate_all(problem, x.values, grid.nodes)
+    try:
+        bundle = evaluate_all(problem, x.values, grid.nodes)
+    except EvaluationError as exc:
+        raise CliError(EXIT_DATA, f"{args.trajectory_csv}: {exc}") from None
     residuals = akkt_residuals(grid, bundle, u, v)
     max_h, max_gp = violations(bundle)
     out = {

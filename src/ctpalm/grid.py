@@ -103,22 +103,20 @@ class Trajectory:
 
 
 def _trapezoid_sum(samples: np.ndarray, h: float) -> float:
-    """Composite trapezoid over per-node scalars, accumulated in ascending order."""
-    total = 0.0
-    for i in range(samples.size - 1):
-        total += h * (samples[i] + samples[i + 1]) / 2.0
-    return float(total)
+    """Composite trapezoid over per-node scalars, accumulated in ascending order.
+
+    np.cumsum adds left to right (np.sum would add pairwise); starting from
+    0.0 makes a sum of negative zeros +0.0.
+    """
+    if samples.size < 2:
+        return 0.0
+    return float(0.0 + np.cumsum(h * (samples[:-1] + samples[1:]) / 2.0)[-1])
 
 
 def _l1_quadrature(rows: np.ndarray, h: float) -> float:
     """Trapezoid quadrature, node spacing h, of the l1 norm of each row;
     0.0 for rows without entries."""
     return _trapezoid_sum(np.abs(rows).sum(axis=1), h)
-
-
-def l1_time_norm(v: Trajectory) -> float:
-    """Trapezoid quadrature of t -> sum_d |v(t)_d|."""
-    return _l1_quadrature(v.values, v.grid.spacing)
 
 
 def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:

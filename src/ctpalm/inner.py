@@ -32,9 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TimeGrid, Trajectory
-from .lagrangian import (MultiplierSet, _aug_gradient, _penalty_value,
-                         _require_shared_grid)
+from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
 from .problems import ProblemDefinition, _row_dots, evaluate
 
 # Relative step for the directional curvature difference used by the polish.
@@ -340,17 +338,17 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
     return InnerResult(x[0], float(grad[0]), int(iters[0]), _BY_SEVERITY[status[0]])
 
 
-def solve_subproblem(problem: ProblemDefinition, grid: TimeGrid, x_warm: Trajectory,
-                     u_tilde: Trajectory, v_tilde: Trajectory, rho: float,
-                     cfg: InnerConfig):
-    """Solve every node, warm-started from x_warm, in lockstep.
+def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
+                     us: np.ndarray, vs: np.ndarray, rho: float, cfg: InnerConfig):
+    """Solve the node problem of every row in lockstep: warm starts xs (N, n)
+    at times ts (N,) with safeguarded multipliers us (N, p), vs (N, m).
 
-    Returns (trajectory of node solutions, worst status, max grad norm).
+    Returns (node solutions (N, n), worst status, max grad norm).
     """
-    _require_shared_grid(grid, x_warm, u_tilde, v_tilde)
-    _check_inputs(x_warm.values, rho)
-    mult = MultiplierSet(u_tilde.values, v_tilde.values)
-    x, grad, _, status = _solve_rows(problem, grid.nodes, x_warm.values, mult.u,
-                                     mult.v, rho, cfg)
-    return (Trajectory(grid, x), _BY_SEVERITY[status.max()],
-            max(0.0, float(grad.max())))
+    if not len(xs) == len(us) == len(vs) == len(ts):
+        raise ValueError(f"xs, us and vs must have one row per time, got "
+                         f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
+    _check_inputs(xs, rho)
+    mult = MultiplierSet(us, vs)
+    x, grad, _, status = _solve_rows(problem, ts, xs, mult.u, mult.v, rho, cfg)
+    return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

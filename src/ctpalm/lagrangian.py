@@ -48,11 +48,6 @@ class Residuals:
     primal_infeasibility: float
 
 
-def _one_row(x, t):
-    """One state and time as a one-row stack."""
-    return np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
-
-
 def _weighted_gradient(problem: ProblemDefinition, xs: np.ndarray, ts: np.ndarray,
                        u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """grad phi + J_h^T u + J_g^T v at every row of a stack."""
@@ -62,13 +57,6 @@ def _weighted_gradient(problem: ProblemDefinition, xs: np.ndarray, ts: np.ndarra
     if problem.m:
         out = out + _transposed_product(evaluate(problem, "jac_g", xs, ts), v)
     return out
-
-
-def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
-                        mult: MultiplierSet, t: float) -> np.ndarray:
-    """grad phi + sum_i u_i grad h_i + sum_j v_j grad g_j at one node."""
-    xs, ts = _one_row(x, t)
-    return _weighted_gradient(problem, xs, ts, mult.u[None], mult.v[None])[0]
 
 
 def _penalty_value(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
@@ -85,43 +73,12 @@ def _penalty_value(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
     return pen
 
 
-def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
-                         safeguarded: MultiplierSet, rho: float, t: float) -> float:
-    """phi + (rho/2) sum [h_i + u_i/rho]^2 + (rho/2) sum [max(0, g_j + v_j/rho)]^2."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    xs, ts = _one_row(x, t)
-    pen = _penalty_value(problem, xs, safeguarded.u[None], safeguarded.v[None], rho, ts)
-    return float(evaluate(problem, "phi", xs, ts)[0] + pen[0])
-
-
 def _aug_gradient(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
                   vs: np.ndarray, rho: float, ts: np.ndarray) -> np.ndarray:
     """Augmented Lagrangian gradient at every row of a stack."""
     u = us + rho * evaluate(problem, "h", xs, ts) if problem.p else us
     v = np.maximum(vs + rho * evaluate(problem, "g", xs, ts), 0.0) if problem.m else vs
     return _weighted_gradient(problem, xs, ts, u, v)
-
-
-def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
-                            safeguarded: MultiplierSet, rho: float, t: float) -> np.ndarray:
-    """grad phi + sum (u_i + rho h_i) grad h_i + sum max(0, v_j + rho g_j) grad g_j.
-
-    Identical (bitwise) to the Lagrangian gradient at first-order-updated
-    multipliers, which is what makes the update formulas consistent with the
-    stationarity residual.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    xs, ts = _one_row(x, t)
-    return _aug_gradient(problem, xs, safeguarded.u[None], safeguarded.v[None],
-                         rho, ts)[0]
-
-
-def _require_shared_grid(grid: TimeGrid, *trajs: Trajectory) -> None:
-    for tr in trajs:
-        if not grid.same_as(tr.grid):
-            raise ValueError("trajectories must share the grid")
 
 
 def _sup(a: np.ndarray) -> float:
@@ -142,7 +99,8 @@ def violations(bundle: EvalBundle) -> tuple:
 def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
                    v_traj: Trajectory) -> Residuals:
     """Residuals of the asymptotic optimality test at the evaluated nodes."""
-    _require_shared_grid(grid, u_traj, v_traj)
+    if not (grid.same_as(u_traj.grid) and grid.same_as(v_traj.grid)):
+        raise ValueError("trajectories must share the grid")
     if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
             or v_traj.dim != bundle.g.shape[1]):
         raise ValueError("trajectory dimensions do not match the problem")

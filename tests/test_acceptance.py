@@ -19,11 +19,11 @@ import pytest
 
 import ctpalm as c
 from ctpalm.inner import InnerStatus
-from ctpalm.lagrangian import (MultiplierSet, akkt_residuals,
-                               aug_lagrangian_gradient, aug_lagrangian_value,
-                               lagrangian_gradient)
+from ctpalm.lagrangian import MultiplierSet, akkt_residuals
 from ctpalm.problems import builtin, builtin_names, evaluate_all, reference_solution
-from testkit import FdConfig, akkt_example_sequence, dense_grid_min, fd_gradient
+from testkit import (FdConfig, akkt_example_sequence, aug_lagrangian_gradient,
+                     aug_lagrangian_value, dense_grid_min, fd_gradient,
+                     lagrangian_gradient)
 from conftest import run_cli
 
 

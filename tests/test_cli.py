@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -161,8 +162,8 @@ _NONFINITE_OPTIONS = [(flag, value) for flag in ("--eps-stop", "--gamma", "--rho
                       for value in ("nan", "inf")] + [("--bound-n", "inf")]
 
 
-# (exit code, argv from the test's directory, the file under that directory
-# the error line must name or None)
+# (exit code, argv from the test's directory, what the error line must name:
+# None, a file under that directory, or a (flag, file) pair)
 _BAD_INPUTS = {
     "nodes-1": (64, lambda d: ["solve", "--problem", "ex1", "--nodes", "1"], None),
     "gamma-0.5": (64, lambda d: ["solve", "--problem", "ex1", "--gamma", "0.5"], None),
@@ -178,7 +179,7 @@ _BAD_INPUTS = {
         _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], "x.csv"),
     "check-overflow": (65, lambda d: [
         "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n"),
-        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], None),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], "x.csv"),
     **{f"{flag[2:]}-{value}": (64, lambda d, f=flag, v=value: [
         "solve", "--problem", "ex1", f"{f}={v}"], None)
        for flag, value in _NONFINITE_OPTIONS},
@@ -186,9 +187,11 @@ _BAD_INPUTS = {
        for name, value in (("nan", "nan"), ("inf", "inf"), ("0", "0"),
                            ("negative", "-1"))},
     "out-dir-is-a-file": (64, _out_dir_is_a_file, "out"),
-    "x0-directory": (65, lambda d: ["solve", "--problem", "ex1", "--x0", str(d)], ""),
+    "x0-directory": (65, lambda d: ["solve", "--problem", "ex1", "--x0", str(d)],
+                     ("--x0", "")),
     "x0-not-utf8": (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "2",
-                                   "--x0", _write(d / "x0.csv", NOT_UTF8)], "x0.csv"),
+                                   "--x0", _write(d / "x0.csv", NOT_UTF8)],
+                    ("--x0", "x0.csv")),
     "config-not-utf8": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                        _write(d / "run.json", b'{"nodes": "\xff"}')],
                         "run.json"),
@@ -214,7 +217,8 @@ _BAD_INPUTS = {
         _write(d / "m.csv", "t,c0\n0,0\n0,0\n5e-324,0\n")], "x.csv"),
     "x0-non-numeric": (65, lambda d: [
         "solve", "--problem", "ex1", "--nodes", "2",
-        "--x0", _write(d / "x0.csv", "t,c0,c1\n0,0,0\n1,zap,0\n")], "x0.csv"),
+        "--x0", _write(d / "x0.csv", "t,c0,c1\n0,0,0\n1,zap,0\n")],
+        ("--x0", "x0.csv")),
     "config-malformed": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                         _write(d / "run.json", "{nodes: 5}")],
                          "run.json"),
@@ -224,21 +228,36 @@ _BAD_INPUTS = {
         "solve", "--problem", "ex1",
         "--config", _write(d / "run.json", f'{{"nodes": {MAX_NODES + 1}}}')],
         "run.json"),
+    # Initial data from --config must be strings, as on the command line.
+    "config-x0-number": (65, lambda d: ["solve", "--problem", "infeasible1", "--config",
+                                        _write(d / "run.json", '{"x0": 5}')], "run.json"),
+    "config-x0-list": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                      _write(d / "run.json", '{"x0": [1, 1]}')],
+                       "run.json"),
 }
 
 
 @pytest.mark.parametrize("code,argv,named", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
-def test_bad_input_exits_with_one_error_line(tmp_path, code, argv, named):
+def test_bad_input_exits_with_one_error_line(tmp_path, capsys, code, argv, named):
     out = tmp_path / "out"
     args = argv(tmp_path)
     if args[0] == "solve":
         args += ["--out-dir", str(out)]
-    proc = run_cli(args)
-    assert proc.returncode == code
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    # In process; a warning, which a separate process would print as an extra
+    # stderr line, fails the case.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            returncode = cli.main(args)
+        except SystemExit as exc:
+            returncode = exc.code
+    stderr = capsys.readouterr().err
+    assert returncode == code
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
     if named is not None:
-        assert str(tmp_path / named) in lines[0]
+        flag, name = named if isinstance(named, tuple) else ("", named)
+        assert flag in lines[0] and str(tmp_path / name) in lines[0]
     assert not out.is_dir() or not any(out.iterdir())
 
 
@@ -333,7 +352,7 @@ def test_check_nonfinite_evaluation_is_data_error(tmp_path):
     assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
-        "error: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
+        f"error: {x_path}: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
 
 
 def test_check_asymptotic_fixture_fails_tolerance(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpalm.grid import (MAX_NODES, TimeGrid, Trajectory, TrajectoryCsvError,
-                         _trapezoid_sum, l1_time_norm, make_uniform_grid,
+                         _l1_quadrature, _trapezoid_sum, make_uniform_grid,
                          read_trajectory_csv, write_trajectory_csv)
 
 
@@ -25,6 +25,14 @@ def oracle_trapezoid(values, h):
     """Independent summation oracle: exact pairwise-term sum via fsum."""
     return math.fsum(h * (values[i] + values[i + 1]) / 2.0
                      for i in range(len(values) - 1))
+
+
+def loop_trapezoid(samples, h):
+    """The node loop `_trapezoid_sum` replaces: its bit-for-bit reference."""
+    total = 0.0
+    for i in range(samples.size - 1):
+        total += h * (samples[i] + samples[i + 1]) / 2.0
+    return float(total)
 
 
 # -- make_uniform_grid -------------------------------------------------------
@@ -116,22 +124,43 @@ def test_trapezoid_exact_for_affine(n, a, b):
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
-# -- l1_time_norm ------------------------------------------------------------
+@pytest.mark.parametrize("samples", [np.zeros(0), np.array([2.5]), np.full(7, -0.0),
+                                     np.array([-0.0, 0.0, -0.0])])
+def test_trapezoid_equals_the_node_loop_on_edge_samples(samples):
+    for h in (0.5, -0.0):
+        got, want = _trapezoid_sum(samples, h), loop_trapezoid(samples, h)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=100, deadline=None)
+def test_trapezoid_equals_the_node_loop_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(scale=10.0 ** rng.integers(-150, 150), size=n)
+    samples[rng.random(n) < 0.1] = 0.0
+    h = float(rng.uniform(1e-6, 10.0))
+    got, want = _trapezoid_sum(samples, h), loop_trapezoid(samples, h)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# -- l1 quadrature -----------------------------------------------------------
 
 def test_l1_norm_zero_trajectory():
     grid = make_uniform_grid(1.0, 11)
-    assert l1_time_norm(Trajectory(grid, np.zeros((11, 3)))) == 0.0
+    assert _l1_quadrature(np.zeros((11, 3)), grid.spacing) == 0.0
 
 
 def test_l1_norm_constant_scalar_on_horizon_two():
     grid = make_uniform_grid(2.0, 21)
-    assert l1_time_norm(traj_of(grid, lambda t: 1.0)) == pytest.approx(2.0, rel=1e-14)
+    values = traj_of(grid, lambda t: 1.0).values
+    assert _l1_quadrature(values, grid.spacing) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_l1_norm_signed_pair():
     grid = make_uniform_grid(1.0, 85)
     traj = traj_of(grid, lambda t: np.array([t, -t]))
-    assert l1_time_norm(traj) == pytest.approx(1.0, rel=1e-14)
+    assert _l1_quadrature(traj.values, grid.spacing) == pytest.approx(1.0, rel=1e-14)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=3),
@@ -141,7 +170,7 @@ def test_l1_norm_nonnegative_and_zero_iff_zero(n, dim, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(n, dim))
     grid = make_uniform_grid(1.0, n)
-    norm = l1_time_norm(Trajectory(grid, vals))
+    norm = _l1_quadrature(vals, grid.spacing)
     assert norm >= 0.0
     assert (norm == 0.0) == bool(np.all(vals == 0.0))
 

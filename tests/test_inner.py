@@ -8,9 +8,9 @@ import pytest
 import ctpalm as c
 import node_solver_reference as reference
 from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
-from ctpalm.lagrangian import MultiplierSet, aug_lagrangian_value
+from ctpalm.lagrangian import MultiplierSet
 from conftest import unconstrained_quadratic
-from testkit import FdConfig, dense_grid_min, fd_gradient
+from testkit import FdConfig, aug_lagrangian_value, dense_grid_min, fd_gradient
 
 
 def shifted_quadratic():
@@ -98,31 +98,52 @@ def test_armijo_acceptance_holds_on_traced_run():
 def test_subproblem_constant_problem_gives_identical_rows():
     prob = shifted_quadratic()
     grid = c.make_uniform_grid(1.0, 7)
-    warm = c.Trajectory.constant(grid, [0.0, 0.0])
-    empty = c.Trajectory(grid, np.zeros((7, 0)))
-    traj, worst, max_grad = c.solve_subproblem(prob, grid, warm, empty, empty,
-                                               1.0, c.InnerConfig())
+    warm = np.zeros((7, 2))
+    empty = np.zeros((7, 0))
+    xs, worst, max_grad = c.solve_subproblem(prob, grid.nodes, warm, empty, empty,
+                                             1.0, c.InnerConfig())
     assert worst is InnerStatus.CONVERGED
     for i in range(1, 7):
-        assert np.array_equal(traj.values[i], traj.values[0])
+        assert np.array_equal(xs[i], xs[0])
+
+
+def test_subproblem_rejects_bad_inputs():
+    prob = c.builtin("ex1")
+    ts = c.make_uniform_grid(1.0, 4).nodes
+    xs, us, vs = np.ones((4, 2)), np.zeros((4, 0)), np.ones((4, 2))
+    nan_start = xs.copy()
+    nan_start[2, 1] = np.nan
+    cfg = c.InnerConfig()
+    for x, u, v, rho in [(xs, us, vs, -1.0),                 # rho <= 0
+                         (nan_start, us, vs, 1.0),           # warm start not finite
+                         (xs, us, -vs, 1.0),                 # v < 0
+                         (xs, us, np.full((4, 2), np.inf), 1.0)]:  # not finite
+        with pytest.raises(ValueError):
+            c.solve_subproblem(prob, ts, x, u, v, rho, cfg)
+    # Row counts other than one per time.
+    for x, u, v in [(xs, np.zeros((5, 0)), vs), (xs, us, np.ones((5, 2))),
+                    (xs, np.zeros((3, 0)), vs), (np.ones((5, 2)), us, vs)]:
+        with pytest.raises(ValueError, match="one row per time"):
+            c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
+    c.solve_subproblem(prob, ts, xs, us, vs, 1.0, cfg)
 
 
 def test_subproblem_matches_independent_node_solves_in_any_order():
     prob = c.builtin("ex2")
     grid = c.make_uniform_grid(1.0, 9)
     cfg = c.InnerConfig()
-    warm = c.Trajectory.constant(grid, [0.5, 0.5])
-    u0 = c.Trajectory(grid, np.zeros((9, 0)))
-    v0 = c.Trajectory.constant(grid, [1.0, 1.0, 1.0])
-    traj, worst, max_grad = c.solve_subproblem(prob, grid, warm, u0, v0, 1.0, cfg)
+    warm = np.full((9, 2), 0.5)
+    u0 = np.zeros((9, 0))
+    v0 = np.ones((9, 3))
+    xs, worst, max_grad = c.solve_subproblem(prob, grid.nodes, warm, u0, v0, 1.0, cfg)
 
     order = np.random.default_rng(0).permutation(9)
     results = {}
     for i in order:
-        results[i] = c.solve_node(prob, grid.nodes[i], warm.values[i],
-                                  MultiplierSet(v=v0.values[i]), 1.0, cfg)
+        results[i] = c.solve_node(prob, grid.nodes[i], warm[i],
+                                  MultiplierSet(v=v0[i]), 1.0, cfg)
     for i in range(9):
-        assert np.array_equal(traj.values[i], results[i].x_star)
+        assert np.array_equal(xs[i], results[i].x_star)
     assert max_grad == max(r.grad_inf_norm for r in results.values())
 
 
@@ -130,18 +151,18 @@ def test_subproblem_every_node_converges_on_ex2():
     prob = c.builtin("ex2")
     grid = c.make_uniform_grid(1.0, 85)
     cfg = c.InnerConfig(grad_tol=1e-6)
-    warm = c.Trajectory.constant(grid, [0.5, 0.5])
-    u0 = c.Trajectory(grid, np.zeros((85, 0)))
-    v0 = c.Trajectory.constant(grid, [1.0, 1.0, 1.0])
-    traj, worst, max_grad = c.solve_subproblem(prob, grid, warm, u0, v0, 1.0, cfg)
+    warm = np.full((85, 2), 0.5)
+    u0 = np.zeros((85, 0))
+    v0 = np.ones((85, 3))
+    xs, worst, max_grad = c.solve_subproblem(prob, grid.nodes, warm, u0, v0, 1.0, cfg)
     assert worst is InnerStatus.CONVERGED
     assert max_grad <= cfg.grad_tol
     # independent stationarity check through central differences
     for i in (0, 42, 84):
         t = grid.nodes[i]
-        mult = MultiplierSet(v=v0.values[i])
+        mult = MultiplierSet(v=v0[i])
         fd = fd_gradient(lambda z: aug_lagrangian_value(prob, z, mult, 1.0, t),
-                         traj.values[i], FdConfig(step=1e-7))
+                         xs[i], FdConfig(step=1e-7))
         assert np.max(np.abs(fd)) <= 1e-4
 
 
@@ -149,14 +170,14 @@ def test_subproblem_two_node_grid():
     prob = c.builtin("ex1")
     grid = c.make_uniform_grid(1.0, 2)
     cfg = c.InnerConfig()
-    warm = c.Trajectory.constant(grid, [1.0, 1.0])
-    u0 = c.Trajectory(grid, np.zeros((2, 0)))
-    v0 = c.Trajectory.constant(grid, [1.0, 1.0])
-    traj, worst, _ = c.solve_subproblem(prob, grid, warm, u0, v0, 1.0, cfg)
+    warm = np.ones((2, 2))
+    u0 = np.zeros((2, 0))
+    v0 = np.ones((2, 2))
+    xs, worst, _ = c.solve_subproblem(prob, grid.nodes, warm, u0, v0, 1.0, cfg)
     for i in (0, 1):
-        solo = c.solve_node(prob, grid.nodes[i], warm.values[i],
-                            MultiplierSet(v=v0.values[i]), 1.0, cfg)
-        assert np.array_equal(traj.values[i], solo.x_star)
+        solo = c.solve_node(prob, grid.nodes[i], warm[i],
+                            MultiplierSet(v=v0[i]), 1.0, cfg)
+        assert np.array_equal(xs[i], solo.x_star)
 
 
 # -- lattice-oracle agreement --------------------------------------------------
@@ -237,10 +258,8 @@ def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg):
         assert grad[i] == r.grad_inf_norm, i
         assert iters[i] == r.iterations, i
         assert _BY_SEVERITY[status[i]] is r.status, i
-    traj, worst, max_grad = c.solve_subproblem(
-        prob, grid, c.Trajectory(grid, xs), c.Trajectory(grid, us),
-        c.Trajectory(grid, vs), rho, cfg)
-    assert traj.values.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
+    xs_out, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg)
+    assert xs_out.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
     assert worst is max((r.status for r in solo), key=_BY_SEVERITY.index)
     assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
     return solo

@@ -4,16 +4,14 @@ analytic fixtures, and the squared-violation diagnostics."""
 import numpy as np
 import pytest
 
-from ctpalm.grid import Trajectory, _trapezoid_sum, l1_time_norm, make_uniform_grid
+from ctpalm.grid import Trajectory, _l1_quadrature, _trapezoid_sum, make_uniform_grid
 from ctpalm.lagrangian import (MultiplierSet, _row_dots, _transposed_product,
-                               akkt_residuals,
-                               aug_lagrangian_gradient, aug_lagrangian_value,
-                               feasibility_factor,
-                               feasibility_stationarity_residual,
-                               lagrangian_gradient)
+                               akkt_residuals, feasibility_factor,
+                               feasibility_stationarity_residual)
 from ctpalm.problems import builtin, evaluate_all, pointwise, reference_solution
 from conftest import unconstrained_quadratic
-from testkit import FdConfig, akkt_example_sequence, fd_gradient
+from testkit import (FdConfig, akkt_example_sequence, aug_lagrangian_gradient,
+                     aug_lagrangian_value, fd_gradient, lagrangian_gradient)
 
 ALL_NAMES = ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1")
 
@@ -248,8 +246,8 @@ def test_stacked_reductions_equal_the_node_loop():
         assert res.complementarity_sup == comp
         assert feasibility_factor(grid, bundle) == _trapezoid_sum(np.array(factor),
                                                                   grid.spacing)
-        assert feasibility_stationarity_residual(grid, bundle) == l1_time_norm(
-            Trajectory(grid, np.array(feas_grad)))
+        assert feasibility_stationarity_residual(grid, bundle) == _l1_quadrature(
+            np.array(feas_grad), grid.spacing)
 
 
 # -- squared-violation diagnostics -------------------------------------------

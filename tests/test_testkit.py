@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from testkit import FdConfig, dense_grid_min, fd_gradient
+from testkit import FdConfig, aug_lagrangian_value, dense_grid_min, fd_gradient
 
 
 def test_fd_gradient_quadratic():
@@ -49,7 +49,7 @@ def test_lattice_min_hits_exact_node():
 
 
 def test_lattice_min_matches_hand_solved_penalized_node():
-    from ctpalm.lagrangian import MultiplierSet, aug_lagrangian_value
+    from ctpalm.lagrangian import MultiplierSet
     from ctpalm.problems import builtin
     prob = builtin("ex1")
     mult = MultiplierSet(v=np.array([1.0, 1.0]))

@@ -3,6 +3,8 @@ and the closed-form asymptotic KKT sequence of `akkt_example`.
 
 These are deliberately naive so they cannot share a failure mode with the
 analytic gradients and the node optimizer they are used to validate.
+The Lagrangian helpers at the end are one-node adapters over the package's
+stacked functions, kept beside the independent oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctpalm.grid import TimeGrid, Trajectory
+from ctpalm.lagrangian import (MultiplierSet, _aug_gradient, _penalty_value,
+                               _weighted_gradient)
+from ctpalm.problems import ProblemDefinition, evaluate
 
 
 @dataclass(frozen=True)
@@ -89,3 +94,40 @@ def akkt_example_sequence(grid: TimeGrid, k: int):
     v1 = k * k / (3.0 * s * s)
     v = np.column_stack([v1, v1])
     return Trajectory(grid, x), Trajectory(grid, v)
+
+
+def _one_row(x, t):
+    """One state and time as a one-row stack."""
+    return np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
+
+
+def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
+                        mult: MultiplierSet, t: float) -> np.ndarray:
+    """grad phi + sum_i u_i grad h_i + sum_j v_j grad g_j at one node."""
+    xs, ts = _one_row(x, t)
+    return _weighted_gradient(problem, xs, ts, mult.u[None], mult.v[None])[0]
+
+
+def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
+                         safeguarded: MultiplierSet, rho: float, t: float) -> float:
+    """phi + (rho/2) sum [h_i + u_i/rho]^2 + (rho/2) sum [max(0, g_j + v_j/rho)]^2."""
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    xs, ts = _one_row(x, t)
+    pen = _penalty_value(problem, xs, safeguarded.u[None], safeguarded.v[None], rho, ts)
+    return float(evaluate(problem, "phi", xs, ts)[0] + pen[0])
+
+
+def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
+                            safeguarded: MultiplierSet, rho: float, t: float) -> np.ndarray:
+    """grad phi + sum (u_i + rho h_i) grad h_i + sum max(0, v_j + rho g_j) grad g_j.
+
+    Identical (bitwise) to the Lagrangian gradient at first-order-updated
+    multipliers, which is what makes the update formulas consistent with the
+    stationarity residual.
+    """
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    xs, ts = _one_row(x, t)
+    return _aug_gradient(problem, xs, safeguarded.u[None], safeguarded.v[None],
+                         rho, ts)[0]
