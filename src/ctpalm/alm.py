@@ -156,7 +156,7 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         v_tilde1 = Trajectory.constant(grid, np.zeros(problem.m))
     if u_tilde1.dim != problem.p or v_tilde1.dim != problem.m:
         raise ValueError("initial multiplier trajectories do not match problem dims")
-    if not (grid.same_as(u_tilde1.grid) and grid.same_as(v_tilde1.grid)):
+    if not grid == u_tilde1.grid == v_tilde1.grid:
         raise ValueError("initial trajectories must share the grid")
     if u_tilde1.values.size and np.abs(u_tilde1.values).max() > cfg.bound_M:
         raise ValueError("initial equality multipliers outside the safeguard box")

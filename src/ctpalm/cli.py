@@ -126,7 +126,7 @@ def _parse_constants(spec: str) -> Optional[np.ndarray]:
 
 
 def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
-                               flag: str) -> Optional[Trajectory]:
+                               source: str) -> Optional[Trajectory]:
     """Constants broadcast to every node; otherwise the spec is a CSV path."""
     if spec is None:
         return None
@@ -134,26 +134,27 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
     if constants is not None:
         if constants.size != dim:
             raise CliError(EXIT_DATA,
-                           f"{flag}: expected {dim} component(s), got {constants.size}")
+                           f"{source}: expected {dim} component(s), got {constants.size}")
         if not np.all(np.isfinite(constants)):
-            raise CliError(EXIT_DATA, f"{flag}: non-finite value in {spec!r}")
+            raise CliError(EXIT_DATA, f"{source}: non-finite value in {spec!r}")
         return Trajectory.constant(grid, constants)
     if not os.path.exists(spec):
-        raise CliError(EXIT_DATA, f"{flag}: {spec!r} is neither a number list "
+        raise CliError(EXIT_DATA, f"{source}: {spec!r} is neither a number list "
                                   f"nor an existing CSV file")
     try:
         traj = read_trajectory_csv(spec)
     except (OSError, TrajectoryCsvError) as exc:
-        raise CliError(EXIT_DATA, f"{flag}: {exc}") from None
+        raise CliError(EXIT_DATA, f"{source}: {exc}") from None
     if traj.dim != dim:
-        raise CliError(EXIT_DATA, f"{flag}: expected {dim} column(s), got {traj.dim}")
-    if not traj.grid.same_as(grid):
-        raise CliError(EXIT_DATA, f"{flag}: CSV grid does not match the run grid")
+        raise CliError(EXIT_DATA, f"{source}: expected {dim} column(s), got {traj.dim}")
+    if traj.grid != grid:
+        raise CliError(EXIT_DATA, f"{source}: CSV grid does not match the run grid")
     return traj
 
 
-def _merged_options(args) -> dict:
-    merged = {}
+def _merged_options(args) -> tuple:
+    """Option values, flags before --config; and where x0, u0 and v0 came from."""
+    merged, sources = {}, {}
     file_values = {}
     where = f"--config: {args.config}"
     if args.config is not None:
@@ -178,13 +179,15 @@ def _merged_options(args) -> dict:
         merged[flag] = default if value is None else value
     for flag in ("x0", "u0", "v0"):
         value = getattr(args, flag)
+        sources[flag] = f"--{flag}"
         if value is None and flag in file_values:
             value = file_values[flag]
+            sources[flag] = f"{where}: {flag}"
             if not isinstance(value, str):
-                raise CliError(EXIT_DATA, f"{where}: {flag}: expected a string, "
+                raise CliError(EXIT_DATA, f"{sources[flag]}: expected a string, "
                                           f"got {value!r}")
         merged[flag] = value
-    return merged
+    return merged, sources
 
 
 def _certificates_json(certificates: dict) -> dict:
@@ -203,7 +206,7 @@ def _json_text(obj: dict, what: str = "result") -> str:
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
-    opts = _merged_options(args)
+    opts, sources = _merged_options(args)
     try:
         grid = make_uniform_grid(problem.horizon, opts["nodes"])
         cfg = AlmConfig(**{f.name: opts[f.name.lower()] for f in _ALM_FIELDS})
@@ -216,13 +219,13 @@ def cmd_solve(args) -> int:
             message += f" (options from the flags and --config {args.config})"
         raise CliError(EXIT_USAGE, message) from None
 
-    x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, "--x0")
+    x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, sources["x0"])
     if x0 is None:
         x0 = Trajectory.constant(grid, np.zeros(problem.n))
-    u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, "--u0")
-    v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, "--v0")
-    for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, "--u0"),
-                                  (v0, 0.0, cfg.bound_N, "--v0")):
+    u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, sources["u0"])
+    v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, sources["v0"])
+    for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, sources["u0"]),
+                                  (v0, 0.0, cfg.bound_N, sources["v0"])):
         if traj is not None and traj.values.size and not (
                 low <= traj.values.min() and traj.values.max() <= high):
             raise CliError(EXIT_DATA, f"{flag}: entries must lie in [{low:g}, {high:g}]")
@@ -308,7 +311,7 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_DATA,
                        f"multiplier file has {mults.dim} column(s), expected "
                        f"p+m={problem.p + problem.m}")
-    if not x.grid.same_as(mults.grid):
+    if x.grid != mults.grid:
         raise CliError(EXIT_DATA, "trajectory and multiplier files use different grids")
     grid = x.grid
     u = Trajectory(grid, mults.values[:, :problem.p])

@@ -7,6 +7,7 @@ run in ascending node order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,57 +19,37 @@ _UNIFORMITY_RTOL = 1e-15
 MAX_NODES = 1_000_000
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform node set t_0 = 0 < t_1 < ... < t_{N-1} = T."""
+    """Uniform node set t_i = i * horizon / (num_nodes - 1), i = 0..num_nodes-1."""
 
     horizon: float
-    nodes: np.ndarray = field(repr=False)
+    num_nodes: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
-        n = self.nodes.size
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if n < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got {n}")
-        if self.nodes[0] != 0.0 or self.nodes[-1] != self.horizon:
-            raise ValueError("grid must start at 0 and end at the horizon")
-        h = self.horizon / (n - 1)
-        gaps = np.diff(self.nodes)
-        if np.any(np.abs(gaps - h) > _UNIFORMITY_RTOL * self.horizon):
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 2 <= operator.index(self.num_nodes) <= MAX_NODES:
+            raise ValueError(f"num_nodes must lie in [2, {MAX_NODES}], got {self.num_nodes}")
+        nodes = np.arange(self.num_nodes) * self.horizon / (self.num_nodes - 1)
+        # Guard against rounding at the right endpoint.
+        nodes[-1] = self.horizon
+        # A horizon too small to divide (5e-324 over 2 steps) gives unequal steps.
+        gaps = np.diff(nodes)
+        if np.any(np.abs(gaps - self.spacing) > _UNIFORMITY_RTOL * self.horizon):
             raise ValueError("grid nodes are not uniformly spaced")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.size
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def spacing(self) -> float:
-        return self.horizon / (self.nodes.size - 1)
-
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self is other or (
-            self.horizon == other.horizon and np.array_equal(self.nodes, other.nodes)
-        )
+        return self.horizon / (self.num_nodes - 1)
 
 
 def make_uniform_grid(horizon: float, num_nodes: int) -> TimeGrid:
     """Grid with nodes t_i = i * horizon / (num_nodes - 1)."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not 2 <= num_nodes <= MAX_NODES:
-        raise ValueError(f"num_nodes must lie in [2, {MAX_NODES}], got {num_nodes}")
-    nodes = np.array([i * horizon / (num_nodes - 1) for i in range(num_nodes)])
-    # Guard against rounding at the right endpoint.
-    nodes[-1] = horizon
-    return TimeGrid(horizon=float(horizon), nodes=nodes)
+    return TimeGrid(float(horizon), num_nodes)
 
 
 @dataclass(frozen=True)
@@ -141,37 +122,32 @@ def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
 
 
 class TrajectoryCsvError(ValueError):
-    """Malformed trajectory CSV; carries the 1-based offending line number
-    and the file's path (None when read from an open file)."""
+    """Malformed trajectory CSV; carries the file's path and the 1-based
+    offending line number."""
 
-    def __init__(self, message: str, line: int, path=None):
-        where = f"line {line}" if path is None else f"{path}: line {line}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, message: str, line: int, path):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
         self.path = path
 
 
-def read_trajectory_csv(src) -> Trajectory:
-    """Parse a `t,c0,c1,...` CSV back into a trajectory on a uniform grid.
+def read_trajectory_csv(path) -> Trajectory:
+    """Parse a `t,c0,c1,...` CSV file back into a trajectory on a uniform grid.
 
-    `src` is a path to a UTF-8 file or a readable text file.  Malformed input,
-    including more than MAX_NODES data rows, raises TrajectoryCsvError.
+    `path` names a UTF-8 file.  Malformed input, including more than MAX_NODES
+    data rows, raises TrajectoryCsvError.
     """
-    path = None if hasattr(src, "read") else src
 
     def fail(message, line):
         return TrajectoryCsvError(message, line, path)
 
-    if path is None:
-        text = src.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise fail(f"not UTF-8 text ({exc.reason})",
-                       data.count(b"\n", 0, exc.start) + 1) from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise fail(f"not UTF-8 text ({exc.reason})",
+                   data.count(b"\n", 0, exc.start) + 1) from None
     lines = text.splitlines()
     if not lines:
         raise fail("empty file", 1)

@@ -99,7 +99,7 @@ def violations(bundle: EvalBundle) -> tuple:
 def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
                    v_traj: Trajectory) -> Residuals:
     """Residuals of the asymptotic optimality test at the evaluated nodes."""
-    if not (grid.same_as(u_traj.grid) and grid.same_as(v_traj.grid)):
+    if not grid == u_traj.grid == v_traj.grid:
         raise ValueError("trajectories must share the grid")
     if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
             or v_traj.dim != bundle.g.shape[1]):

@@ -89,26 +89,20 @@ def trajectory_svg(x: Trajectory, reference: Trajectory = None,
                    title: str = "state trajectory") -> str:
     """One polyline per state component over time; dashed reference overlay."""
     t = x.grid.nodes
-    series = [x.values[:, d] for d in range(x.dim)]
-    all_vals = np.concatenate(series + (
-        [reference.values[:, d] for d in range(reference.dim)] if reference else []))
+    curves = [(x, "")] + ([(reference, "5,4")] if reference is not None else [])
+    all_vals = np.concatenate([traj.values[:, d] for traj, _ in curves
+                               for d in range(traj.dim)])
     v0, v1 = _scale(float(all_vals.min()), float(all_vals.max()))
     t0, t1 = float(t[0]), float(t[-1])
     parts = _frame(title, "t", "x(t)")
     _axis_ticks(parts, t0, t1, v0, v1)
-    legend = []
-    for d in range(x.dim):
-        color = _COLORS[d % len(_COLORS)]
-        xs = [_xpix(tv, t0, t1) for tv in t]
-        ys = [_ypix(v, v0, v1) for v in series[d]]
-        parts.append(_polyline(xs, ys, color))
-        legend.append((f"x{d + 1}", color, ""))
+    xs = [_xpix(tv, t0, t1) for tv in t]
+    for traj, dash in curves:
+        for d in range(traj.dim):
+            ys = [_ypix(v, v0, v1) for v in traj.values[:, d]]
+            parts.append(_polyline(xs, ys, _COLORS[d % len(_COLORS)], dash))
+    legend = [(f"x{d + 1}", _COLORS[d % len(_COLORS)], "") for d in range(x.dim)]
     if reference is not None:
-        for d in range(reference.dim):
-            color = _COLORS[d % len(_COLORS)]
-            xs = [_xpix(tv, t0, t1) for tv in t]
-            ys = [_ypix(v, v0, v1) for v in reference.values[:, d]]
-            parts.append(_polyline(xs, ys, color, dash="5,4"))
         legend.append(("reference (dashed)", "#555", "5,4"))
     _legend(parts, legend)
     parts.append("</svg>")

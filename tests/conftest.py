@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import ctpalm as c
+from ctpalm import cli
 
 
 def unconstrained_quadratic():
@@ -65,6 +67,22 @@ def infeasible1_run():
 def run_cli(args, cwd=None):
     return subprocess.run([sys.executable, "-m", "ctpalm"] + list(args),
                           capture_output=True, text=True, cwd=cwd)
+
+
+def run_in_process(args, capsys):
+    """`run_cli` through `cli.main` in this process, output taken from `capsys`.
+
+    A warning, which a separate process would print as an extra stderr line,
+    raises; a `SystemExit` code counts as the exit code.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            returncode = cli.main(list(args))
+        except SystemExit as exc:
+            returncode = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(list(args), returncode, out, err)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import dataclasses
 import io
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import ctpalm as c
 from ctpalm import cli, grid
 from ctpalm.grid import MAX_NODES, write_trajectory_csv
 from ctpalm.problems import builtin
-from conftest import run_cli
+from conftest import run_cli, run_in_process
 from testkit import akkt_example_sequence
 
 
@@ -68,25 +67,26 @@ def test_repeated_runs_are_bit_identical(ex1_cli_dirs):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_solve_unknown_problem_is_usage_error(tmp_path):
-    proc = run_cli(["solve", "--problem", "nosuch", "--out-dir", str(tmp_path)])
+def test_solve_unknown_problem_is_usage_error(tmp_path, capsys):
+    proc = run_in_process(["solve", "--problem", "nosuch", "--out-dir", str(tmp_path)],
+                          capsys)
     assert proc.returncode == 64
     for name in ("ex1", "ex2", "ex3", "ex4", "akkt_example", "infeasible1"):
         assert name in proc.stderr
     assert not any(tmp_path.iterdir())
 
 
-def test_solve_dimension_mismatch_names_flag(tmp_path):
-    proc = run_cli(["solve", "--problem", "ex1", "--x0", "1,1,1",
-                    "--out-dir", str(tmp_path)])
+def test_solve_dimension_mismatch_names_flag(tmp_path, capsys):
+    proc = run_in_process(["solve", "--problem", "ex1", "--x0", "1,1,1",
+                           "--out-dir", str(tmp_path)], capsys)
     assert proc.returncode == 65
     assert "--x0" in proc.stderr
     assert not any(tmp_path.iterdir())
 
 
-def test_solve_bad_flag_value_is_usage_error(tmp_path):
-    proc = run_cli(["solve", "--problem", "ex1", "--nodes", "many",
-                    "--out-dir", str(tmp_path)])
+def test_solve_bad_flag_value_is_usage_error(tmp_path, capsys):
+    proc = run_in_process(["solve", "--problem", "ex1", "--nodes", "many",
+                           "--out-dir", str(tmp_path)], capsys)
     assert proc.returncode == 64
 
 
@@ -95,21 +95,22 @@ def test_solve_atomic_outputs_no_temp_leftovers(ex1_cli_dirs):
     assert leftovers == []
 
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path):
+def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"nodes": 21, "x0": "1,1", "v0": "1,1",
                                     "max_outer": 7}))
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", "ex1", "--config", str(cfg_path),
-                    "--max-outer", "300", "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", "ex1", "--config", str(cfg_path),
+                           "--max-outer", "300", "--out-dir", str(out)], capsys)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["nodes"] == 21       # from the file
     assert summary["config"]["max_outer"] == 300  # flag overrides file
 
 
-def test_default_solve_config_is_the_dataclass_defaults(tmp_path):
-    proc = run_cli(["solve", "--problem", "ex1", "--out-dir", str(tmp_path)])
+def test_default_solve_config_is_the_dataclass_defaults(tmp_path, capsys):
+    proc = run_in_process(["solve", "--problem", "ex1", "--out-dir", str(tmp_path)],
+                          capsys)
     assert proc.returncode == 0, proc.stderr
     cfg = c.AlmConfig()
     config = json.loads((tmp_path / "summary.json").read_text())["config"]
@@ -234,6 +235,13 @@ _BAD_INPUTS = {
     "config-x0-list": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                       _write(d / "run.json", '{"x0": [1, 1]}')],
                        "run.json"),
+    # Errors in initial data from --config name the file, not the flag.
+    "config-x0-empty": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                       _write(d / "run.json", '{"x0": ""}')],
+                        "run.json"),
+    "config-x0-wrong-size": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                            _write(d / "run.json", '{"x0": "1,1,1"}')],
+                             "run.json"),
 }
 
 
@@ -243,18 +251,10 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, code, argv, named
     args = argv(tmp_path)
     if args[0] == "solve":
         args += ["--out-dir", str(out)]
-    # In process; a warning, which a separate process would print as an extra
-    # stderr line, fails the case.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            returncode = cli.main(args)
-        except SystemExit as exc:
-            returncode = exc.code
-    stderr = capsys.readouterr().err
-    assert returncode == code
-    lines = stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    proc = run_in_process(args, capsys)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if named is not None:
         flag, name = named if isinstance(named, tuple) else ("", named)
         assert flag in lines[0] and str(tmp_path / name) in lines[0]
@@ -274,10 +274,10 @@ def test_csv_with_more_rows_than_the_node_limit_is_data_error(tmp_path, monkeypa
         f"error: {tmp_path / 'x.csv'}: line 5: more than 3 data rows\n")
 
 
-def test_solve_exit_code_for_iteration_limit(tmp_path):
+def test_solve_exit_code_for_iteration_limit(tmp_path, capsys):
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", "infeasible1", "--x0", "5",
-                    "--max-outer", "25", "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", "infeasible1", "--x0", "5",
+                           "--max-outer", "25", "--out-dir", str(out)], capsys)
     assert proc.returncode == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "MaxOuterReached"
@@ -310,12 +310,13 @@ def _split_trajectory_csv(out, n, tmp_path):
     ("ex1", ["--x0", "1,1", "--v0", "1,1"]),
     ("ex4", ["--x0", "1,1", "--v0", "1,1,1,1,1"]),
 ])
-def test_check_reproduces_the_solver_stop_test(tmp_path, name, flags):
+def test_check_reproduces_the_solver_stop_test(tmp_path, name, flags, capsys):
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", name, *flags, "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", name, *flags, "--out-dir", str(out)],
+                          capsys)
     assert proc.returncode == 0, proc.stderr
     x_path, m_path = _split_trajectory_csv(out, builtin(name).n, tmp_path)
-    check = run_cli(["check", name, x_path, m_path])
+    check = run_in_process(["check", name, x_path, m_path], capsys)
     assert check.returncode == 0, check.stdout + check.stderr
     data = json.loads(check.stdout)
     last = (out / "iterations.csv").read_text().splitlines()[-1].split(",")
@@ -328,13 +329,13 @@ def test_check_reproduces_the_solver_stop_test(tmp_path, name, flags):
     assert data["pass"] is True
 
 
-def test_check_infeasible_limit_point_fails(tmp_path):
+def test_check_infeasible_limit_point_fails(tmp_path, capsys):
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", "infeasible1", "--x0", "5",
-                    "--max-outer", "25", "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", "infeasible1", "--x0", "5",
+                           "--max-outer", "25", "--out-dir", str(out)], capsys)
     assert proc.returncode == 2
     x_path, m_path = _split_trajectory_csv(out, 1, tmp_path)
-    check = run_cli(["check", "infeasible1", x_path, m_path])
+    check = run_in_process(["check", "infeasible1", x_path, m_path], capsys)
     assert check.returncode == 1
     data = json.loads(check.stdout)
     assert data["pass"] is False
@@ -343,23 +344,23 @@ def test_check_infeasible_limit_point_fails(tmp_path):
     assert certs["sufficiency"] is None
 
 
-def test_check_nonfinite_evaluation_is_data_error(tmp_path):
+def test_check_nonfinite_evaluation_is_data_error(tmp_path, capsys):
     x_path = tmp_path / "x.csv"
     x_path.write_text("t,c0,c1\n0,1e200,0\n1,0,0\n")
     m_path = tmp_path / "m.csv"
     m_path.write_text("t,c0,c1\n0,0,0\n1,0,0\n")
-    proc = run_cli(["check", "ex1", str(x_path), str(m_path)])
+    proc = run_in_process(["check", "ex1", str(x_path), str(m_path)], capsys)
     assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
         f"error: {x_path}: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
 
 
-def test_check_asymptotic_fixture_fails_tolerance(tmp_path):
+def test_check_asymptotic_fixture_fails_tolerance(tmp_path, capsys):
     grid = c.make_uniform_grid(1.0, 84)
     x, v = akkt_example_sequence(grid, k=100)
     x_path, m_path = _write_csvs(tmp_path, grid, x, v)
-    proc = run_cli(["check", "akkt_example", x_path, m_path])
+    proc = run_in_process(["check", "akkt_example", x_path, m_path], capsys)
     assert proc.returncode == 1  # complementarity ~8.3e-4 exceeds 1e-5
     data = json.loads(proc.stdout)
     assert data["residuals"]["stationarity_l1"] <= 1e-12
@@ -368,13 +369,13 @@ def test_check_asymptotic_fixture_fails_tolerance(tmp_path):
     assert data["pass"] is False
 
 
-def test_check_reference_with_valid_multipliers_passes(tmp_path):
+def test_check_reference_with_valid_multipliers_passes(tmp_path, capsys):
     prob = builtin("ex1")
     grid = c.make_uniform_grid(1.0, 85)
     x = c.Trajectory.constant(grid, [0.0, 0.0])
     v = c.Trajectory.constant(grid, [0.5, 0.5])
     x_path, m_path = _write_csvs(tmp_path, grid, x, v)
-    proc = run_cli(["check", "ex1", x_path, m_path])
+    proc = run_in_process(["check", "ex1", x_path, m_path], capsys)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(proc.stdout)
     assert data["pass"] is True
@@ -382,47 +383,48 @@ def test_check_reference_with_valid_multipliers_passes(tmp_path):
     assert data["feasibility"]["max_inequality_violation"] == 0.0
 
 
-def test_check_empty_trajectory_file(tmp_path):
+def test_check_empty_trajectory_file(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     other = tmp_path / "m.csv"
     other.write_text("t,c0\n0,0\n1,0\n")
-    proc = run_cli(["check", "ex1", str(empty), str(other)])
+    proc = run_in_process(["check", "ex1", str(empty), str(other)], capsys)
     assert proc.returncode == 65
 
 
-def test_check_malformed_csv_reports_line(tmp_path):
+def test_check_malformed_csv_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,c0,c1\n0,0,0\n0.5,zap,0\n1,0,0\n")
     mult = tmp_path / "m.csv"
     mult.write_text("t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n")
-    proc = run_cli(["check", "ex1", str(bad), str(mult)])
+    proc = run_in_process(["check", "ex1", str(bad), str(mult)], capsys)
     assert proc.returncode == 65
     assert "line 3" in proc.stderr
 
 
-def test_check_dimension_mismatch(tmp_path):
+def test_check_dimension_mismatch(tmp_path, capsys):
     grid = c.make_uniform_grid(1.0, 5)
     x = c.Trajectory.constant(grid, [0.0])          # ex1 needs 2 state columns
     v = c.Trajectory.constant(grid, [0.5, 0.5])
     x_path, m_path = _write_csvs(tmp_path, grid, x, v)
-    proc = run_cli(["check", "ex1", x_path, m_path])
+    proc = run_in_process(["check", "ex1", x_path, m_path], capsys)
     assert proc.returncode == 65
 
 
-def test_check_rejects_negative_multipliers(tmp_path):
+def test_check_rejects_negative_multipliers(tmp_path, capsys):
     grid = c.make_uniform_grid(1.0, 5)
     x = c.Trajectory.constant(grid, [0.0, 0.0])
     v = c.Trajectory.constant(grid, [0.5, -0.5])
     x_path, m_path = _write_csvs(tmp_path, grid, x, v)
-    proc = run_cli(["check", "ex1", x_path, m_path])
+    proc = run_in_process(["check", "ex1", x_path, m_path], capsys)
     assert proc.returncode == 65
 
 
-def test_solve_ex4_certificate_through_cli(tmp_path):
+def test_solve_ex4_certificate_through_cli(tmp_path, capsys):
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", "ex4", "--nodes", "85",
-                    "--x0", "1,1", "--v0", "1,1,1,1,1", "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", "ex4", "--nodes", "85",
+                           "--x0", "1,1", "--v0", "1,1,1,1,1", "--out-dir", str(out)],
+                          capsys)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out / "summary.json").read_text())
     cert = summary["certificates"]["sufficiency"]
@@ -431,23 +433,23 @@ def test_solve_ex4_certificate_through_cli(tmp_path):
     assert summary["error_metrics"]["masked_nodes"] == [0, 42]
 
 
-def test_solve_wrong_multiplier_count_for_ex4(tmp_path):
-    proc = run_cli(["solve", "--problem", "ex4", "--x0", "1,1",
-                    "--v0", "1,1,1,1", "--out-dir", str(tmp_path)])
+def test_solve_wrong_multiplier_count_for_ex4(tmp_path, capsys):
+    proc = run_in_process(["solve", "--problem", "ex4", "--x0", "1,1",
+                           "--v0", "1,1,1,1", "--out-dir", str(tmp_path)], capsys)
     assert proc.returncode == 65
     assert "--v0" in proc.stderr
 
 
-def test_solve_accepts_csv_initial_state(tmp_path):
+def test_solve_accepts_csv_initial_state(tmp_path, capsys):
     grid = c.make_uniform_grid(1.0, 21)
     x0 = c.Trajectory(grid, np.array([[0.0, t] for t in grid.nodes]))
     path = tmp_path / "x0.csv"
     with open(path, "w") as fh:
         write_trajectory_csv(x0, fh)
     out = tmp_path / "out"
-    proc = run_cli(["solve", "--problem", "ex2", "--nodes", "21",
-                    "--x0", str(path), "--v0", "0.25,0.25,0",
-                    "--out-dir", str(out)])
+    proc = run_in_process(["solve", "--problem", "ex2", "--nodes", "21",
+                           "--x0", str(path), "--v0", "0.25,0.25,0",
+                           "--out-dir", str(out)], capsys)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error_metrics"]["sup_error"] <= 1e-2

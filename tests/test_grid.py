@@ -1,6 +1,6 @@
 """Grid construction, quadrature, norms and trajectory CSV round-trips."""
 
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +25,25 @@ def oracle_trapezoid(values, h):
     """Independent summation oracle: exact pairwise-term sum via fsum."""
     return math.fsum(h * (values[i] + values[i + 1]) / 2.0
                      for i in range(len(values) - 1))
+
+
+def loop_nodes(horizon, num_nodes):
+    """The list-comprehension node rule `TimeGrid` replaces: its bit-for-bit
+    reference."""
+    nodes = np.array([i * horizon / (num_nodes - 1) for i in range(num_nodes)])
+    nodes[-1] = horizon
+    return nodes
+
+
+def csv_error(tmp_path, text):
+    """The TrajectoryCsvError raised by reading `text` from a file, after
+    checking that its message starts with the file's path and line."""
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(TrajectoryCsvError) as err:
+        read_trajectory_csv(str(path))
+    assert str(err.value).startswith(f"{path}: line {err.value.line}: ")
+    return err.value
 
 
 def loop_trapezoid(samples, h):
@@ -54,16 +73,41 @@ def test_grid_five_nodes_horizon_two():
     assert list(grid.nodes) == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+# The last five: horizons too small to divide into equal steps, and
+# non-finite horizons.
 @pytest.mark.parametrize("horizon,nodes", [(0.0, 5), (-1.0, 5), (1.0, 1), (1.0, 0),
-                                           (1.0, MAX_NODES + 1)])
+                                           (1.0, MAX_NODES + 1), (5e-324, 3),
+                                           (1e-323, 4), (1e-320, 1000),
+                                           (math.inf, 5), (math.nan, 5)])
 def test_grid_rejects_bad_arguments(horizon, nodes):
     with pytest.raises(ValueError):
         make_uniform_grid(horizon, nodes)
 
 
-def test_grid_rejects_nonuniform_nodes():
-    with pytest.raises(ValueError):
-        TimeGrid(horizon=1.0, nodes=np.array([0.0, 0.1, 1.0]))
+@pytest.mark.parametrize("nodes", [5.0, 5.5])
+def test_grid_node_count_must_be_an_integer(nodes):
+    with pytest.raises(TypeError):
+        make_uniform_grid(1.0, nodes)
+
+
+def test_grid_nodes_equal_the_list_comprehension_bit_for_bit():
+    rng = np.random.default_rng(8)
+    pairs = [(float(10.0 ** rng.uniform(-300, 300)), int(rng.integers(2, 5000)))
+             for _ in range(200)]
+    for horizon, n in pairs + [(1.0, MAX_NODES)]:
+        grid = make_uniform_grid(horizon, n)
+        assert grid.nodes.tobytes() == loop_nodes(horizon, n).tobytes(), (horizon, n)
+        assert not grid.nodes.flags.writeable
+
+
+def test_grids_compare_by_horizon_and_node_count():
+    assert [f.name for f in dataclasses.fields(TimeGrid) if f.init] == [
+        "horizon", "num_nodes"]
+    grid = make_uniform_grid(1.0, 5)
+    assert grid == TimeGrid(1.0, 5) == make_uniform_grid(1, 5)
+    assert not grid != TimeGrid(1.0, 5)
+    assert grid != make_uniform_grid(2.0, 5) and not grid == make_uniform_grid(2.0, 5)
+    assert grid != make_uniform_grid(1.0, 6) and not grid == make_uniform_grid(1.0, 6)
 
 
 def test_trajectory_rejects_nonfinite_and_bad_shape():
@@ -177,45 +221,35 @@ def test_l1_norm_nonnegative_and_zero_iff_zero(n, dim, seed):
 
 # -- CSV serialization -------------------------------------------------------
 
-def test_csv_round_trip_is_bit_exact():
+def test_csv_round_trip_is_bit_exact(tmp_path):
     grid = make_uniform_grid(1.0, 17)
     rng = np.random.default_rng(7)
     traj = Trajectory(grid, rng.normal(size=(17, 3)))
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    text = buf.getvalue()
+    path = tmp_path / "x.csv"
+    write_trajectory_csv(traj, str(path))
+    text = path.read_text()
     assert text.splitlines()[0] == "t,c0,c1,c2"
     assert text.endswith("\n")
-    back = read_trajectory_csv(io.StringIO(text))
+    back = read_trajectory_csv(str(path))
     assert np.array_equal(back.values, traj.values)
     assert np.array_equal(back.grid.nodes, grid.nodes)
+    assert back.grid == grid
 
 
-def test_csv_rejects_empty_file():
-    with pytest.raises(TrajectoryCsvError) as err:
-        read_trajectory_csv(io.StringIO(""))
-    assert err.value.line == 1
+def test_csv_rejects_empty_file(tmp_path):
+    assert csv_error(tmp_path, "").line == 1
 
 
-def test_csv_reports_offending_line():
-    text = "t,c0\n0,1.0\n0.5,oops\n1,3.0\n"
-    with pytest.raises(TrajectoryCsvError) as err:
-        read_trajectory_csv(io.StringIO(text))
-    assert err.value.line == 3
+def test_csv_reports_offending_line(tmp_path):
+    assert csv_error(tmp_path, "t,c0\n0,1.0\n0.5,oops\n1,3.0\n").line == 3
 
 
-def test_csv_time_error_reports_the_row_line_after_a_blank_line():
-    text = "t,c0\n0,0\n\n0.3,0\n1,0\n"
-    with pytest.raises(TrajectoryCsvError) as err:
-        read_trajectory_csv(io.StringIO(text))
-    assert err.value.line == 4
+def test_csv_time_error_reports_the_row_line_after_a_blank_line(tmp_path):
+    assert csv_error(tmp_path, "t,c0\n0,0\n\n0.3,0\n1,0\n").line == 4
 
 
-def test_csv_rejects_column_mismatch():
-    text = "t,c0\n0,1.0\n0.5,1.0,2.0\n1,3.0\n"
-    with pytest.raises(TrajectoryCsvError) as err:
-        read_trajectory_csv(io.StringIO(text))
-    assert err.value.line == 3
+def test_csv_rejects_column_mismatch(tmp_path):
+    assert csv_error(tmp_path, "t,c0\n0,1.0\n0.5,1.0,2.0\n1,3.0\n").line == 3
 
 
 def test_csv_error_names_the_file_and_the_line_of_a_bad_byte(tmp_path):
