@@ -27,13 +27,17 @@ from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
 from .inner import InnerConfig, InnerStatus, solve_subproblem
 from .lagrangian import Residuals, akkt_holds, akkt_residuals, violations
-from .problems import EvalBundle, ProblemDefinition, evaluate_all
+from .problems import EvalBundle, EvaluationError, ProblemDefinition, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
                         "infeas_measure,objective,inner_status,inner_max_grad")
 
 # Consecutive all-diverged subproblem solves tolerated before giving up.
 _DIVERGENCE_PATIENCE = 50
+
+
+class StartEvaluationError(EvaluationError):
+    """An evaluator returned a non-finite value at the starting trajectory x0."""
 
 
 class SolveStatus(enum.Enum):
@@ -145,7 +149,9 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     Omitted initial multipliers default to zero.  When `iteration_csv` is
     given, the per-iteration log is written to it incrementally (header plus
     one row per outer iteration, flushed as produced).  Raises OverflowError
-    when the penalty parameter or the multiplier update overflows.
+    when the penalty parameter or the multiplier update overflows, and
+    StartEvaluationError when an evaluator is non-finite at x0 (an
+    EvaluationError from a later iterate is raised as it is).
     """
     grid = x0.grid
     if x0.dim != problem.n:
@@ -165,8 +171,12 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         raise ValueError("initial inequality multipliers outside the safeguard box")
 
     # Baseline infeasibility from the starting guess: the sup of |h(x0)| and
-    # of max(g(x0), 0).
-    prev_infeas = max(violations(evaluate_all(problem, x0.values, grid.nodes)))
+    # of max(g(x0), 0).  The evaluation also starts the first subproblem.
+    try:
+        bundle = evaluate_all(problem, x0.values, grid.nodes)
+    except EvaluationError as exc:
+        raise StartEvaluationError(exc.what, exc.t, exc.x) from None
+    prev_infeas = max(violations(bundle))
 
     rho, xs = cfg.rho_init, x0.values
     u_tilde, v_tilde = u_tilde1.values, v_tilde1.values
@@ -182,9 +192,10 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         if rho == math.inf:
             raise OverflowError(f"outer iteration {k}: the penalty parameter overflowed")
         xs, inner_worst, inner_max_grad = solve_subproblem(
-            problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner)
+            problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle)
 
-        # One evaluation pass feeds the update, the residuals and the log.
+        # One evaluation pass feeds the update, the residuals, the log and
+        # the next subproblem's start.
         bundle = evaluate_all(problem, xs, grid.nodes)
         u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
         try:

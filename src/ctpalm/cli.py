@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .alm import AlmConfig, SolveStatus, solve
+from .alm import AlmConfig, SolveStatus, StartEvaluationError, solve
 from .diagnostics import _reference_trajectory, certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv, write_trajectory_csv)
@@ -220,8 +220,13 @@ def cmd_solve(args) -> int:
         raise CliError(EXIT_USAGE, message) from None
 
     x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, sources["x0"])
+    # Where the start came from, for an evaluator that fails there.
     if x0 is None:
-        x0 = Trajectory.constant(grid, np.zeros(problem.n))
+        x0, start = Trajectory.constant(grid, np.zeros(problem.n)), "x0 (zeros by default)"
+    elif _parse_constants(opts["x0"]) is None:
+        start = f"{sources['x0']}: {opts['x0']}"
+    else:
+        start = sources["x0"]
     u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, sources["u0"])
     v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, sources["v0"])
     for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, sources["u0"]),
@@ -239,7 +244,10 @@ def cmd_solve(args) -> int:
         raise CliError(EXIT_USAGE, f"--out-dir: {exc}") from None
     try:
         with log:
-            report = solve(problem, cfg, x0, u0, v0, iteration_csv=log)
+            try:
+                report = solve(problem, cfg, x0, u0, v0, iteration_csv=log)
+            except StartEvaluationError as exc:
+                raise CliError(EXIT_DATA, f"{start}: {exc}") from None
 
         columns = ([f"x{i + 1}" for i in range(problem.n)]
                    + [f"u{i + 1}" for i in range(problem.p)]

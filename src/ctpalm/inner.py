@@ -33,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
-from .problems import ProblemDefinition, _row_dots, evaluate
+from .problems import (EVALUATORS, EvalBundle, ProblemDefinition, _evaluate_fields,
+                       _row_dots)
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
@@ -48,6 +49,10 @@ _POLISH_ITERS = 200
 # Largest descent budget whose iteration counts, polish included, fit the
 # int64 counters.
 _MAX_ITERS_LIMIT = int(np.iinfo(np.int64).max) - _POLISH_ITERS
+# The evaluators behind the augmented objective's value, and the others its
+# gradient needs besides h and g.
+_VALUE_FIELDS = ("phi", "h", "g")
+_GRADIENT_FIELDS = ("grad_phi", "jac_h", "jac_g")
 
 
 class InnerStatus(enum.Enum):
@@ -84,8 +89,8 @@ class InnerResult:
 
 
 class _Rows:
-    """State of the rows still iterating, one array entry per row; `rows`
-    holds their indices in the batch."""
+    """Arrays with one entry per row, as attributes.  For the state of the
+    rows still iterating, `rows` holds their indices in the batch."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -95,9 +100,16 @@ class _Rows:
             self.__dict__.update({k: a[mask] for k, a in vars(self).items()})
 
 
-def _value_and_penalty(problem, xs, us, vs, rho, ts):
-    pen = _penalty_value(problem, xs, us, vs, rho, ts)
-    return evaluate(problem, "phi", xs, ts) + pen, pen
+def _evaluated(problem, names, xs, ts) -> _Rows:
+    """Evaluators `names` at states xs (N, n) and times ts (N,), unchecked."""
+    return _Rows(**_evaluate_fields(problem, names, xs, ts))
+
+
+def _gradient_at(problem, xs, ts, us, vs, rho):
+    """Augmented gradient at states xs, from one call of each evaluator it
+    needs there."""
+    ev = _evaluated(problem, ("h", "g") + _GRADIENT_FIELDS, xs, ts)
+    return _aug_gradient(ev, us, vs, rho)
 
 
 def _grad_norms(gr: np.ndarray) -> np.ndarray:
@@ -154,8 +166,9 @@ def _armijo_pass(w, alpha, trial, fields, iters, it, trace, phase):
     w.keep(accepted)
 
 
-def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
-    """Phase 1 at every row: BB descent on the augmented objective.
+def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
+    """Phase 1 at every row: BB descent on the augmented objective, from
+    states xs whose evaluator outputs are `start`.
 
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
     entry per row: best_* track the smallest gradient norm seen and minpen_x
@@ -163,8 +176,9 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
     `_BY_SEVERITY` indices.
     """
     count = len(ts)
-    f, pen = _value_and_penalty(problem, xs, us, vs, rho, ts)
-    gr = _aug_gradient(problem, xs, us, vs, rho, ts)
+    pen = _penalty_value(start, us, vs, rho)
+    f = start.phi + pen
+    gr = _aug_gradient(start, us, vs, rho)
     gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
     best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
     iters = np.zeros(count, dtype=int)
@@ -174,13 +188,18 @@ def _descend(problem, ts, xs, us, vs, rho, cfg, trace):
     w.keep(np.isfinite(gn))
 
     def trial(j, xt, bound):
-        # The gradient is evaluated only where the value passes.
-        ft, pt = _value_and_penalty(problem, xt, w.u[j], w.v[j], rho, w.t[j])
+        # The gradient is evaluated only where the value passes, and takes h
+        # and g from the value's evaluation.
+        ev = _evaluated(problem, _VALUE_FIELDS, xt, w.t[j])
+        pt = _penalty_value(ev, w.u[j], w.v[j], rho)
+        ft = ev.phi + pt
         ok = np.isfinite(ft) & (ft <= bound)
         if not ok.any():
             return ok, None
         k = j[ok]
-        gt = _aug_gradient(problem, xt[ok], w.u[k], w.v[k], rho, w.t[k])
+        ev.keep(ok)
+        vars(ev).update(_evaluate_fields(problem, _GRADIENT_FIELDS, xt[ok], w.t[k]))
+        gt = _aug_gradient(ev, w.u[k], w.v[k], rho)
         finite = np.isfinite(gt).all(axis=1)
         ok[ok] = finite
         return ok, (ft[ok], pt[ok], gt[finite])
@@ -219,8 +238,8 @@ def _psi_gradient(problem, w, rho):
         scale = norm[j, None]
         step = _POLISH_FD_STEP * (w.F[j] / scale)
         u, v, t = w.u[j], w.v[j], w.t[j]
-        plus = _aug_gradient(problem, w.x[j] + step, u, v, rho, t)
-        minus = _aug_gradient(problem, w.x[j] - step, u, v, rho, t)
+        plus = _gradient_at(problem, w.x[j] + step, t, u, v, rho)
+        minus = _gradient_at(problem, w.x[j] - step, t, u, v, rho)
         out[j] = (plus - minus) / (2.0 * _POLISH_FD_STEP) * scale
     return out
 
@@ -234,7 +253,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     best_gn = np.full(count, np.inf)
     iters = np.zeros(count, dtype=int)
     w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs,
-              F=_aug_gradient(problem, xs, us, vs, rho, ts))
+              F=_gradient_at(problem, xs, ts, us, vs, rho))
     w.keep(np.isfinite(w.F).all(axis=1))
     w.f = 0.5 * _row_dots(w.F, w.F)
     w.gn = np.abs(w.F).max(axis=1)
@@ -243,7 +262,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     w.gr = _psi_gradient(problem, w, rho)
 
     def trial(j, xt, bound):
-        Ft = _aug_gradient(problem, xt, w.u[j], w.v[j], rho, w.t[j])
+        Ft = _gradient_at(problem, xt, w.t[j], w.u[j], w.v[j], rho)
         psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
         ok = np.isfinite(psit) & (psit <= bound)
         return ok, (psit[ok], Ft[ok])
@@ -277,19 +296,22 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     return best_x, best_gn, iters
 
 
-def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None):
+def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
     """Solve the node problem of every row: states xs (N, n) at times ts (N,)
     with multipliers us (N, p), vs (N, m).
 
-    Returns (x_star, grad_inf_norm, iterations, status) with one entry per
-    row, status as `_BY_SEVERITY` indices.  `trace` receives one event per
-    accepted step of each row.
+    `start` holds the evaluator outputs at xs (an EvalBundle); they are
+    evaluated here when it is None.  Returns (x_star, grad_inf_norm,
+    iterations, status) with one entry per row, status as `_BY_SEVERITY`
+    indices.  `trace` receives one event per accepted step of each row.
     """
     # Overflow in a trial point shows up as a non-finite value, which the
     # phases reject.
     with np.errstate(over="ignore", invalid="ignore"):
+        if start is None:
+            start = _evaluated(problem, EVALUATORS, xs, ts)
         x_star, grad, minpen_x, initial_gn, iters, status = _descend(
-            problem, ts, xs, us, vs, rho, cfg, trace)
+            problem, ts, xs, start, us, vs, rho, cfg, trace)
         # The polish targets stationary points of penalized subproblems, whose
         # one-sided curvature can make pure descent escape.  Without
         # constraints the augmented objective is the plain objective: there a
@@ -310,8 +332,8 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None):
         j = np.flatnonzero(status != _CONVERGED)
         if j.size:
             x_star[j] = minpen_x[j]
-            grad[j] = _grad_norms(_aug_gradient(problem, minpen_x[j], us[j], vs[j],
-                                                rho, ts[j]))
+            grad[j] = _grad_norms(_gradient_at(problem, minpen_x[j], ts[j], us[j],
+                                               vs[j], rho))
     return x_star, grad, iters, status
 
 
@@ -339,16 +361,22 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
 
 
 def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
-                     us: np.ndarray, vs: np.ndarray, rho: float, cfg: InnerConfig):
+                     us: np.ndarray, vs: np.ndarray, rho: float, cfg: InnerConfig,
+                     start: Optional[EvalBundle] = None):
     """Solve the node problem of every row in lockstep: warm starts xs (N, n)
     at times ts (N,) with safeguarded multipliers us (N, p), vs (N, m).
 
-    Returns (node solutions (N, n), worst status, max grad norm).
+    `start` is the evaluation of the warm starts, `evaluate_all(problem, xs,
+    ts)`, which the outer loop already holds; the first descent pass takes
+    the objective and gradient from it instead of calling the evaluators.
+    Without it the warm starts are evaluated here.  Returns (node solutions
+    (N, n), worst status, max grad norm).
     """
     if not len(xs) == len(us) == len(vs) == len(ts):
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
     _check_inputs(xs, rho)
     mult = MultiplierSet(us, vs)
-    x, grad, _, status = _solve_rows(problem, ts, xs, mult.u, mult.v, rho, cfg)
+    x, grad, _, status = _solve_rows(problem, ts, xs, mult.u, mult.v, rho, cfg,
+                                     start=start)
     return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

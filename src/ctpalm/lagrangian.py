@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import TimeGrid, Trajectory, _l1_quadrature, _trapezoid_sum
-from .problems import EvalBundle, ProblemDefinition, _matvec, _row_dots, evaluate
+from .problems import EvalBundle, _matvec, _row_dots
 
 
 @dataclass(frozen=True)
@@ -48,37 +48,38 @@ class Residuals:
     primal_infeasibility: float
 
 
-def _weighted_gradient(problem: ProblemDefinition, xs: np.ndarray, ts: np.ndarray,
-                       u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """grad phi + J_h^T u + J_g^T v at every row of a stack."""
-    out = evaluate(problem, "grad_phi", xs, ts)
-    if problem.p:
-        out = out + _transposed_product(evaluate(problem, "jac_h", xs, ts), u)
-    if problem.m:
-        out = out + _transposed_product(evaluate(problem, "jac_g", xs, ts), v)
+def _weighted_gradient(ev, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """grad phi + J_h^T u + J_g^T v at every row of a stack, from the
+    evaluator outputs `ev` there (an EvalBundle, or any object with its
+    grad_phi, jac_h and jac_g); terms of absent constraints are skipped."""
+    out = ev.grad_phi
+    if u.shape[1]:
+        out = out + _transposed_product(ev.jac_h, u)
+    if v.shape[1]:
+        out = out + _transposed_product(ev.jac_g, v)
     return out
 
 
-def _penalty_value(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
-                   vs: np.ndarray, rho: float, ts: np.ndarray) -> np.ndarray:
+def _penalty_value(ev, us: np.ndarray, vs: np.ndarray, rho: float) -> np.ndarray:
     """Quadratic penalty part of the augmented Lagrangian (shifted violations)
-    at every row of a stack, with that row's multipliers."""
-    pen = np.zeros(len(ts))
-    if problem.p:
-        r = evaluate(problem, "h", xs, ts) + us / rho
+    at every row of a stack, from the values `ev.h` and `ev.g` there and that
+    row's multipliers."""
+    pen = np.zeros(len(us))
+    if us.shape[1]:
+        r = ev.h + us / rho
         pen = pen + 0.5 * rho * _row_dots(r, r)
-    if problem.m:
-        s = np.maximum(evaluate(problem, "g", xs, ts) + vs / rho, 0.0)
+    if vs.shape[1]:
+        s = np.maximum(ev.g + vs / rho, 0.0)
         pen = pen + 0.5 * rho * _row_dots(s, s)
     return pen
 
 
-def _aug_gradient(problem: ProblemDefinition, xs: np.ndarray, us: np.ndarray,
-                  vs: np.ndarray, rho: float, ts: np.ndarray) -> np.ndarray:
-    """Augmented Lagrangian gradient at every row of a stack."""
-    u = us + rho * evaluate(problem, "h", xs, ts) if problem.p else us
-    v = np.maximum(vs + rho * evaluate(problem, "g", xs, ts), 0.0) if problem.m else vs
-    return _weighted_gradient(problem, xs, ts, u, v)
+def _aug_gradient(ev, us: np.ndarray, vs: np.ndarray, rho: float) -> np.ndarray:
+    """Augmented Lagrangian gradient at every row of a stack, from the
+    evaluator outputs `ev` there (all but phi) and that row's multipliers."""
+    u = us + rho * ev.h if us.shape[1] else us
+    v = np.maximum(vs + rho * ev.g, 0.0) if vs.shape[1] else vs
+    return _weighted_gradient(ev, u, v)
 
 
 def _sup(a: np.ndarray) -> float:
@@ -107,10 +108,9 @@ def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
     v = v_traj.values
     if v.size and v.min() < 0.0:
         raise ValueError("negative inequality multiplier entry")
-    grad = (bundle.grad_phi + _transposed_product(bundle.jac_h, u_traj.values)
-            + _transposed_product(bundle.jac_g, v))
     return Residuals(
-        stationarity_l1=_l1_quadrature(grad, grid.spacing),
+        stationarity_l1=_l1_quadrature(_weighted_gradient(bundle, u_traj.values, v),
+                                       grid.spacing),
         complementarity_sup=_sup(v * np.maximum(-bundle.g, 0.0)),
         multiplier_min=float(v.min()) if v.size else 0.0,
         primal_infeasibility=max(violations(bundle)))

@@ -21,11 +21,12 @@ class UnknownProblemError(KeyError):
 
 
 class EvaluationError(RuntimeError):
-    """An evaluator produced a non-finite value; carries (t, x)."""
+    """An evaluator produced a non-finite value; carries its name and (t, x)."""
 
     def __init__(self, what: str, t: float, x: np.ndarray):
         super().__init__(f"{what} returned a non-finite value at t={float(t)!r}, "
                          f"x={np.asarray(x).tolist()!r}")
+        self.what = what
         self.t = t
         self.x = np.array(x)
 
@@ -87,12 +88,15 @@ class ProblemDefinition:
     def __post_init__(self):
         if self.n < 1 or self.p < 0 or self.m < 0:
             raise ValueError("dimensions must satisfy n >= 1, p >= 0, m >= 0")
+        n, p, m = self.n, self.p, self.m
+        # Built once: every evaluator call checks its output against it.
+        object.__setattr__(self, "_row_shapes", {
+            "phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
+            "g": (m,), "jac_g": (m, n)})
 
     def row_shape(self, name: str) -> tuple:
         """Shape of one node's value of evaluator `name` ("phi", "jac_g", ...)."""
-        n, p, m = self.n, self.p, self.m
-        return {"phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
-                "g": (m,), "jac_g": (m, n)}[name]
+        return self._row_shapes[name]
 
 
 EVALUATORS = ("phi", "grad_phi", "h", "jac_h", "g", "jac_g")
@@ -142,6 +146,21 @@ def evaluate(problem: ProblemDefinition, name: str, xs: np.ndarray,
     return out
 
 
+def _evaluate_fields(problem: ProblemDefinition, names, xs: np.ndarray,
+                     ts: np.ndarray) -> dict:
+    """Evaluators `names` on states xs (N, n) at times ts (N,), by name.
+
+    Those of absent constraints (p or m = 0) have empty values and are not
+    called.  Values are not checked for finiteness.
+    """
+    fields = {}
+    for name in names:
+        shape = problem.row_shape(name)
+        fields[name] = (np.empty((len(ts),) + shape) if 0 in shape
+                        else evaluate(problem, name, xs, ts))
+    return fields
+
+
 def evaluate_all(problem: ProblemDefinition, xs: np.ndarray, ts) -> EvalBundle:
     """Evaluate phi, h, g and their spatial derivatives at every node.
 
@@ -155,14 +174,9 @@ def evaluate_all(problem: ProblemDefinition, xs: np.ndarray, ts) -> EvalBundle:
     count = len(ts)
     if xs.shape != (count, problem.n):
         raise ValueError(f"states have shape {xs.shape}, expected ({count}, {problem.n})")
-    fields = {}
     # Overflow shows up as a non-finite value, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for name in EVALUATORS:
-            shape = problem.row_shape(name)
-            # Absent constraints (p or m = 0) have empty values: no call.
-            fields[name] = (np.empty((count,) + shape) if 0 in shape
-                            else evaluate(problem, name, xs, ts))
+        fields = _evaluate_fields(problem, EVALUATORS, xs, ts)
     finite = [np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
               for arr in fields.values()]
     bad = ~np.logical_and.reduce(finite)
@@ -228,8 +242,13 @@ def _vector(like, *entries):
 
 
 def _matrix(like, *rows):
-    """Rows stacked on a new second-to-last axis, as `_vector` does entries."""
-    return np.stack([_vector(like, *row) for row in rows], axis=-2)
+    """Rows of entries in one block of shape `like`'s + (rows, entries); each
+    entry broadcasts to `like`'s shape."""
+    out = np.empty(np.shape(like) + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def _no_rows(x, t):

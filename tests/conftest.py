@@ -3,6 +3,8 @@ per session and every test that needs it reuses the report."""
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -12,6 +14,7 @@ import pytest
 
 import ctpalm as c
 from ctpalm import cli
+from ctpalm.problems import EVALUATORS
 
 
 def unconstrained_quadratic():
@@ -27,8 +30,36 @@ def unconstrained_quadratic():
         convexity=c.Convexity(True, (), ())))
 
 
+def counting(problem):
+    """The problem with each of its six evaluators counting its calls, and
+    the Counter, keyed by evaluator name, that they count into."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(problem, "eval_" + name)
+
+        def evaluator(x, t):
+            calls[name] += 1
+            return fn(x, t)
+        return evaluator
+
+    return dataclasses.replace(
+        problem, **{"eval_" + name: counted(name) for name in EVALUATORS}), calls
+
+
+# Starts (x0, u0, v0) of the benchmark runs below.
+RUN_STARTS = {
+    "ex1": ([1.0, 1.0], None, [1.0, 1.0]),
+    "ex2": ([0.5, 0.5], None, [1.0, 1.0, 1.0]),
+    "ex3": ([-100.0, -100.0, -100.0], [1.0], [1.0, 1.0]),
+    "ex4": ([1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0]),
+    "infeasible1": ([5.0], None, None),
+}
+
+
 def run_builtin(name, x0, u0=None, v0=None, nodes=85, **cfg_kwargs):
-    problem = c.builtin(name)
+    """Solve built-in `name`, or the problem `name` itself when it is one."""
+    problem = c.builtin(name) if isinstance(name, str) else name
     grid = c.make_uniform_grid(problem.horizon, nodes)
     cfg = c.AlmConfig(**cfg_kwargs)
     report = c.solve(
@@ -41,27 +72,27 @@ def run_builtin(name, x0, u0=None, v0=None, nodes=85, **cfg_kwargs):
 
 @pytest.fixture(scope="session")
 def ex1_run():
-    return run_builtin("ex1", [1.0, 1.0], v0=[1.0, 1.0])
+    return run_builtin("ex1", *RUN_STARTS["ex1"])
 
 
 @pytest.fixture(scope="session")
 def ex2_run():
-    return run_builtin("ex2", [0.5, 0.5], v0=[1.0, 1.0, 1.0])
+    return run_builtin("ex2", *RUN_STARTS["ex2"])
 
 
 @pytest.fixture(scope="session")
 def ex3_run():
-    return run_builtin("ex3", [-100.0, -100.0, -100.0], u0=[1.0], v0=[1.0, 1.0])
+    return run_builtin("ex3", *RUN_STARTS["ex3"])
 
 
 @pytest.fixture(scope="session")
 def ex4_run():
-    return run_builtin("ex4", [1.0, 1.0], v0=[1.0, 1.0, 1.0, 1.0, 1.0])
+    return run_builtin("ex4", *RUN_STARTS["ex4"])
 
 
 @pytest.fixture(scope="session")
 def infeasible1_run():
-    return run_builtin("infeasible1", [5.0])
+    return run_builtin("infeasible1", *RUN_STARTS["infeasible1"])
 
 
 def run_cli(args, cwd=None):

@@ -8,11 +8,12 @@ import pytest
 
 import ctpalm as c
 import ctpalm.alm as alm_mod
-from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus,
+import ctpalm.inner as inner_mod
+from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus, StartEvaluationError,
                         multiplier_update, penalty_update, safeguard_project)
 from ctpalm.inner import InnerStatus
-from ctpalm.problems import EvalBundle
-from conftest import run_builtin, unconstrained_quadratic
+from ctpalm.problems import EvalBundle, EvaluationError
+from conftest import RUN_STARTS, counting, run_builtin, unconstrained_quadratic
 
 
 def bundle_with(h=(), g=()):
@@ -234,6 +235,60 @@ def test_inner_failure_after_persistent_divergence():
     assert len(report.iterations) == 50
     assert all(r.inner_worst_status is InnerStatus.DIVERGED
                for r in report.iterations)
+
+
+# Evaluator calls of the ex4 and infeasible1 runs of tests/conftest.py.  Each
+# count holds the outer loop's evaluations, 96 (ex4) and 1,001 (infeasible1):
+# one of x0 and one per outer iteration.  Beyond those, phi and g are called
+# once per descent trial pass, grad_phi and jac_g once per trial pass that
+# accepts a point; neither run polishes.  Evaluating the warm starts again,
+# or h and g again for the gradient at accepted points, would raise them.
+@pytest.mark.parametrize("name,expected", [
+    ("ex4", {"phi": 1061, "grad_phi": 823, "g": 1061, "jac_g": 823}),
+    ("infeasible1", {"phi": 1027, "grad_phi": 1012, "g": 1027, "jac_g": 1012}),
+])
+def test_each_point_is_evaluated_once(name, expected, monkeypatch):
+    problem, calls = counting(c.builtin(name))
+    # Evaluator calls each subproblem makes before its first descent step,
+    # or in all when it takes none.
+    before_first_step = []
+    solve_subproblem, armijo_pass = alm_mod.solve_subproblem, inner_mod._armijo_pass
+
+    def subproblem(*args, **kwargs):
+        mark = [sum(calls.values()), None]
+        before_first_step.append(mark)
+        result = solve_subproblem(*args, **kwargs)
+        if mark[1] is None:
+            mark[1] = sum(calls.values()) - mark[0]
+        return result
+
+    def step(*args, **kwargs):
+        mark = before_first_step[-1]
+        if mark[1] is None:
+            mark[1] = sum(calls.values()) - mark[0]
+        return armijo_pass(*args, **kwargs)
+
+    monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
+    monkeypatch.setattr(inner_mod, "_armijo_pass", step)
+    report, _, _ = run_builtin(problem, *RUN_STARTS[name])
+    assert len(before_first_step) == len(report.iterations)
+    assert [calls for _, calls in before_first_step] == [0] * len(report.iterations)
+    assert dict(calls) == expected
+
+
+def test_only_the_start_is_blamed_for_its_evaluation(monkeypatch):
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(1.0, 3)
+    with pytest.raises(StartEvaluationError, match="^phi returned a non-finite") as err:
+        c.solve(prob, c.AlmConfig(), c.Trajectory.constant(grid, [1e200, 0.0]))
+    assert err.value.t == 0.0 and np.array_equal(err.value.x, [1e200, 0.0])
+    # A later iterate that overflows is not the start's fault.
+    monkeypatch.setattr(alm_mod, "solve_subproblem",
+                        lambda problem, ts, xs, *rest: (np.full_like(xs, 1e200),
+                                                        InnerStatus.CONVERGED, 0.0))
+    with pytest.raises(EvaluationError) as err:
+        c.solve(prob, c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0]))
+    assert type(err.value) is EvaluationError
 
 
 def test_certificates_attached_by_status(ex1_run, infeasible1_run):

@@ -130,8 +130,30 @@ def test_solve_nonfinite_evaluation_is_data_error(tmp_path):
     assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
-        "error: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
+        "error: --x0: phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"]
     assert not any(tmp_path.iterdir())
+
+
+def test_nonfinite_start_error_names_where_the_start_came_from(tmp_path, capsys,
+                                                                monkeypatch):
+    csv = _write(tmp_path / "x0.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n")
+    config = _write(tmp_path / "run.json", '{"x0": "1e200,0"}')
+    message = "phi returned a non-finite value at t=0.0, x=[1e+200, 0.0]"
+    for args, where in [(["--x0=1e200,0"], "--x0"),
+                        (["--x0", csv], f"--x0: {csv}"),
+                        (["--config", config], f"--config: {config}: x0")]:
+        proc = run_in_process(["solve", "--problem", "ex1", "--nodes", "2", *args,
+                               "--out-dir", str(tmp_path / "out")], capsys)
+        assert (proc.returncode, proc.stderr) == (65, f"error: {where}: {message}\n")
+    # An evaluator failing at a later iterate does not blame the start.
+    monkeypatch.setattr(c.alm, "solve_subproblem",
+                        lambda problem, ts, xs, *rest: (np.full_like(xs, 1e200),
+                                                        c.InnerStatus.CONVERGED, 0.0))
+    proc = run_in_process(["solve", "--problem", "ex1", "--nodes", "2", "--x0", "1,1",
+                           "--out-dir", str(tmp_path / "out")], capsys)
+    assert (proc.returncode, proc.stderr) == (
+        65, "error: phi returned a non-finite value at t=0.0, x=[1e+200, 1e+200]\n")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def _write(path, content):
@@ -164,14 +186,21 @@ _NONFINITE_OPTIONS = [(flag, value) for flag in ("--eps-stop", "--gamma", "--rho
 
 
 # (exit code, argv from the test's directory, what the error line must name:
-# None, a file under that directory, or a (flag, file) pair)
+# None, a file under that directory, or a (flag, file or None) pair)
 _BAD_INPUTS = {
     "nodes-1": (64, lambda d: ["solve", "--problem", "ex1", "--nodes", "1"], None),
     "gamma-0.5": (64, lambda d: ["solve", "--problem", "ex1", "--gamma", "0.5"], None),
     "x0-nan": (65, lambda d: ["solve", "--problem", "ex1", "--x0", "nan,1"], None),
     "v0-negative": (65, lambda d: ["solve", "--problem", "ex1", "--v0=-1,1"], None),
     "x0-overflow": (65, lambda d: ["solve", "--problem", "ex1", "--nodes", "5",
-                                   "--x0=1e200,0"], None),
+                                   "--x0=1e200,0"], ("--x0", None)),
+    "x0-csv-overflow": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--x0", _write(d / "x0.csv", "t,c0,c1\n0,1e200,0\n1,0,0\n")],
+        ("--x0", "x0.csv")),
+    "config-x0-overflow": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--config", _write(d / "run.json", '{"x0": "1e200,0"}')], ("x0", "run.json")),
     "config-nodes-abc": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                         _write(d / "run.json", '{"nodes": "abc"}')],
                          "run.json"),
@@ -257,7 +286,8 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, code, argv, named
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if named is not None:
         flag, name = named if isinstance(named, tuple) else ("", named)
-        assert flag in lines[0] and str(tmp_path / name) in lines[0]
+        assert flag in lines[0]
+        assert name is None or str(tmp_path / name) in lines[0]
     assert not out.is_dir() or not any(out.iterdir())
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ctpalm import problems
 from ctpalm.grid import make_uniform_grid
 from ctpalm.problems import (EVALUATORS, Convexity, EvaluationError,
                              MissingReferenceError, ProblemDefinition,
@@ -131,6 +132,38 @@ def test_pointwise_builtin_gives_identical_bundles(name):
                    evaluate_all(pointwise(reference.scalar_builtin(name)), xs, ts)):
         for k in EVALUATORS:
             assert getattr(stacked, k).tobytes() == getattr(looped, k).tobytes(), k
+
+
+def stacked_matrix(like, *rows):
+    """The `_matrix` that stacked one `_vector` per row, which the one-block
+    builder replaced: its bit-for-bit reference."""
+    return np.stack([problems._vector(like, *row) for row in rows], axis=-2)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_matrix_builder_gives_the_stacked_builders_bytes(name, monkeypatch):
+    """Every evaluator of the built-in gives the same shapes and bytes with
+    the one-block `_matrix` as with the stacked one, on stacks of 1 to 300
+    seeded states and on one state at a time (ex4's kink t = 1 included)."""
+    prob = builtin(name)
+    rng = np.random.default_rng(29)
+    calls = []
+    for rows in (1, 2, 3, 17, 85, 300):
+        ts = rng.uniform(0.0, prob.horizon, rows)
+        ts[0] = 1.0
+        xs = rng.normal(size=(rows, prob.n)) * 10.0 ** rng.uniform(-3, 3, (rows, prob.n))
+        calls.append((xs, ts))
+        calls += [(xs[i], ts[i]) for i in range(min(rows, 3))]
+
+    def outputs():
+        return [np.asarray(getattr(prob, "eval_" + k)(x, t))
+                for x, t in calls for k in EVALUATORS]
+
+    block = outputs()
+    monkeypatch.setattr(problems, "_matrix", stacked_matrix)
+    for new, old in zip(block, outputs(), strict=True):
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
 
 
 def test_evaluate_rejects_a_transposed_jacobian():

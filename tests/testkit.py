@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ctpalm.grid import TimeGrid, Trajectory
 from ctpalm.lagrangian import (MultiplierSet, _aug_gradient, _penalty_value,
                                _weighted_gradient)
-from ctpalm.problems import ProblemDefinition, evaluate
+from ctpalm.problems import ProblemDefinition, _evaluate_fields
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,18 @@ def akkt_example_sequence(grid: TimeGrid, k: int):
     return Trajectory(grid, x), Trajectory(grid, v)
 
 
-def _one_row(x, t):
-    """One state and time as a one-row stack."""
-    return np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
+def _one_row(problem, x, t, *names):
+    """Evaluators `names` at one state and time, as a one-row stack,
+    unchecked for finiteness as the solver's trial points are."""
+    xs, ts = np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
+    return SimpleNamespace(**_evaluate_fields(problem, names, xs, ts))
 
 
 def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
                         mult: MultiplierSet, t: float) -> np.ndarray:
     """grad phi + sum_i u_i grad h_i + sum_j v_j grad g_j at one node."""
-    xs, ts = _one_row(x, t)
-    return _weighted_gradient(problem, xs, ts, mult.u[None], mult.v[None])[0]
+    ev = _one_row(problem, x, t, "grad_phi", "jac_h", "jac_g")
+    return _weighted_gradient(ev, mult.u[None], mult.v[None])[0]
 
 
 def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
@@ -113,9 +116,9 @@ def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
     """phi + (rho/2) sum [h_i + u_i/rho]^2 + (rho/2) sum [max(0, g_j + v_j/rho)]^2."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    xs, ts = _one_row(x, t)
-    pen = _penalty_value(problem, xs, safeguarded.u[None], safeguarded.v[None], rho, ts)
-    return float(evaluate(problem, "phi", xs, ts)[0] + pen[0])
+    ev = _one_row(problem, x, t, "phi", "h", "g")
+    pen = _penalty_value(ev, safeguarded.u[None], safeguarded.v[None], rho)
+    return float(ev.phi[0] + pen[0])
 
 
 def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
@@ -128,6 +131,5 @@ def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    xs, ts = _one_row(x, t)
-    return _aug_gradient(problem, xs, safeguarded.u[None], safeguarded.v[None],
-                         rho, ts)[0]
+    ev = _one_row(problem, x, t, "grad_phi", "h", "jac_h", "g", "jac_g")
+    return _aug_gradient(ev, safeguarded.u[None], safeguarded.v[None], rho)[0]
