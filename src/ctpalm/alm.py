@@ -191,12 +191,17 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     for k in range(1, cfg.max_outer + 1):
         if rho == math.inf:
             raise OverflowError(f"outer iteration {k}: the penalty parameter overflowed")
+        warm_start = xs
         xs, inner_worst, inner_max_grad = solve_subproblem(
             problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle)
 
-        # One evaluation pass feeds the update, the residuals, the log and
-        # the next subproblem's start.
-        bundle = evaluate_all(problem, xs, grid.nodes)
+        # The evaluation of the subproblem's solution feeds the update, the
+        # residuals, the log and the next subproblem's start.  A solution
+        # equal to its warm start bit for bit (so -0.0 differs from 0.0) has
+        # that evaluation in `bundle` already: evaluators are pure and
+        # row-wise, and the bundle was checked finite.
+        if xs.tobytes() != warm_start.tobytes():
+            bundle = evaluate_all(problem, xs, grid.nodes)
         u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
         try:
             u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)

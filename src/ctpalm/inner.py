@@ -166,6 +166,23 @@ def _armijo_pass(w, alpha, trial, fields, iters, it, trace, phase):
     w.keep(accepted)
 
 
+def _stop_test(rows, gn, x, it, iters, status, cfg):
+    """Descent's stop test after `it` steps at batch rows `rows`, with
+    gradient norms gn and states x: a row within cfg.grad_tol converges, any
+    other outside the iterate box diverges.  Records the iterations and status
+    of the rows that stop.  Returns the mask of the rows that go on, or None
+    when no row stops."""
+    converged = gn <= cfg.grad_tol
+    diverged = ~converged & (np.abs(x).max(axis=1) > _ITERATE_BOX)
+    stop = converged | diverged
+    if not stop.any():
+        return None
+    iters[rows[stop]] = it
+    status[rows[converged]] = _CONVERGED
+    status[rows[diverged]] = _DIVERGED
+    return ~stop
+
+
 def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
     """Phase 1 at every row: BB descent on the augmented objective, from
     states xs whose evaluator outputs are `start`.
@@ -180,12 +197,20 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
     f = start.phi + pen
     gr = _aug_gradient(start, us, vs, rho)
     gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
-    best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
     iters = np.zeros(count, dtype=int)
     status = np.full(count, _MAX_ITERS)
+    # Rows with a non-finite start take no step and meet no stop test.
+    go = np.isfinite(gn)
+    on = _stop_test(np.flatnonzero(go), gn[go], xs[go], 0, iters, status, cfg)
+    if on is not None:
+        go[go] = on
+    if not go.any():
+        # No row takes a step: each is its own best and min-penalty point.
+        return xs.copy(), gn.copy(), xs, gn, iters, status
+    best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
     w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, f=f, pen=pen, gr=gr,
               gn=gn)
-    w.keep(np.isfinite(gn))
+    w.keep(go)
 
     def trial(j, xt, bound):
         # The gradient is evaluated only where the value passes, and takes h
@@ -205,16 +230,6 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
         return ok, (ft[ok], pt[ok], gt[finite])
 
     for it in range(1, cfg.max_iters + 1):
-        converged = w.gn <= cfg.grad_tol
-        diverged = ~converged & (np.abs(w.x).max(axis=1) > _ITERATE_BOX)
-        stop = converged | diverged
-        if stop.any():
-            iters[w.rows[stop]] = it - 1
-            status[w.rows[converged]] = _CONVERGED
-            status[w.rows[diverged]] = _DIVERGED
-            w.keep(~stop)
-        if not w.rows.size:
-            break
         first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
         _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it, trace, "descent")
         w.gn = np.abs(w.gr).max(axis=1)
@@ -223,6 +238,13 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
         best_x[rows[better]], best_gn[rows[better]] = w.x[better], w.gn[better]
         lower = w.pen < minpen[rows]
         minpen_x[rows[lower]], minpen[rows[lower]] = w.x[lower], w.pen[lower]
+        # The last step's point goes untested: those rows ran out of budget.
+        if it < cfg.max_iters:
+            on = _stop_test(w.rows, w.gn, w.x, it, iters, status, cfg)
+            if on is not None:
+                w.keep(on)
+        if not w.rows.size:
+            break
     iters[w.rows] = cfg.max_iters
     return best_x, best_gn, minpen_x, gn, iters, status
 

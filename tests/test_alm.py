@@ -1,6 +1,7 @@
 """Outer-loop mechanics: update formulas, penalty rule, termination, logging,
 and the structural invariants of whole runs."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -12,7 +13,7 @@ import ctpalm.inner as inner_mod
 from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus, StartEvaluationError,
                         multiplier_update, penalty_update, safeguard_project)
 from ctpalm.inner import InnerStatus
-from ctpalm.problems import EvalBundle, EvaluationError
+from ctpalm.problems import EvalBundle, EvaluationError, evaluate_all
 from conftest import RUN_STARTS, counting, run_builtin, unconstrained_quadratic
 
 
@@ -238,14 +239,15 @@ def test_inner_failure_after_persistent_divergence():
 
 
 # Evaluator calls of the ex4 and infeasible1 runs of tests/conftest.py.  Each
-# count holds the outer loop's evaluations, 96 (ex4) and 1,001 (infeasible1):
-# one of x0 and one per outer iteration.  Beyond those, phi and g are called
-# once per descent trial pass, grad_phi and jac_g once per trial pass that
-# accepts a point; neither run polishes.  Evaluating the warm starts again,
-# or h and g again for the gradient at accepted points, would raise them.
+# count holds the outer loop's evaluations, 96 (ex4) and 5 (infeasible1): one
+# of x0 and one of each iterate that the subproblem changed.  Beyond those,
+# phi and g are called once per descent trial pass, grad_phi and jac_g once
+# per trial pass that accepts a point; neither run polishes.  Evaluating the
+# warm starts again, an unchanged iterate again, or h and g again for the
+# gradient at accepted points, would raise them.
 @pytest.mark.parametrize("name,expected", [
     ("ex4", {"phi": 1061, "grad_phi": 823, "g": 1061, "jac_g": 823}),
-    ("infeasible1", {"phi": 1027, "grad_phi": 1012, "g": 1027, "jac_g": 1012}),
+    ("infeasible1", {"phi": 31, "grad_phi": 16, "g": 31, "jac_g": 16}),
 ])
 def test_each_point_is_evaluated_once(name, expected, monkeypatch):
     problem, calls = counting(c.builtin(name))
@@ -274,6 +276,84 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
     assert len(before_first_step) == len(report.iterations)
     assert [calls for _, calls in before_first_step] == [0] * len(report.iterations)
     assert dict(calls) == expected
+
+
+def record_update_passes(monkeypatch):
+    """Wrap the outer loop's calls: the lists of the iterates the subproblem
+    returned, whether each differs from its warm start, the bundles that the
+    multiplier updates used, and the arguments of each evaluate_all call."""
+    solve_subproblem = alm_mod.solve_subproblem
+    multiplier_update = alm_mod.multiplier_update
+    returned, moved, used, evaluations = [], [], [], []
+
+    def subproblem(problem, ts, xs, *rest):
+        out = solve_subproblem(problem, ts, xs, *rest)
+        returned.append(out[0])
+        moved.append(out[0].tobytes() != xs.tobytes())
+        return out
+
+    def update(bundle, *rest):
+        used.append(bundle)
+        return multiplier_update(bundle, *rest)
+
+    def evaluated(*args):
+        evaluations.append(args)
+        return evaluate_all(*args)
+
+    monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
+    monkeypatch.setattr(alm_mod, "multiplier_update", update)
+    monkeypatch.setattr(alm_mod, "evaluate_all", evaluated)
+    return returned, moved, used, evaluations
+
+
+# Outer iterations of the ex4 and infeasible1 runs of tests/conftest.py whose
+# subproblem changed the iterate.
+@pytest.mark.parametrize("name,moves", [("ex4", 95), ("infeasible1", 4)])
+def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
+                                                                  monkeypatch):
+    returned, moved, used, evaluations = record_update_passes(monkeypatch)
+    report, problem, _ = run_builtin(name, *RUN_STARTS[name])
+    assert len(returned) == len(used) == len(report.iterations)
+    for xs, bundle in zip(returned, used):
+        fresh = evaluate_all(problem, xs, report.grid.nodes)
+        for f in dataclasses.fields(EvalBundle):
+            a, b = getattr(bundle, f.name), getattr(fresh, f.name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f.name
+    # x0, then each iterate the subproblem changed; an unchanged one reuses
+    # the bundle of its warm start.
+    assert sum(moved) == moves
+    assert len(evaluations) == 1 + moves
+
+
+def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(
+        monkeypatch):
+    """-0.0 == 0.0, yet phi = copysign(1, x) tells them apart: the outer loop
+    must compare iterates bit for bit before it reuses an evaluation."""
+    prob = c.pointwise(c.ProblemDefinition(
+        name="signed", n=1, p=0, m=0, horizon=1.0,
+        eval_phi=lambda x, t: np.copysign(1.0, x[0]),
+        eval_grad_phi=lambda x, t: np.zeros(1),
+        eval_h=lambda x, t: np.zeros(0),
+        eval_jac_h=lambda x, t: np.zeros((0, 1)),
+        eval_g=lambda x, t: np.zeros(0),
+        eval_jac_g=lambda x, t: np.zeros((0, 1)),
+        convexity=c.Convexity(False, (), ())))
+    _, _, used, evaluations = record_update_passes(monkeypatch)
+
+    def flipped(problem, ts, xs, *rest):
+        out = xs.copy()
+        out[1, 0] = -0.0
+        return out, InnerStatus.CONVERGED, 0.0
+
+    monkeypatch.setattr(alm_mod, "solve_subproblem", flipped)
+    grid = c.make_uniform_grid(1.0, 3)
+    report = c.solve(prob, c.AlmConfig(max_outer=1), c.Trajectory.constant(grid, [0.0]))
+    assert len(evaluations) == 2
+    assert np.array_equal(used[0].phi, [1.0, -1.0, 1.0])
+    assert np.signbit(report.x.values[:, 0]).tolist() == [False, True, False]
+    # The objective is the trapezoid of phi = (1, -1, 1); the bundle of x0
+    # would give 1.0.
+    assert report.final.objective_quadrature == 0.0
 
 
 def test_only_the_start_is_blamed_for_its_evaluation(monkeypatch):

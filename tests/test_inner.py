@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import ctpalm as c
+import ctpalm.inner as inner_mod
 import node_solver_reference as reference
 from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
 from ctpalm.lagrangian import MultiplierSet
+from ctpalm.problems import evaluate_all
 from conftest import unconstrained_quadratic
 from testkit import FdConfig, aug_lagrangian_value, dense_grid_min, fd_gradient
 
@@ -313,6 +315,74 @@ def test_lockstep_ex3_batch_mixes_every_outcome():
     assert any(r.status is InnerStatus.MAX_ITERS for r in solo)
     assert any(r.status is InnerStatus.DIVERGED for r in solo)
     assert any(r.iterations == cfg.max_iters + reference.POLISH_ITERS for r in solo)
+
+
+def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
+    """infeasible1 at x = 0 is stationary for any v >= 0: a batch of such rows
+    matches the reference without a descent step and builds no row state; one
+    row started at x = 0.5 makes the batch run the descent loop again."""
+    built = []
+
+    class Rows(inner_mod._Rows):
+        def __init__(self, **arrays):
+            built.append(arrays)
+            super().__init__(**arrays)
+
+    monkeypatch.setattr(inner_mod, "_Rows", Rows)
+    grid = c.make_uniform_grid(1.0, 9)
+    prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
+    xs, us = np.zeros((9, 1)), np.zeros((9, 0))
+    vs = np.linspace(0.0, 2.0, 9)[:, None]
+    for rho in (1.0, 30.0):
+        solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg)
+        assert all(r.iterations == 0 and r.status is InnerStatus.CONVERGED
+                   and r.grad_inf_norm == 0.0 for r in solo)
+        built.clear()
+        start = evaluate_all(prob, xs, grid.nodes)
+        c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg, start)
+        assert built == []
+    mixed = xs.copy()
+    mixed[4] = 0.5
+    solo = assert_rows_match_reference("infeasible1", grid, mixed, us, vs, 1.0, cfg)
+    assert [r.iterations > 0 for r in solo] == [i == 4 for i in range(9)]
+    assert solo[4].status is InnerStatus.CONVERGED
+    built.clear()
+    c.solve_subproblem(prob, grid.nodes, mixed, us, vs, 1.0, cfg,
+                       evaluate_all(prob, mixed, grid.nodes))
+    assert built
+
+
+def test_lockstep_rows_leave_the_last_budget_step_untested():
+    """phi = -x^2 from x = -2, 1 and 0.5 escapes the iterate box at descent
+    step 12, 13 and 14.  With a budget of 13 steps the second row escapes on
+    its last step, which the stop test does not see: it runs out of budget
+    instead of diverging, in the lockstep solver as in the node solver."""
+    scalar = c.ProblemDefinition(
+        name="concave", n=1, p=0, m=0, horizon=1.0,
+        eval_phi=lambda x, t: -x[0] ** 2,
+        eval_grad_phi=lambda x, t: np.array([-2.0 * x[0]]),
+        eval_h=lambda x, t: np.zeros(0),
+        eval_jac_h=lambda x, t: np.zeros((0, 1)),
+        eval_g=lambda x, t: np.zeros(0),
+        eval_jac_g=lambda x, t: np.zeros((0, 1)),
+        convexity=c.Convexity(False, (), ()))
+    ts = c.make_uniform_grid(1.0, 3).nodes
+    xs, us, vs = np.array([[-2.0], [1.0], [0.5]]), np.zeros((3, 0)), np.zeros((3, 0))
+    cfg = c.InnerConfig(max_iters=13)
+    x, grad, iters, status = _solve_rows(c.pointwise(scalar), ts, xs, us, vs, 1.0, cfg)
+    solo = [reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), 1.0, cfg)
+            for i, t in enumerate(ts)]
+    for i, r in enumerate(solo):
+        assert x[i].tobytes() == r.x_star.tobytes(), i
+        assert grad[i] == r.grad_inf_norm, i
+        assert iters[i] == r.iterations, i
+        assert _BY_SEVERITY[status[i]] is r.status, i
+    assert [(r.iterations, r.status) for r in solo] == [
+        (12, InnerStatus.DIVERGED), (13, InnerStatus.MAX_ITERS),
+        (13, InnerStatus.MAX_ITERS)]
+    wider = reference.solve_node(scalar, ts[1], xs[1], MultiplierSet(us[1], vs[1]), 1.0,
+                                 c.InnerConfig())
+    assert (wider.iterations, wider.status) == (13, InnerStatus.DIVERGED)
 
 
 def test_solve_node_trace_equals_the_reference_trace():
