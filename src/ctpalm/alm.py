@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
 from .inner import InnerConfig, InnerStatus, solve_subproblem
-from .lagrangian import Residuals, akkt_holds, akkt_residuals, violations
+from .lagrangian import Residuals, _residuals, akkt_holds, violations
 from .problems import EvalBundle, EvaluationError, ProblemDefinition, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
@@ -141,6 +141,12 @@ def penalty_update(rho: float, prev_infeas: float, cur_infeas: float,
     return cfg.gamma * rho
 
 
+def _evaluation(problem: ProblemDefinition, grid: TimeGrid, xs: np.ndarray):
+    """`evaluate_all` at node rows xs, its objective quadrature and its violation."""
+    bundle = evaluate_all(problem, xs, grid.nodes)
+    return bundle, _trapezoid_sum(bundle.phi, grid.spacing), max(violations(bundle))
+
+
 def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
           u_tilde1: Optional[Trajectory] = None, v_tilde1: Optional[Trajectory] = None,
           iteration_csv: Optional[IO] = None) -> SolveReport:
@@ -173,10 +179,10 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     # Baseline infeasibility from the starting guess: the sup of |h(x0)| and
     # of max(g(x0), 0).  The evaluation also starts the first subproblem.
     try:
-        bundle = evaluate_all(problem, x0.values, grid.nodes)
+        bundle, objective, violation = _evaluation(problem, grid, x0.values)
     except EvaluationError as exc:
         raise StartEvaluationError(exc.what, exc.t, exc.x) from None
-    prev_infeas = max(violations(bundle))
+    prev_infeas = violation
 
     rho, xs = cfg.rho_init, x0.values
     u_tilde, v_tilde = u_tilde1.values, v_tilde1.values
@@ -188,54 +194,56 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         iteration_csv.write(ITERATION_CSV_HEADER + "\n")
         iteration_csv.flush()
 
-    for k in range(1, cfg.max_outer + 1):
-        if rho == math.inf:
-            raise OverflowError(f"outer iteration {k}: the penalty parameter overflowed")
-        warm_start = xs
-        xs, inner_worst, inner_max_grad = solve_subproblem(
-            problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        for k in range(1, cfg.max_outer + 1):
+            if rho == math.inf:
+                raise OverflowError(
+                    f"outer iteration {k}: the penalty parameter overflowed")
+            warm_start = xs
+            xs, inner_worst, inner_max_grad = solve_subproblem(
+                problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle)
 
-        # The evaluation of the subproblem's solution feeds the update, the
-        # residuals, the log and the next subproblem's start.  A solution
-        # equal to its warm start bit for bit (so -0.0 differs from 0.0) has
-        # that evaluation in `bundle` already: evaluators are pure and
-        # row-wise, and the bundle was checked finite.
-        if xs.tobytes() != warm_start.tobytes():
-            bundle = evaluate_all(problem, xs, grid.nodes)
-        u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
-        try:
-            u, v = Trajectory(grid, u_rows), Trajectory(grid, v_rows)
-        except ValueError:  # a non-finite entry
-            raise OverflowError(f"outer iteration {k}: the multiplier update "
-                                f"overflowed (rho = {rho:g})") from None
-        residuals = akkt_residuals(grid, bundle, u, v)
-        # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
-        infeas_measure = float(np.abs(np.hstack(
-            [bundle.h, np.maximum(bundle.g, -v_tilde / rho)])).max(initial=0.0))
-        record = IterationRecord(
-            k=k, rho=rho, residuals=residuals, infeas_measure=infeas_measure,
-            objective_quadrature=_trapezoid_sum(bundle.phi, grid.spacing),
-            inner_worst_status=inner_worst, inner_max_grad=inner_max_grad)
-        records.append(record)
-        if iteration_csv is not None:
-            iteration_csv.write(record.csv_row() + "\n")
-            iteration_csv.flush()
+            # The evaluation of the subproblem's solution, its objective and its
+            # violation feed the update, the residuals, the log and the next
+            # subproblem's start.  A solution equal to its warm start bit for bit
+            # (so -0.0 differs from 0.0) has them already: evaluators are pure
+            # and row-wise, and the bundle was checked finite.
+            if xs.tobytes() != warm_start.tobytes():
+                bundle, objective, violation = _evaluation(problem, grid, xs)
+            u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
+            if not (np.isfinite(u_rows).all() and np.isfinite(v_rows).all()):
+                raise OverflowError(f"outer iteration {k}: the multiplier update "
+                                    f"overflowed (rho = {rho:g})")
+            residuals = _residuals(grid.spacing, bundle, u_rows, v_rows, violation)
+            # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
+            infeas_measure = float(np.abs(np.hstack(
+                [bundle.h, np.maximum(bundle.g, -v_tilde / rho)])).max(initial=0.0))
+            record = IterationRecord(
+                k=k, rho=rho, residuals=residuals, infeas_measure=infeas_measure,
+                objective_quadrature=objective,
+                inner_worst_status=inner_worst, inner_max_grad=inner_max_grad)
+            records.append(record)
+            if iteration_csv is not None:
+                iteration_csv.write(record.csv_row() + "\n")
+                iteration_csv.flush()
 
-        if akkt_holds(residuals, cfg.eps_stop):
-            status = SolveStatus.AKKT_CONVERGED
-            break
+            if akkt_holds(residuals, cfg.eps_stop):
+                status = SolveStatus.AKKT_CONVERGED
+                break
 
-        diverged_streak = diverged_streak + 1 if inner_worst is InnerStatus.DIVERGED else 0
-        if diverged_streak >= _DIVERGENCE_PATIENCE:
-            status = SolveStatus.INNER_FAILURE
-            break
+            diverged = inner_worst is InnerStatus.DIVERGED
+            diverged_streak = diverged_streak + 1 if diverged else 0
+            if diverged_streak >= _DIVERGENCE_PATIENCE:
+                status = SolveStatus.INNER_FAILURE
+                break
 
-        rho_next = penalty_update(rho, prev_infeas, infeas_measure, cfg)
-        prev_infeas = infeas_measure
-        u_tilde, v_tilde = safeguard_project(u_rows, v_rows, cfg.bound_M, cfg.bound_N)
-        rho = rho_next
+            rho_next = penalty_update(rho, prev_infeas, infeas_measure, cfg)
+            prev_infeas = infeas_measure
+            u_tilde, v_tilde = safeguard_project(u_rows, v_rows,
+                                                 cfg.bound_M, cfg.bound_N)
+            rho = rho_next
 
-    x = Trajectory(grid, xs)
+    x, u, v = (Trajectory(grid, rows) for rows in (xs, u_rows, v_rows))
     report = SolveReport(status=status, grid=grid, iterations=records, x=x, u=u, v=v)
     report.certificates = diagnostics.certify(problem, grid, bundle, u, v,
                                               residuals, cfg.eps_stop)

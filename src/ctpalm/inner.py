@@ -398,7 +398,9 @@ def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
     _check_inputs(xs, rho)
-    mult = MultiplierSet(us, vs)
-    x, grad, _, status = _solve_rows(problem, ts, xs, mult.u, mult.v, rho, cfg,
-                                     start=start)
+    if vs.size and vs.min() < 0.0:
+        raise ValueError("inequality multipliers must be nonnegative")
+    if not (np.isfinite(us).all() and np.isfinite(vs).all()):
+        raise ValueError("multipliers must be finite")
+    x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=start)
     return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

@@ -108,12 +108,17 @@ def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
     v = v_traj.values
     if v.size and v.min() < 0.0:
         raise ValueError("negative inequality multiplier entry")
+    return _residuals(grid.spacing, bundle, u_traj.values, v, max(violations(bundle)))
+
+
+def _residuals(spacing: float, bundle: EvalBundle, u: np.ndarray, v: np.ndarray,
+               primal_infeasibility: float) -> Residuals:
+    """Residuals of node-row multipliers u, v >= 0 given max(violations(bundle))."""
     return Residuals(
-        stationarity_l1=_l1_quadrature(_weighted_gradient(bundle, u_traj.values, v),
-                                       grid.spacing),
+        stationarity_l1=_l1_quadrature(_weighted_gradient(bundle, u, v), spacing),
         complementarity_sup=_sup(v * np.maximum(-bundle.g, 0.0)),
         multiplier_min=float(v.min()) if v.size else 0.0,
-        primal_infeasibility=max(violations(bundle)))
+        primal_infeasibility=primal_infeasibility)
 
 
 def akkt_holds(residuals: Residuals, eps_stop: float) -> bool:

@@ -3,6 +3,7 @@ and the structural invariants of whole runs."""
 
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import ctpalm.alm as alm_mod
 import ctpalm.inner as inner_mod
 from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus, StartEvaluationError,
                         multiplier_update, penalty_update, safeguard_project)
+from ctpalm.grid import _trapezoid_sum
 from ctpalm.inner import InnerStatus
+from ctpalm.lagrangian import violations
 from ctpalm.problems import EvalBundle, EvaluationError, evaluate_all
 from conftest import RUN_STARTS, counting, run_builtin, unconstrained_quadratic
 
@@ -141,6 +144,22 @@ def test_overflow_stops_the_run(cfg_kwargs, x0, message):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(OverflowError, match=message):
         c.solve(prob, cfg, c.Trajectory.constant(grid, x0))
+
+
+@pytest.mark.parametrize("cfg_kwargs,x0,message", [
+    ({"rho_init": 1e300}, [0.0, -1e10], "multiplier update overflowed"),
+    ({"gamma": 1e300}, [0.0, 0.0], "penalty parameter overflowed"),
+], ids=["multipliers", "rho"])
+def test_overflow_stops_the_run_without_a_numpy_warning(cfg_kwargs, x0, message):
+    """The library raises OverflowError alone: no RuntimeWarning comes first,
+    also with numpy's default error state."""
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(1.0, 5)
+    cfg = c.AlmConfig(max_outer=3, **cfg_kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=message):
+            c.solve(prob, cfg, c.Trajectory.constant(grid, x0))
 
 
 def test_rho_monotone_and_growth_matches_progress_rule(ex4_run):
@@ -323,6 +342,35 @@ def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
     # the bundle of its warm start.
     assert sum(moved) == moves
     assert len(evaluations) == 1 + moves
+
+
+@pytest.mark.parametrize("name", ["ex4", "infeasible1"])
+def test_logged_objective_and_violation_are_those_of_each_iterate(name, monkeypatch):
+    """The loop keeps the objective and the violation beside the evaluation
+    it keeps; each record's must equal a fresh evaluation's, bit for bit."""
+    returned, _, _, _ = record_update_passes(monkeypatch)
+    report, problem, _ = run_builtin(name, *RUN_STARTS[name])
+    assert len(returned) == len(report.iterations)
+    for xs, record in zip(returned, report.iterations):
+        fresh = evaluate_all(problem, xs, report.grid.nodes)
+        objective = _trapezoid_sum(fresh.phi, report.grid.spacing)
+        assert record.objective_quadrature.hex() == objective.hex()
+        assert (record.residuals.primal_infeasibility.hex()
+                == max(violations(fresh)).hex())
+
+
+@pytest.mark.parametrize("run", ["ex1_run", "ex2_run", "ex3_run", "ex4_run",
+                                 "infeasible1_run"])
+def test_final_residuals_equal_those_of_check(run, request):
+    """The stop test and `ctpalm check` share one residual function: the last
+    record's residuals are akkt_residuals of the returned iterate."""
+    report, problem, _ = request.getfixturevalue(run)
+    fresh = c.akkt_residuals(report.grid,
+                             evaluate_all(problem, report.x.values, report.grid.nodes),
+                             report.u, report.v)
+    for f in dataclasses.fields(c.Residuals):
+        a, b = getattr(report.final.residuals, f.name), getattr(fresh, f.name)
+        assert a.hex() == b.hex(), f.name
 
 
 def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(

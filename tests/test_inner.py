@@ -130,6 +130,25 @@ def test_subproblem_rejects_bad_inputs():
     c.solve_subproblem(prob, ts, xs, us, vs, 1.0, cfg)
 
 
+def test_subproblem_multiplier_checks_keep_their_messages_and_order():
+    """Sign first, then finiteness, on p > 0 as well as m > 0."""
+    prob = c.builtin("ex3")
+    ts = c.make_uniform_grid(1.0, 4).nodes
+    xs, us, vs = np.ones((4, 3)), np.zeros((4, 1)), np.ones((4, 2))
+    cfg = c.InnerConfig()
+    inf_u, nan_v, negative_and_inf_v = us.copy(), vs.copy(), vs.copy()
+    inf_u[1, 0] = -np.inf
+    nan_v[3, 1] = np.nan
+    negative_and_inf_v[0, 0] = np.inf
+    negative_and_inf_v[2, 1] = -1.0
+    for u, v, message in [(inf_u, vs, "multipliers must be finite"),
+                          (us, nan_v, "multipliers must be finite"),
+                          (us, negative_and_inf_v,
+                           "inequality multipliers must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            c.solve_subproblem(prob, ts, xs, u, v, 1.0, cfg)
+
+
 def test_subproblem_matches_independent_node_solves_in_any_order():
     prob = c.builtin("ex2")
     grid = c.make_uniform_grid(1.0, 9)
