@@ -26,8 +26,9 @@ import numpy as np
 from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
 from .inner import InnerConfig, InnerStatus, solve_subproblem
-from .lagrangian import Residuals, _residuals, akkt_holds, violations
-from .problems import EvalBundle, EvaluationError, ProblemDefinition, evaluate_all
+from .lagrangian import (Residuals, _residuals, _sup, akkt_holds, multiplier_update,
+                         violations)
+from .problems import EvaluationError, ProblemDefinition, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
                         "infeas_measure,objective,inner_status,inner_max_grad")
@@ -114,21 +115,16 @@ class SolveReport:
         return self.iterations[-1]
 
 
-def multiplier_update(bundle: EvalBundle, u_tilde: np.ndarray, v_tilde: np.ndarray,
-                      rho: float):
-    """First-order update at every node: u = u~ + rho h, v = max(v~ + rho g, 0)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    u = u_tilde + rho * bundle.h
-    v = np.maximum(v_tilde + rho * bundle.g, 0.0)
-    return u, v
-
-
 def safeguard_project(u: np.ndarray, v: np.ndarray, bound_M: float, bound_N: float):
     """Clamp equality multipliers into [-M, M] and inequality ones into [0, N]."""
     if bound_M <= 0 or bound_N <= 0:
         raise ValueError("safeguard bounds must be positive")
     return np.clip(u, -bound_M, bound_M), np.clip(v, 0.0, bound_N)
+
+
+def _in_box(values: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry of `values` lies in [low, high]; an empty array does."""
+    return not values.size or (low <= values.min() and values.max() <= high)
 
 
 def penalty_update(rho: float, prev_infeas: float, cur_infeas: float,
@@ -170,10 +166,9 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
         raise ValueError("initial multiplier trajectories do not match problem dims")
     if not grid == u_tilde1.grid == v_tilde1.grid:
         raise ValueError("initial trajectories must share the grid")
-    if u_tilde1.values.size and np.abs(u_tilde1.values).max() > cfg.bound_M:
+    if not _in_box(u_tilde1.values, -cfg.bound_M, cfg.bound_M):
         raise ValueError("initial equality multipliers outside the safeguard box")
-    if v_tilde1.values.size and (
-            v_tilde1.values.min() < 0.0 or v_tilde1.values.max() > cfg.bound_N):
+    if not _in_box(v_tilde1.values, 0.0, cfg.bound_N):
         raise ValueError("initial inequality multipliers outside the safeguard box")
 
     # Baseline infeasibility from the starting guess: the sup of |h(x0)| and
@@ -216,8 +211,8 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
                                     f"overflowed (rho = {rho:g})")
             residuals = _residuals(grid.spacing, bundle, u_rows, v_rows, violation)
             # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
-            infeas_measure = float(np.abs(np.hstack(
-                [bundle.h, np.maximum(bundle.g, -v_tilde / rho)])).max(initial=0.0))
+            infeas_measure = max(_sup(np.abs(bundle.h)),
+                                 _sup(np.abs(np.maximum(bundle.g, -v_tilde / rho))))
             record = IterationRecord(
                 k=k, rho=rho, residuals=residuals, infeas_measure=infeas_measure,
                 objective_quadrature=objective,

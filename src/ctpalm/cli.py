@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .alm import AlmConfig, SolveStatus, StartEvaluationError, solve
+from .alm import AlmConfig, SolveStatus, StartEvaluationError, _in_box, solve
 from .diagnostics import _reference_trajectory, certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv, write_trajectory_csv)
@@ -231,8 +231,7 @@ def cmd_solve(args) -> int:
     v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, sources["v0"])
     for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, sources["u0"]),
                                   (v0, 0.0, cfg.bound_N, sources["v0"])):
-        if traj is not None and traj.values.size and not (
-                low <= traj.values.min() and traj.values.max() <= high):
+        if traj is not None and not _in_box(traj.values, low, high):
             raise CliError(EXIT_DATA, f"{flag}: entries must lie in [{low:g}, {high:g}]")
 
     out_dir = args.out_dir

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lagrangian import MultiplierSet, _aug_gradient, _penalty_value
+from .lagrangian import MultiplierSet, _aug_gradient, _check_multipliers, _penalty_value
 from .problems import (EVALUATORS, EvalBundle, ProblemDefinition, _evaluate_fields,
                        _row_dots)
 
@@ -100,16 +100,16 @@ class _Rows:
             self.__dict__.update({k: a[mask] for k, a in vars(self).items()})
 
 
-def _evaluated(problem, names, xs, ts) -> _Rows:
-    """Evaluators `names` at states xs (N, n) and times ts (N,), unchecked."""
-    return _Rows(**_evaluate_fields(problem, names, xs, ts))
-
-
 def _gradient_at(problem, xs, ts, us, vs, rho):
     """Augmented gradient at states xs, from one call of each evaluator it
     needs there."""
-    ev = _evaluated(problem, ("h", "g") + _GRADIENT_FIELDS, xs, ts)
+    ev = _Rows(**_evaluate_fields(problem, ("h", "g") + _GRADIENT_FIELDS, xs, ts))
     return _aug_gradient(ev, us, vs, rho)
+
+
+def _escaped(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows of states x with an entry outside the iterate box."""
+    return np.abs(x).max(axis=1) > _ITERATE_BOX
 
 
 def _grad_norms(gr: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ def _stop_test(rows, gn, x, it, iters, status, cfg):
     of the rows that stop.  Returns the mask of the rows that go on, or None
     when no row stops."""
     converged = gn <= cfg.grad_tol
-    diverged = ~converged & (np.abs(x).max(axis=1) > _ITERATE_BOX)
+    diverged = ~converged & _escaped(x)
     stop = converged | diverged
     if not stop.any():
         return None
@@ -215,7 +215,7 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
     def trial(j, xt, bound):
         # The gradient is evaluated only where the value passes, and takes h
         # and g from the value's evaluation.
-        ev = _evaluated(problem, _VALUE_FIELDS, xt, w.t[j])
+        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
         pt = _penalty_value(ev, w.u[j], w.v[j], rho)
         ft = ev.phi + pt
         ok = np.isfinite(ft) & (ft <= bound)
@@ -238,11 +238,9 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
         best_x[rows[better]], best_gn[rows[better]] = w.x[better], w.gn[better]
         lower = w.pen < minpen[rows]
         minpen_x[rows[lower]], minpen[rows[lower]] = w.x[lower], w.pen[lower]
-        # The last step's point goes untested: those rows ran out of budget.
-        if it < cfg.max_iters:
-            on = _stop_test(w.rows, w.gn, w.x, it, iters, status, cfg)
-            if on is not None:
-                w.keep(on)
+        on = _stop_test(w.rows, w.gn, w.x, it, iters, status, cfg)
+        if on is not None:
+            w.keep(on)
         if not w.rows.size:
             break
     iters[w.rows] = cfg.max_iters
@@ -308,7 +306,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
         kept = w.gn <= best
         best_x[w.rows[kept]], best_gn[w.rows[kept]] = w.x[kept], w.gn[kept]
         w.since_best = np.where(improved, 0, w.since_best + 1)
-        escaped = np.abs(w.x).max(axis=1) > _ITERATE_BOX
+        escaped = _escaped(w.x)
         iters[w.rows[escaped]] = it
         w.keep(~escaped)
         if not w.rows.size:
@@ -331,7 +329,7 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
     # phases reject.
     with np.errstate(over="ignore", invalid="ignore"):
         if start is None:
-            start = _evaluated(problem, EVALUATORS, xs, ts)
+            start = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
         x_star, grad, minpen_x, initial_gn, iters, status = _descend(
             problem, ts, xs, start, us, vs, rho, cfg, trace)
         # The polish targets stationary points of penalized subproblems, whose
@@ -398,9 +396,6 @@ def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
     _check_inputs(xs, rho)
-    if vs.size and vs.min() < 0.0:
-        raise ValueError("inequality multipliers must be nonnegative")
-    if not (np.isfinite(us).all() and np.isfinite(vs).all()):
-        raise ValueError("multipliers must be finite")
+    _check_multipliers(us, vs)
     x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=start)
     return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

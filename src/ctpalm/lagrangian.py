@@ -1,5 +1,9 @@
 """Lagrangian and augmented Lagrangian evaluation, plus the residual engine.
 
+The augmented Lagrangian gradient is the Lagrangian gradient at the
+first-order update u = u~ + rho h, v = max(v~ + rho g, 0) (`multiplier_update`),
+so the inner stop test and the stationarity residual measure the same thing.
+
 The stationarity residual integrates the l1 norm of the Lagrangian gradient
 over time; that is the exact supremum of |int grad.L . gamma dt| over test
 directions bounded by 1 in the sup norm, so a single number upper-bounds every
@@ -32,10 +36,15 @@ class MultiplierSet:
     def __post_init__(self):
         object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
         object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
-        if self.v.size and self.v.min() < 0.0:
-            raise ValueError("inequality multipliers must be nonnegative")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("multipliers must be finite")
+        _check_multipliers(self.u, self.v)
+
+
+def _check_multipliers(u: np.ndarray, v: np.ndarray) -> None:
+    """Raise ValueError unless v >= 0 and u, v are finite, tested in that order."""
+    if v.size and v.min() < 0.0:
+        raise ValueError("inequality multipliers must be nonnegative")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("multipliers must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,21 @@ def _penalty_value(ev, us: np.ndarray, vs: np.ndarray, rho: float) -> np.ndarray
     return pen
 
 
+def multiplier_update(bundle, u_tilde: np.ndarray, v_tilde: np.ndarray, rho: float):
+    """First-order update at every node: u = u~ + rho h, v = max(v~ + rho g, 0),
+    from the values `bundle.h` and `bundle.g` there; the multipliers of absent
+    constraints (p or m = 0) are returned as they are."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    u = u_tilde + rho * bundle.h if u_tilde.size else u_tilde
+    v = np.maximum(v_tilde + rho * bundle.g, 0.0) if v_tilde.size else v_tilde
+    return u, v
+
+
 def _aug_gradient(ev, us: np.ndarray, vs: np.ndarray, rho: float) -> np.ndarray:
     """Augmented Lagrangian gradient at every row of a stack, from the
     evaluator outputs `ev` there (all but phi) and that row's multipliers."""
-    u = us + rho * ev.h if us.shape[1] else us
-    v = np.maximum(vs + rho * ev.g, 0.0) if vs.shape[1] else vs
-    return _weighted_gradient(ev, u, v)
+    return _weighted_gradient(ev, *multiplier_update(ev, us, vs, rho))
 
 
 def _sup(a: np.ndarray) -> float:
@@ -105,10 +123,9 @@ def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
     if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
             or v_traj.dim != bundle.g.shape[1]):
         raise ValueError("trajectory dimensions do not match the problem")
-    v = v_traj.values
-    if v.size and v.min() < 0.0:
-        raise ValueError("negative inequality multiplier entry")
-    return _residuals(grid.spacing, bundle, u_traj.values, v, max(violations(bundle)))
+    _check_multipliers(u_traj.values, v_traj.values)
+    return _residuals(grid.spacing, bundle, u_traj.values, v_traj.values,
+                      max(violations(bundle)))
 
 
 def _residuals(spacing: float, bundle: EvalBundle, u: np.ndarray, v: np.ndarray,

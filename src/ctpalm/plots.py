@@ -33,11 +33,8 @@ def _ypix(v, v0, v1):
     return _H - _MB - (_H - _MT - _MB) * (v - v0) / (v1 - v0)
 
 
-def _polyline(xs, ys, color, dash=""):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{extra} points="{pts}"/>')
+def _dash(dash: str) -> str:
+    return f' stroke-dasharray="{dash}"' if dash else ""
 
 
 def _frame(title: str, xlabel: str, ylabel: str):
@@ -74,39 +71,42 @@ def _axis_ticks(parts, t0, t1, v0, v1, ylog=False):
                      f'font-family="sans-serif" font-size="10">{label}</text>')
 
 
-def _legend(parts, labels_colors_dash):
-    y = _MT + 14
-    for label, color, dash in labels_colors_dash:
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
+def _chart(title, xlabel, ylabel, t_range, v_range, curves, legend, ylog=False) -> str:
+    """SVG text of one chart: x axis over t_range, y axis over v_range padded
+    by `_scale`.  `curves` are (ts, vs, color, dash) polylines in data units,
+    values below the y axis drawn on it; `legend` lists (label, color, dash)."""
+    t0, t1 = t_range
+    v0, v1 = _scale(*v_range)
+    parts = _frame(title, xlabel, ylabel)
+    _axis_ticks(parts, t0, t1, v0, v1, ylog)
+    for ts, vs, color, dash in curves:
+        pts = " ".join(f"{_xpix(t, t0, t1):.2f},{_ypix(max(v, v0), v0, v1):.2f}"
+                       for t, v in zip(ts, vs))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
+                     f'{_dash(dash)} points="{pts}"/>')
+    for i, (label, color, dash) in enumerate(legend):
+        y = _MT + 14 + 15 * i
         parts.append(f'<line x1="{_ML + 8}" y1="{y - 4}" x2="{_ML + 32}" '
-                     f'y2="{y - 4}" stroke="{color}" stroke-width="1.5"{extra}/>')
+                     f'y2="{y - 4}" stroke="{color}" stroke-width="1.5"{_dash(dash)}/>')
         parts.append(f'<text x="{_ML + 38}" y="{y}" font-family="sans-serif" '
                      f'font-size="11">{label}</text>')
-        y += 15
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def trajectory_svg(x: Trajectory, reference: Trajectory = None,
                    title: str = "state trajectory") -> str:
     """One polyline per state component over time; dashed reference overlay."""
     t = x.grid.nodes
-    curves = [(x, "")] + ([(reference, "5,4")] if reference is not None else [])
-    all_vals = np.concatenate([traj.values[:, d] for traj, _ in curves
-                               for d in range(traj.dim)])
-    v0, v1 = _scale(float(all_vals.min()), float(all_vals.max()))
-    t0, t1 = float(t[0]), float(t[-1])
-    parts = _frame(title, "t", "x(t)")
-    _axis_ticks(parts, t0, t1, v0, v1)
-    xs = [_xpix(tv, t0, t1) for tv in t]
-    for traj, dash in curves:
-        for d in range(traj.dim):
-            ys = [_ypix(v, v0, v1) for v in traj.values[:, d]]
-            parts.append(_polyline(xs, ys, _COLORS[d % len(_COLORS)], dash))
+    trajs = [(x, "")] + ([(reference, "5,4")] if reference is not None else [])
+    curves = [(t, traj.values[:, d], _COLORS[d % len(_COLORS)], dash)
+              for traj, dash in trajs for d in range(traj.dim)]
+    all_vals = np.concatenate([vs for _, vs, _, _ in curves])
     legend = [(f"x{d + 1}", _COLORS[d % len(_COLORS)], "") for d in range(x.dim)]
     if reference is not None:
         legend.append(("reference (dashed)", "#555", "5,4"))
-    _legend(parts, legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(title, "t", "x(t)", (float(t[0]), float(t[-1])),
+                  (float(all_vals.min()), float(all_vals.max())), curves, legend)
 
 
 def residuals_svg(records, title: str = "residual history") -> str:
@@ -124,16 +124,9 @@ def residuals_svg(records, title: str = "residual history") -> str:
     vals = [v for _, ys in curves for v in ys if v > -250]
     if not vals:
         vals = [0.0]
-    v0, v1 = _scale(min(vals), max(vals))
-    t0, t1 = ks[0], ks[-1] if ks[-1] > ks[0] else ks[0] + 1.0
-    parts = _frame(title, "outer iteration k", "log10 residual")
-    _axis_ticks(parts, t0, t1, v0, v1, ylog=True)
-    legend = []
-    for (label, ys), color in zip(curves, _COLORS):
-        xs = [_xpix(k, t0, t1) for k in ks]
-        yp = [_ypix(max(v, v0), v0, v1) for v in ys]
-        parts.append(_polyline(xs, yp, color))
-        legend.append((label, color, ""))
-    _legend(parts, legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    t_range = ks[0], ks[-1] if ks[-1] > ks[0] else ks[0] + 1.0
+    return _chart(title, "outer iteration k", "log10 residual", t_range,
+                  (min(vals), max(vals)),
+                  [(ks, ys, color, "") for (_, ys), color in zip(curves, _COLORS)],
+                  [(label, color, "") for (label, _), color in zip(curves, _COLORS)],
+                  ylog=True)

@@ -132,32 +132,27 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vec[..., :, None])[..., 0]
 
 
-def evaluate(problem: ProblemDefinition, name: str, xs: np.ndarray,
-             ts: np.ndarray) -> np.ndarray:
-    """Evaluator `name` on states xs (N, n) at times ts (N,).
-
-    Raises ValueError, naming the evaluator and both shapes, unless the
-    output has exactly the contracted shape (N,) + `problem.row_shape(name)`.
-    """
-    out = np.asarray(getattr(problem, "eval_" + name)(xs, ts), dtype=float)
-    expected = (len(ts),) + problem.row_shape(name)
-    if out.shape != expected:
-        raise ValueError(f"eval_{name} returned shape {out.shape}, expected {expected}")
-    return out
-
-
 def _evaluate_fields(problem: ProblemDefinition, names, xs: np.ndarray,
                      ts: np.ndarray) -> dict:
     """Evaluators `names` on states xs (N, n) at times ts (N,), by name.
 
     Those of absent constraints (p or m = 0) have empty values and are not
-    called.  Values are not checked for finiteness.
+    called.  Raises ValueError, naming the evaluator and both shapes, unless
+    an output has exactly the contracted shape (N,) + `problem.row_shape(name)`.
+    Values are not checked for finiteness.
     """
     fields = {}
     for name in names:
         shape = problem.row_shape(name)
-        fields[name] = (np.empty((len(ts),) + shape) if 0 in shape
-                        else evaluate(problem, name, xs, ts))
+        expected = (len(ts),) + shape
+        if 0 in shape:
+            fields[name] = np.empty(expected)
+            continue
+        out = np.asarray(getattr(problem, "eval_" + name)(xs, ts), dtype=float)
+        if out.shape != expected:
+            raise ValueError(f"eval_{name} returned shape {out.shape}, "
+                             f"expected {expected}")
+        fields[name] = out
     return fields
 
 

@@ -57,6 +57,15 @@ def _value_and_penalty(problem, x, u, v, rho, t):
     return float(problem.eval_phi(x, t)) + pen, pen
 
 
+def _stopped(gn, x, cfg):
+    """Descent's stop test: the status of an iterate that stops, else None."""
+    if gn <= cfg.grad_tol:
+        return InnerStatus.CONVERGED
+    if float(np.abs(x).max()) > ITERATE_BOX:
+        return InnerStatus.DIVERGED
+    return None
+
+
 def _descend(problem, t, x_init, u, v, rho, cfg, trace):
     """Phase 1: BB descent.
 
@@ -75,10 +84,9 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
     minpen_x, minpen = x.copy(), pen
     prev_x = prev_g = None
     for it in range(1, cfg.max_iters + 1):
-        if gn <= cfg.grad_tol:
-            return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.CONVERGED
-        if float(np.abs(x).max()) > ITERATE_BOX:
-            return best_x, best_gn, minpen_x, gn0, it - 1, InnerStatus.DIVERGED
+        status = _stopped(gn, x, cfg)
+        if status is not None:
+            return best_x, best_gn, minpen_x, gn0, it - 1, status
         d = -gr
         gd = float(gr @ d)
         if prev_x is not None:
@@ -112,7 +120,9 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
             best_x, best_gn = x.copy(), gn
         if pen < minpen:
             minpen_x, minpen = x.copy(), pen
-    return best_x, best_gn, minpen_x, gn0, cfg.max_iters, InnerStatus.MAX_ITERS
+    # The last step's point meets the stop test too.
+    status = _stopped(gn, x, cfg) or InnerStatus.MAX_ITERS
+    return best_x, best_gn, minpen_x, gn0, cfg.max_iters, status
 
 
 def _polish(problem, t, x_init, u, v, rho, cfg, trace):

@@ -11,6 +11,7 @@ import pytest
 import ctpalm as c
 import ctpalm.alm as alm_mod
 import ctpalm.inner as inner_mod
+import ctpalm.lagrangian as lagrangian
 from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus, StartEvaluationError,
                         multiplier_update, penalty_update, safeguard_project)
 from ctpalm.grid import _trapezoid_sum
@@ -50,6 +51,17 @@ def test_update_fixed_point_at_zero_violation():
     assert np.array_equal(v, [[0.7]])
 
 
+def test_update_is_the_one_of_the_augmented_gradient():
+    assert c.multiplier_update is alm_mod.multiplier_update is lagrangian.multiplier_update
+
+
+def test_update_rejects_nonpositive_rho():
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^rho must be positive$"):
+            multiplier_update(bundle_with(h=[0.5]), np.array([[1.0]]),
+                              np.zeros((1, 0)), rho)
+
+
 # -- safeguard_project --------------------------------------------------------
 
 def test_projection_clamps_upper():
@@ -65,6 +77,12 @@ def test_projection_identity_inside_box():
 def test_projection_clamps_negative_inequality():
     u, v = safeguard_project(np.zeros(0), np.array([-0.2]), 1.0, 1e50)
     assert np.array_equal(v, [0.0])
+
+
+def test_projection_rejects_nonpositive_bounds():
+    for bound_M, bound_N in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="^safeguard bounds must be positive$"):
+            safeguard_project(np.zeros(0), np.zeros(0), bound_M, bound_N)
 
 
 def test_projection_is_identity_with_huge_bounds(ex1_run):
@@ -89,6 +107,31 @@ def test_penalty_rule(cur, prev, expect_growth):
         assert rho_next == pytest.approx(2.0 * cfg.gamma, rel=1e-15)
     else:
         assert rho_next == 2.0
+
+
+def test_penalty_rule_rejects_negative_previous_infeasibility():
+    with pytest.raises(ValueError, match="^prev_infeas must be nonnegative$"):
+        penalty_update(2.0, -1.0, 0.1, c.AlmConfig())
+
+
+@pytest.mark.parametrize("u0,v0,message", [
+    ([1.0, 1.0], None, "initial multiplier trajectories do not match problem dims"),
+    (None, [1.0], "initial multiplier trajectories do not match problem dims"),
+    ("other grid", None, "initial trajectories must share the grid"),
+    ([2.0], None, "initial equality multipliers outside the safeguard box"),
+    ([-2.0], None, "initial equality multipliers outside the safeguard box"),
+])
+def test_solve_rejects_bad_initial_multipliers(u0, v0, message):
+    prob = c.builtin("ex3")
+    grid = c.make_uniform_grid(1.0, 5)
+    if u0 == "other grid":
+        u = c.Trajectory.constant(c.make_uniform_grid(1.0, 6), [0.0])
+    else:
+        u = None if u0 is None else c.Trajectory.constant(grid, u0)
+    v = None if v0 is None else c.Trajectory.constant(grid, v0)
+    x0 = c.Trajectory.constant(grid, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        c.solve(prob, c.AlmConfig(bound_M=1.0), x0, u, v)
 
 
 # -- solve --------------------------------------------------------------------

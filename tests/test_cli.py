@@ -271,6 +271,21 @@ _BAD_INPUTS = {
     "config-x0-wrong-size": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                             _write(d / "run.json", '{"x0": "1,1,1"}')],
                              "run.json"),
+    "x0-csv-wrong-width": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--x0", _write(d / "x0.csv", "t,c0,c1,c2\n0,0,0,0\n1,0,0,0\n")], ("--x0", None)),
+    "x0-csv-other-grid": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--x0", _write(d / "x0.csv", "t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n")],
+        ("--x0", None)),
+    "config-not-object": (65, lambda d: ["solve", "--problem", "ex1", "--config",
+                                         _write(d / "run.json", "[1, 2]")], "run.json"),
+    "check-multipliers-wrong-width": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0\n0,0\n1,0\n")], None),
+    "check-multipliers-other-grid": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n2,0,0\n")], None),
 }
 
 
@@ -289,6 +304,30 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, code, argv, named
         assert flag in lines[0]
         assert name is None or str(tmp_path / name) in lines[0]
     assert not out.is_dir() or not any(out.iterdir())
+
+
+# The whole error line of some `_BAD_INPUTS` entries, from the test's directory.
+_EXACT_ERRORS = {
+    "x0-csv-wrong-width": lambda d: "--x0: expected 2 column(s), got 3",
+    "x0-csv-other-grid": lambda d: "--x0: CSV grid does not match the run grid",
+    "config-not-object": lambda d: f"--config: {d / 'run.json'}: top-level JSON "
+                                   f"object expected",
+    "check-multipliers-wrong-width": lambda d: "multiplier file has 1 column(s), "
+                                               "expected p+m=2",
+    "check-multipliers-other-grid": lambda d: "trajectory and multiplier files use "
+                                              "different grids",
+}
+
+
+@pytest.mark.parametrize("name", _EXACT_ERRORS)
+def test_bad_input_error_line_is_exact(tmp_path, capsys, name):
+    code, argv, _ = _BAD_INPUTS[name]
+    args = argv(tmp_path)
+    if args[0] == "solve":
+        args += ["--out-dir", str(tmp_path / "out")]
+    proc = run_in_process(args, capsys)
+    assert (proc.returncode, proc.stderr) == (
+        code, f"error: {_EXACT_ERRORS[name](tmp_path)}\n")
 
 
 def test_csv_with_more_rows_than_the_node_limit_is_data_error(tmp_path, monkeypatch,

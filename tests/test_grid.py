@@ -118,6 +118,12 @@ def test_trajectory_rejects_nonfinite_and_bad_shape():
         Trajectory(grid, np.zeros((4, 1)))
 
 
+def test_trajectory_takes_1d_values_as_one_column():
+    traj = Trajectory(make_uniform_grid(1.0, 3), [1.0, 2.0, 3.0])
+    assert traj.dim == 1 and traj.values.shape == (3, 1)
+    assert np.array_equal(traj.values[:, 0], [1.0, 2.0, 3.0])
+
+
 # -- _trapezoid_sum ----------------------------------------------------------
 
 def test_trapezoid_constant_one():
@@ -250,6 +256,18 @@ def test_csv_time_error_reports_the_row_line_after_a_blank_line(tmp_path):
 
 def test_csv_rejects_column_mismatch(tmp_path):
     assert csv_error(tmp_path, "t,c0\n0,1.0\n0.5,1.0,2.0\n1,3.0\n").line == 3
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("x,c0\n0,1\n1,2\n", 1, "header must start with 't'"),
+    ("time,c0\n0,1\n1,2\n", 1, "header must start with 't'"),
+    ("t,c0\n0,1\n", 2, "need at least 2 data rows"),
+    ("t,c0\n0,1\n\n\n", 4, "need at least 2 data rows"),
+    ("t,c0\n0.5,1\n1,2\n", 2, "time column must run from 0 to a positive horizon"),
+    ("t,c0\n0,1\n-1,2\n", 2, "time column must run from 0 to a positive horizon"),
+])
+def test_csv_rejects_bad_header_row_count_and_time_range(tmp_path, text, line, message):
+    assert str(csv_error(tmp_path, text)) == f"{tmp_path / 'x.csv'}: line {line}: {message}"
 
 
 def test_csv_error_names_the_file_and_the_line_of_a_bad_byte(tmp_path):

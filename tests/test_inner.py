@@ -371,11 +371,11 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
     assert built
 
 
-def test_lockstep_rows_leave_the_last_budget_step_untested():
+def test_lockstep_rows_test_the_last_budget_step():
     """phi = -x^2 from x = -2, 1 and 0.5 escapes the iterate box at descent
     step 12, 13 and 14.  With a budget of 13 steps the second row escapes on
-    its last step, which the stop test does not see: it runs out of budget
-    instead of diverging, in the lockstep solver as in the node solver."""
+    its last step, which the stop test sees: it diverges, in the lockstep
+    solver as in the node solver, as it does with the default budget."""
     scalar = c.ProblemDefinition(
         name="concave", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: -x[0] ** 2,
@@ -397,7 +397,7 @@ def test_lockstep_rows_leave_the_last_budget_step_untested():
         assert iters[i] == r.iterations, i
         assert _BY_SEVERITY[status[i]] is r.status, i
     assert [(r.iterations, r.status) for r in solo] == [
-        (12, InnerStatus.DIVERGED), (13, InnerStatus.MAX_ITERS),
+        (12, InnerStatus.DIVERGED), (13, InnerStatus.DIVERGED),
         (13, InnerStatus.MAX_ITERS)]
     wider = reference.solve_node(scalar, ts[1], xs[1], MultiplierSet(us[1], vs[1]), 1.0,
                                  c.InnerConfig())

@@ -53,6 +53,12 @@ def test_multiplier_set_rejects_negative_v():
         MultiplierSet(v=np.array([0.5, -0.1]))
 
 
+@pytest.mark.parametrize("u,v", [([np.inf], []), ([0.0], [1.0, np.nan])])
+def test_multiplier_set_rejects_nonfinite_entries(u, v):
+    with pytest.raises(ValueError, match="^multipliers must be finite$"):
+        MultiplierSet(np.array(u), np.array(v))
+
+
 # -- augmented value ---------------------------------------------------------
 
 def test_aug_value_hand_checked_inactive_terms():
@@ -189,6 +195,26 @@ def test_residuals_reject_negative_multipliers():
     v = Trajectory(grid, np.full((5, 2), -0.1))
     with pytest.raises(ValueError):
         akkt_residuals(grid, bundle_of(prob, x), u, v)
+
+
+def test_residuals_reject_other_grids_and_dimensions():
+    prob = builtin("ex1")
+    grid = make_uniform_grid(1.0, 5)
+    bundle = bundle_of(prob, const_traj(grid, [0.0, 0.0]))
+    u, v = Trajectory(grid, np.zeros((5, 0))), const_traj(grid, [0.0, 0.0])
+    other = make_uniform_grid(2.0, 5)
+    for args in [(other, u, v), (grid, Trajectory(other, np.zeros((5, 0))), v),
+                 (grid, u, const_traj(other, [0.0, 0.0]))]:
+        with pytest.raises(ValueError, match="^trajectories must share the grid$"):
+            akkt_residuals(args[0], bundle, *args[1:])
+    wrong = "^trajectory dimensions do not match the problem$"
+    for args in [(const_traj(grid, [0.0]), v), (u, const_traj(grid, [0.0]))]:
+        with pytest.raises(ValueError, match=wrong):
+            akkt_residuals(grid, bundle, *args)
+    grid6 = make_uniform_grid(1.0, 6)
+    with pytest.raises(ValueError, match=wrong):
+        akkt_residuals(grid6, bundle, Trajectory(grid6, np.zeros((6, 0))),
+                       const_traj(grid6, [0.0, 0.0]))
 
 
 def test_residuals_invariant_under_constraint_reordering():

@@ -2,6 +2,7 @@
 finite-difference validation of every analytic derivative."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,22 @@ def test_evaluate_rejects_a_transposed_jacobian():
     with pytest.raises(ValueError, match=r"eval_jac_g returned shape \(2, 3\) at "
                                          r"t=0.0, expected \(3, 2\)"):
         evaluate_all(pointwise(transposed), xs, ts)
+
+
+def test_evaluate_all_rejects_states_of_the_wrong_shape():
+    prob = builtin("ex1")
+    for xs, shape in [(np.zeros((3, 3)), "(3, 3)"), (np.zeros((2, 2)), "(2, 2)"),
+                      (np.zeros(6), "(6,)")]:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"states have shape {shape}, expected (3, 2)") + "$"):
+            evaluate_all(prob, xs, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("dims", [dict(n=0), dict(p=-1), dict(m=-1)])
+def test_problem_definition_rejects_bad_dimensions(dims):
+    with pytest.raises(ValueError,
+                       match="^dimensions must satisfy n >= 1, p >= 0, m >= 0$"):
+        dataclasses.replace(builtin("ex1"), **dims)
 
 
 # -- reference solutions -----------------------------------------------------

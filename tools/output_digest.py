@@ -14,8 +14,10 @@ script) and solves:
   - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers and config.
 
 Each digest covers x, u and v (shape and bytes), the `iterations.csv` text,
-the status, the certificates and the error metrics.  Run it on two checkouts
-and compare the lines.
+the status, the certificates, the error metrics, and the texts of the two
+plots as `ctpalm solve` writes them: `trajectory_svg` with the reference
+overlay when the problem has one, and `residuals_svg`.  Run it on two
+checkouts and compare the lines.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path.insert(0, str(ROOT / "src"))
 
 import ctpalm as c  # noqa: E402
+from ctpalm.diagnostics import _reference_trajectory  # noqa: E402
+from ctpalm.plots import residuals_svg, trajectory_svg  # noqa: E402
 
 # (name, problem, x0, u0, v0, nodes); the first five are tests/conftest.py's.
 RUNS = (
@@ -59,9 +63,15 @@ def digest(problem_name, x0, u0, v0, nodes) -> str:
                     for key, cert in report.certificates.items()}
     metrics = (report.error_metrics.as_json_obj()
                if report.error_metrics is not None else None)
+    reference = (_reference_trajectory(problem, grid)
+                 if problem.reference is not None else None)
     for text in (log.getvalue(), report.status.value,
                  json.dumps(certificates, sort_keys=True),
-                 json.dumps(metrics, sort_keys=True)):
+                 json.dumps(metrics, sort_keys=True),
+                 trajectory_svg(report.x, reference,
+                                title=f"{problem.name}: solver trajectory"),
+                 residuals_svg(report.iterations,
+                               title=f"{problem.name}: residual history")):
         h.update(text.encode())
         h.update(b"\0")
     return h.hexdigest()
