@@ -145,10 +145,11 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
         traj = read_trajectory_csv(spec)
     except (OSError, TrajectoryCsvError) as exc:
         raise CliError(EXIT_DATA, f"{source}: {exc}") from None
+    where = f"{source}: {spec}"
     if traj.dim != dim:
-        raise CliError(EXIT_DATA, f"{source}: expected {dim} column(s), got {traj.dim}")
+        raise CliError(EXIT_DATA, f"{where}: expected {dim} column(s), got {traj.dim}")
     if traj.grid != grid:
-        raise CliError(EXIT_DATA, f"{source}: CSV grid does not match the run grid")
+        raise CliError(EXIT_DATA, f"{where}: CSV grid does not match the run grid")
     return traj
 
 
@@ -309,28 +310,29 @@ def cmd_check(args) -> int:
         eps_stop = AlmConfig(eps_stop=args.eps_stop).eps_stop
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"--eps-stop: {exc}") from None
-    x = read_trajectory_csv(args.trajectory_csv)
-    mults = read_trajectory_csv(args.multipliers_csv)
+    x_path, m_path = args.trajectory_csv, args.multipliers_csv
+    x = read_trajectory_csv(x_path)
+    mults = read_trajectory_csv(m_path)
     if x.dim != problem.n:
-        raise CliError(EXIT_DATA,
-                       f"trajectory has {x.dim} state column(s), expected {problem.n}")
+        raise CliError(EXIT_DATA, f"{x_path}: trajectory has {x.dim} state column(s), "
+                                  f"expected {problem.n}")
     if mults.dim != problem.p + problem.m:
-        raise CliError(EXIT_DATA,
-                       f"multiplier file has {mults.dim} column(s), expected "
-                       f"p+m={problem.p + problem.m}")
+        raise CliError(EXIT_DATA, f"{m_path}: multiplier file has {mults.dim} column(s), "
+                                  f"expected p+m={problem.p + problem.m}")
     if x.grid != mults.grid:
-        raise CliError(EXIT_DATA, "trajectory and multiplier files use different grids")
+        raise CliError(EXIT_DATA, f"{m_path}: trajectory and multiplier files use "
+                                  f"different grids")
     grid = x.grid
     u = Trajectory(grid, mults.values[:, :problem.p])
     v_vals = mults.values[:, problem.p:]
     if v_vals.size and v_vals.min() < 0.0:
-        raise CliError(EXIT_DATA, "negative inequality multiplier entries")
+        raise CliError(EXIT_DATA, f"{m_path}: negative inequality multiplier entries")
     v = Trajectory(grid, v_vals)
 
     try:
         bundle = evaluate_all(problem, x.values, grid.nodes)
     except EvaluationError as exc:
-        raise CliError(EXIT_DATA, f"{args.trajectory_csv}: {exc}") from None
+        raise CliError(EXIT_DATA, f"{x_path}: {exc}") from None
     residuals = akkt_residuals(grid, bundle, u, v)
     max_h, max_gp = violations(bundle)
     out = {
@@ -346,8 +348,7 @@ def cmd_check(args) -> int:
             certify(problem, grid, bundle, u, v, residuals, eps_stop)),
         "pass": akkt_holds(residuals, eps_stop),
     }
-    sys.stdout.write(_json_text(
-        out, f"residuals of {args.trajectory_csv} with {args.multipliers_csv}"))
+    sys.stdout.write(_json_text(out, f"residuals of {x_path} with {m_path}"))
     return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
 
 

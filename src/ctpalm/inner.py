@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def _bb_step(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, _STEP_INIT)
 
 
-def _armijo_pass(w, alpha, trial, fields, iters, it, trace, phase):
+def _armijo_pass(w, alpha, trial, fields, iters, it):
     """Pass `it` of a phase: at every row of `w`, one step along -w.gr under a
     monotone Armijo safeguard on the objective with values w.f, gradients w.gr.
 
@@ -157,10 +157,6 @@ def _armijo_pass(w, alpha, trial, fields, iters, it, trace, phase):
         alpha[rows] *= 0.5
         rows = rows[alpha[rows] >= _STEP_MIN]
     iters[w.rows[~accepted]] = it
-    if trace is not None:
-        for i in np.flatnonzero(accepted):
-            trace(dict(phase=phase, f_old=float(w.f[i]), f_new=float(new[1][i]),
-                       alpha=float(alpha[i]), slope=float(gd[i]), armijo_c=_ARMIJO_C))
     w.prev_x, w.prev_g = w.x, w.gr
     vars(w).update(zip(names, new))
     w.keep(accepted)
@@ -183,7 +179,7 @@ def _stop_test(rows, gn, x, it, iters, status, cfg):
     return ~stop
 
 
-def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
+def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     """Phase 1 at every row: BB descent on the augmented objective, from
     states xs whose evaluator outputs are `start`.
 
@@ -231,7 +227,7 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg, trace):
 
     for it in range(1, cfg.max_iters + 1):
         first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
-        _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it, trace, "descent")
+        _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it)
         w.gn = np.abs(w.gr).max(axis=1)
         rows = w.rows
         better = w.gn <= best_gn[rows]
@@ -264,7 +260,7 @@ def _psi_gradient(problem, w, rho):
     return out
 
 
-def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
+def _polish(problem, ts, xs, us, vs, rho, cfg):
     """Phase 2 at every row: minimize psi = 0.5 ||F||^2, F the augmented
     gradient, to land on a stationary point.  The rows carry psi as f and
     its gradient as gr.  Returns (best_x, best_grad_inf_norm, iterations)."""
@@ -299,7 +295,7 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
             break
         first = (np.minimum(1.0, 1.0 / np.maximum(1.0, np.abs(w.gr).max(axis=1)))
                  if it == 1 else None)
-        _armijo_pass(w, first, trial, ("f", "F"), iters, it, trace, "polish")
+        _armijo_pass(w, first, trial, ("f", "F"), iters, it)
         w.gn = np.abs(w.F).max(axis=1)
         best = best_gn[w.rows]
         improved = w.gn <= 0.99 * best
@@ -316,14 +312,14 @@ def _polish(problem, ts, xs, us, vs, rho, cfg, trace):
     return best_x, best_gn, iters
 
 
-def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
+def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
     """Solve the node problem of every row: states xs (N, n) at times ts (N,)
     with multipliers us (N, p), vs (N, m).
 
     `start` holds the evaluator outputs at xs (an EvalBundle); they are
     evaluated here when it is None.  Returns (x_star, grad_inf_norm,
     iterations, status) with one entry per row, status as `_BY_SEVERITY`
-    indices.  `trace` receives one event per accepted step of each row.
+    indices.
     """
     # Overflow in a trial point shows up as a non-finite value, which the
     # phases reject.
@@ -331,7 +327,7 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
         if start is None:
             start = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
         x_star, grad, minpen_x, initial_gn, iters, status = _descend(
-            problem, ts, xs, start, us, vs, rho, cfg, trace)
+            problem, ts, xs, start, us, vs, rho, cfg)
         # The polish targets stationary points of penalized subproblems, whose
         # one-sided curvature can make pure descent escape.  Without
         # constraints the augmented objective is the plain objective: there a
@@ -342,8 +338,7 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
             polish &= grad < initial_gn
         if polish.any():
             j = np.flatnonzero(polish)
-            px, pgn, extra = _polish(problem, ts[j], x_star[j], us[j], vs[j], rho,
-                                     cfg, trace)
+            px, pgn, extra = _polish(problem, ts[j], x_star[j], us[j], vs[j], rho, cfg)
             iters[j] += extra
             rescued = pgn <= cfg.grad_tol
             j = j[rescued]
@@ -357,26 +352,33 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, trace=None, start=None):
     return x_star, grad, iters, status
 
 
-def _check_inputs(xs, rho):
+def _check_rows(problem, ts, xs, us, vs, rho, node=False):
+    """The input checks of both entries, on node-row stacks, in this order:
+    one row per time, rows of widths n, p and m, rho > 0, finite states, then
+    the multipliers.  The one-node entry (`node`) names its own arguments and
+    shows their shapes without the row axis."""
+    if not len(xs) == len(us) == len(vs) == len(ts):
+        raise ValueError(f"xs, us and vs must have one row per time, got "
+                         f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
+    names = ("x_init", "safeguarded.u", "safeguarded.v") if node else ("xs", "us", "vs")
+    for name, a, k in zip(names, (xs, us, vs), (problem.n, problem.p, problem.m)):
+        if a.shape != (len(ts), k):
+            raise ValueError(f"{name} must have shape {(len(ts), k)[node:]}, "
+                             f"got {a.shape[node:]}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x_init must be finite")
+    _check_multipliers(us, vs)
 
 
 def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
-               safeguarded: MultiplierSet, rho: float, cfg: InnerConfig,
-               trace: Optional[Callable[[dict], None]] = None) -> InnerResult:
-    """Find a stationary point of x -> augmented objective at one node.
-
-    `trace`, when given, receives one dict per accepted step (phase, f_old,
-    f_new, alpha, slope, armijo_c).
-    """
-    x_init = np.asarray(x_init, dtype=float)
-    _check_inputs(x_init, rho)
-    x, grad, iters, status = _solve_rows(
-        problem, np.array([t], dtype=float), x_init[None], safeguarded.u[None],
-        safeguarded.v[None], rho, cfg, trace)
+               safeguarded: MultiplierSet, rho: float, cfg: InnerConfig) -> InnerResult:
+    """Find a stationary point of x -> augmented objective at one node."""
+    ts, xs = np.array([t], dtype=float), np.asarray(x_init, dtype=float)[None]
+    us, vs = safeguarded.u[None], safeguarded.v[None]
+    _check_rows(problem, ts, xs, us, vs, rho, node=True)
+    x, grad, iters, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg)
     return InnerResult(x[0], float(grad[0]), int(iters[0]), _BY_SEVERITY[status[0]])
 
 
@@ -392,10 +394,6 @@ def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
     Without it the warm starts are evaluated here.  Returns (node solutions
     (N, n), worst status, max grad norm).
     """
-    if not len(xs) == len(us) == len(vs) == len(ts):
-        raise ValueError(f"xs, us and vs must have one row per time, got "
-                         f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
-    _check_inputs(xs, rho)
-    _check_multipliers(us, vs)
+    _check_rows(problem, ts, xs, us, vs, rho)
     x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=start)
     return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

@@ -273,19 +273,39 @@ _BAD_INPUTS = {
                              "run.json"),
     "x0-csv-wrong-width": (65, lambda d: [
         "solve", "--problem", "ex1", "--nodes", "2",
-        "--x0", _write(d / "x0.csv", "t,c0,c1,c2\n0,0,0,0\n1,0,0,0\n")], ("--x0", None)),
+        "--x0", _write(d / "x0.csv", "t,c0,c1,c2\n0,0,0,0\n1,0,0,0\n")],
+        ("--x0", "x0.csv")),
     "x0-csv-other-grid": (65, lambda d: [
         "solve", "--problem", "ex1", "--nodes", "2",
         "--x0", _write(d / "x0.csv", "t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n")],
-        ("--x0", None)),
+        ("--x0", "x0.csv")),
+    "v0-csv-wrong-width": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2",
+        "--v0", _write(d / "v0.csv", "t,c0\n0,0\n1,0\n")], ("--v0", "v0.csv")),
+    "config-x0-csv-wrong-width": (65, lambda d: [
+        "solve", "--problem", "ex1", "--nodes", "2", "--config",
+        _write(d / "run.json", json.dumps({"x0": _write(d / "x0.csv",
+                                                        "t,c0\n0,0\n1,0\n")}))],
+        "x0.csv"),
+    "config-u0-csv-other-grid": (65, lambda d: [
+        "solve", "--problem", "ex3", "--nodes", "2", "--config",
+        _write(d / "run.json", json.dumps({"u0": _write(d / "u0.csv",
+                                                        "t,c0\n0,0\n2,0\n")}))],
+        "u0.csv"),
     "config-not-object": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                          _write(d / "run.json", "[1, 2]")], "run.json"),
+    "check-state-wrong-width": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0\n0,0\n1,0\n"),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], "x.csv"),
     "check-multipliers-wrong-width": (65, lambda d: [
         "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
-        _write(d / "m.csv", "t,c0\n0,0\n1,0\n")], None),
+        _write(d / "m.csv", "t,c0\n0,0\n1,0\n")], "m.csv"),
     "check-multipliers-other-grid": (65, lambda d: [
         "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
-        _write(d / "m.csv", "t,c0,c1\n0,0,0\n2,0,0\n")], None),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n2,0,0\n")], "m.csv"),
+    "check-multipliers-negative": (65, lambda d: [
+        "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,-1\n")], "m.csv"),
 }
 
 
@@ -308,14 +328,25 @@ def test_bad_input_exits_with_one_error_line(tmp_path, capsys, code, argv, named
 
 # The whole error line of some `_BAD_INPUTS` entries, from the test's directory.
 _EXACT_ERRORS = {
-    "x0-csv-wrong-width": lambda d: "--x0: expected 2 column(s), got 3",
-    "x0-csv-other-grid": lambda d: "--x0: CSV grid does not match the run grid",
+    "x0-csv-wrong-width": lambda d: f"--x0: {d / 'x0.csv'}: expected 2 column(s), got 3",
+    "x0-csv-other-grid": lambda d: f"--x0: {d / 'x0.csv'}: CSV grid does not match the "
+                                   f"run grid",
+    "v0-csv-wrong-width": lambda d: f"--v0: {d / 'v0.csv'}: expected 2 column(s), got 1",
+    "config-x0-csv-wrong-width": lambda d: f"--config: {d / 'run.json'}: x0: "
+                                           f"{d / 'x0.csv'}: expected 2 column(s), got 1",
+    "config-u0-csv-other-grid": lambda d: f"--config: {d / 'run.json'}: u0: "
+                                          f"{d / 'u0.csv'}: CSV grid does not match the "
+                                          f"run grid",
     "config-not-object": lambda d: f"--config: {d / 'run.json'}: top-level JSON "
                                    f"object expected",
-    "check-multipliers-wrong-width": lambda d: "multiplier file has 1 column(s), "
-                                               "expected p+m=2",
-    "check-multipliers-other-grid": lambda d: "trajectory and multiplier files use "
-                                              "different grids",
+    "check-state-wrong-width": lambda d: f"{d / 'x.csv'}: trajectory has 1 state "
+                                         f"column(s), expected 2",
+    "check-multipliers-wrong-width": lambda d: f"{d / 'm.csv'}: multiplier file has 1 "
+                                               f"column(s), expected p+m=2",
+    "check-multipliers-other-grid": lambda d: f"{d / 'm.csv'}: trajectory and multiplier "
+                                              f"files use different grids",
+    "check-multipliers-negative": lambda d: f"{d / 'm.csv'}: negative inequality "
+                                            f"multiplier entries",
 }
 
 

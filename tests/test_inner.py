@@ -1,6 +1,7 @@
-"""Node solver behavior: convergence, divergence, Armijo compliance,
-node independence, agreement with the brute-force lattice oracle, and bit
-equality of the lockstep solver with the per-node reference solver."""
+"""Node solver behavior: convergence, divergence, Armijo compliance, input
+checks, node independence, and bit equality of the lockstep solver with the
+per-node reference solver.  Agreement with the brute-force lattice oracle is
+acceptance criterion 10 (tests/test_acceptance.py)."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
 from ctpalm.lagrangian import MultiplierSet
 from ctpalm.problems import evaluate_all
 from conftest import unconstrained_quadratic
-from testkit import FdConfig, aug_lagrangian_value, dense_grid_min, fd_gradient
+from testkit import FdConfig, aug_lagrangian_value, fd_gradient
 
 
 def shifted_quadratic():
@@ -83,16 +84,27 @@ def test_converged_result_satisfies_tolerance_invariant():
             assert result.grad_inf_norm <= cfg.grad_tol
 
 
-def test_armijo_acceptance_holds_on_traced_run():
+def test_armijo_acceptance_holds_on_every_accepted_step(monkeypatch):
+    """Each step the lockstep solver accepts meets the Armijo inequality; the
+    step length is recovered from the move along -gr."""
     steps = []
-    cfg = c.InnerConfig(grad_tol=1e-9)
+    armijo_pass = inner_mod._armijo_pass
+
+    def observed(w, *args):
+        rows, x, f, gr = w.rows, w.x.copy(), w.f.copy(), w.gr.copy()
+        armijo_pass(w, *args)
+        accepted = np.isin(rows, w.rows)
+        for x_old, f_old, g, x_new, f_new in zip(x[accepted], f[accepted], gr[accepted],
+                                                 w.x, w.f):
+            steps.append((f_old, f_new, (x_old - x_new) @ g / (g @ g), -(g @ g)))
+
+    monkeypatch.setattr(inner_mod, "_armijo_pass", observed)
     c.solve_node(c.builtin("ex1"), 0.2, np.array([4.0, -3.0]),
-                 MultiplierSet(v=np.array([1.0, 1.0])), 1.0, cfg,
-                 trace=steps.append)
+                 MultiplierSet(v=np.array([1.0, 1.0])), 1.0, c.InnerConfig(grad_tol=1e-9))
     assert steps, "expected at least one accepted step"
-    for s in steps:
-        assert s["f_new"] <= s["f_old"] + s["armijo_c"] * s["alpha"] * s["slope"] + 1e-15
-        assert s["slope"] <= 0.0
+    for f_old, f_new, alpha, slope in steps:
+        assert f_new <= f_old + inner_mod._ARMIJO_C * alpha * slope + 1e-15
+        assert slope <= 0.0
 
 
 # -- solve_subproblem --------------------------------------------------------
@@ -128,6 +140,39 @@ def test_subproblem_rejects_bad_inputs():
         with pytest.raises(ValueError, match="one row per time"):
             c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
     c.solve_subproblem(prob, ts, xs, us, vs, 1.0, cfg)
+
+
+def test_entries_reject_rows_of_the_wrong_width():
+    """Both entries check the widths n, p and m, and name the argument with
+    the expected and the given shape."""
+    ts, cfg = c.make_uniform_grid(1.0, 4).nodes, c.InnerConfig()
+    ex1, ex3 = c.builtin("ex1"), c.builtin("ex3")
+    for prob, x, u, v, message in [
+            (ex1, np.ones((4, 2)), np.zeros((4, 0)), np.ones((4, 1)),
+             r"vs must have shape \(4, 2\), got \(4, 1\)"),
+            (ex3, np.ones((4, 3)), np.zeros((4, 2)), np.ones((4, 2)),
+             r"us must have shape \(4, 1\), got \(4, 2\)"),
+            (ex1, np.ones((4, 3)), np.zeros((4, 0)), np.ones((4, 2)),
+             r"xs must have shape \(4, 2\), got \(4, 3\)"),
+            (ex3, np.ones((4, 4)), np.zeros((4, 1)), np.ones((4, 2)),
+             r"xs must have shape \(4, 3\), got \(4, 4\)")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
+    for prob, x, mult, message in [
+            (ex1, np.ones(2), MultiplierSet(v=[1.0]),
+             r"safeguarded.v must have shape \(2,\), got \(1,\)"),
+            (ex3, np.ones(3), MultiplierSet([1.0, 1.0], [1.0, 1.0]),
+             r"safeguarded.u must have shape \(1,\), got \(2,\)"),
+            (ex1, np.ones(3), MultiplierSet(v=[1.0, 1.0]),
+             r"x_init must have shape \(2,\), got \(3,\)"),
+            (ex3, np.ones(4), MultiplierSet([1.0], [1.0, 1.0]),
+             r"x_init must have shape \(3,\), got \(4,\)")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            c.solve_node(prob, 0.4, x, mult, 1.0, cfg)
+    # Row counts are tested first, with their own message.
+    with pytest.raises(ValueError, match="one row per time"):
+        c.solve_subproblem(ex1, ts, np.ones((5, 3)), np.zeros((4, 0)), np.ones((4, 1)),
+                           1.0, cfg)
 
 
 def test_subproblem_multiplier_checks_keep_their_messages_and_order():
@@ -199,26 +244,6 @@ def test_subproblem_two_node_grid():
         solo = c.solve_node(prob, grid.nodes[i], warm[i],
                             MultiplierSet(v=v0[i]), 1.0, cfg)
         assert np.array_equal(xs[i], solo.x_star)
-
-
-# -- lattice-oracle agreement --------------------------------------------------
-
-@pytest.mark.parametrize("name,x0,v0,ts", [
-    ("ex1", [1.0, 1.0], [1.0, 1.0], (0.0, 0.4, 1.0)),
-    ("ex2", [0.5, 0.5], [1.0, 1.0, 1.0], (0.0, 0.5, 1.0)),
-])
-def test_node_solution_matches_dense_lattice(name, x0, v0, ts):
-    prob = c.builtin(name)
-    cfg = c.InnerConfig(grad_tol=1e-8)
-    spacing = 2.0 * 2.0 / 200
-    for t in ts:
-        mult = MultiplierSet(v=np.array(v0))
-        result = c.solve_node(prob, t, np.array(x0), mult, 1.0, cfg)
-        assert result.status is InnerStatus.CONVERGED
-        x_best, _ = dense_grid_min(
-            lambda z: aug_lagrangian_value(prob, z, mult, 1.0, t),
-            np.array(x0), 2.0, 201)
-        assert np.max(np.abs(result.x_star - x_best)) <= spacing + 1e-9
 
 
 # -- warm starts ---------------------------------------------------------------
@@ -404,16 +429,22 @@ def test_lockstep_rows_test_the_last_budget_step():
     assert (wider.iterations, wider.status) == (13, InnerStatus.DIVERGED)
 
 
-def test_solve_node_trace_equals_the_reference_trace():
-    prob = c.builtin("ex3")
+def test_ex3_row_through_descent_and_polish_equals_the_node_solver():
+    """ex3 at t = 0 from (0.5, 0.5, 0.5): descent, then the polish, which the
+    reference's own trace shows."""
     mult = MultiplierSet([0.0], [0.0, 0.0])
     cfg = c.AlmConfig().inner
-    events, expected = [], []
-    c.solve_node(prob, 0.0, np.array([0.5, 0.5, 0.5]), mult, 1.0, cfg, trace=events.append)
+    grid = c.make_uniform_grid(1.0, 2)
+    solo = assert_rows_match_reference("ex3", grid, np.full((2, 3), 0.5),
+                                       np.zeros((2, 1)), np.zeros((2, 2)), 1.0, cfg)
+    node = c.solve_node(c.builtin("ex3"), 0.0, np.array([0.5, 0.5, 0.5]), mult, 1.0, cfg)
+    assert node.x_star.tobytes() == solo[0].x_star.tobytes()
+    assert (node.grad_inf_norm, node.iterations, node.status) == (
+        solo[0].grad_inf_norm, solo[0].iterations, solo[0].status)
+    events = []
     reference.solve_node(reference.scalar_builtin("ex3"), 0.0, np.array([0.5, 0.5, 0.5]),
-                         mult, 1.0, cfg, trace=expected.append)
-    assert {e["phase"] for e in expected} == {"descent", "polish"}
-    assert events == expected
+                         mult, 1.0, cfg, trace=events.append)
+    assert {e["phase"] for e in events} == {"descent", "polish"}
 
 
 def test_lockstep_pass_without_a_trial_step_equals_the_node_solver():

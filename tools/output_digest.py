@@ -11,13 +11,16 @@ script) and solves:
   - the five runs of `tests/conftest.py` (`run_builtin` with `RUN_STARTS`,
     85 nodes, default config);
   - ex3 from its conftest start at 17 nodes;
-  - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers and config.
+  - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers and config;
+  - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
+    and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line.
 
 Each digest covers x, u and v (shape and bytes), the `iterations.csv` text,
 the status, the certificates, the error metrics, and the texts of the two
 plots as `ctpalm solve` writes them: `trajectory_svg` with the reference
-overlay when the problem has one, and `residuals_svg`.  Run it on two
-checkouts and compare the lines.
+overlay when the problem has one, and `residuals_svg`.  The one-node line
+covers each result's x_star bytes, gradient norm, iterations and status.
+Run it on two checkouts and compare the lines.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
 sys.path.insert(0, str(ROOT / "src"))
@@ -77,9 +82,31 @@ def digest(problem_name, x0, u0, v0, nodes) -> str:
     return h.hexdigest()
 
 
+# (problem, x0, v0, instants) of acceptance criterion 10.
+NODE_SOLVES = (
+    ("ex1", [1.0, 1.0], [1.0, 1.0], (0.0, 0.4, 1.0)),
+    ("ex2", [0.5, 0.5], [1.0, 1.0, 1.0], (0.0, 0.5, 1.0)),
+)
+
+
+def node_digest() -> str:
+    h = hashlib.sha256()
+    cfg = c.InnerConfig(grad_tol=1e-8)
+    for problem_name, x0, v0, ts in NODE_SOLVES:
+        problem = c.builtin(problem_name)
+        for t in ts:
+            result = c.solve_node(problem, t, np.array(x0),
+                                  c.MultiplierSet(v=np.array(v0)), 1.0, cfg)
+            h.update(result.x_star.tobytes())
+            h.update(repr((result.grad_inf_norm, result.iterations,
+                           result.status.value)).encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, *run in RUNS:
         print(f"{digest(*run)}  {name}", flush=True)
+    print(f"{node_digest()}  solve_node@criterion10", flush=True)
 
 
 if __name__ == "__main__":
