@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import IO, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
-from .inner import InnerConfig, InnerStatus, solve_subproblem
+from .inner import InnerConfig, InnerStatus, _count, solve_subproblem
 from .lagrangian import (Residuals, _residuals, _sup, akkt_holds, multiplier_update,
                          violations)
 from .problems import EvaluationError, ProblemDefinition, evaluate_all
@@ -72,7 +72,7 @@ class AlmConfig:
             raise ValueError("safeguard bounds must be positive and finite")
         if not 0.0 < self.eps_stop < math.inf:
             raise ValueError("eps_stop must be positive and finite")
-        if not self.max_outer >= 1:
+        if not _count(self.max_outer) >= 1:
             raise ValueError("max_outer must be >= 1")
         if self.inner is None:
             # Inner solves one order tighter than the outer stopping test,
@@ -99,7 +99,7 @@ class IterationRecord:
                 f"{self.inner_worst_status.value},{self.inner_max_grad:.17g}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     status: SolveStatus
     grid: TimeGrid
@@ -107,8 +107,8 @@ class SolveReport:
     x: Trajectory
     u: Trajectory
     v: Trajectory
-    certificates: dict = field(default_factory=dict)
-    error_metrics: Optional[object] = None
+    certificates: dict
+    error_metrics: Optional[diagnostics.ErrorMetrics]
 
     @property
     def final(self) -> IterationRecord:
@@ -144,20 +144,22 @@ def _evaluation(problem: ProblemDefinition, grid: TimeGrid, xs: np.ndarray):
 
 
 def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
-          u_tilde1: Optional[Trajectory] = None, v_tilde1: Optional[Trajectory] = None,
-          iteration_csv: Optional[IO] = None) -> SolveReport:
+          u_tilde1: Optional[Trajectory] = None,
+          v_tilde1: Optional[Trajectory] = None) -> SolveReport:
     """Run the outer loop from (x0, u~1, v~1) until the optimality test passes.
 
-    Omitted initial multipliers default to zero.  When `iteration_csv` is
-    given, the per-iteration log is written to it incrementally (header plus
-    one row per outer iteration, flushed as produced).  Raises OverflowError
-    when the penalty parameter or the multiplier update overflows, and
-    StartEvaluationError when an evaluator is non-finite at x0 (an
-    EvaluationError from a later iterate is raised as it is).
+    Omitted initial multipliers default to zero; x0's grid must span the
+    problem's horizon.  Writes nothing.  Raises OverflowError when the penalty
+    parameter or the multiplier update overflows, and StartEvaluationError
+    when an evaluator is non-finite at x0 (an EvaluationError from a later
+    iterate is raised as it is).
     """
     grid = x0.grid
     if x0.dim != problem.n:
         raise ValueError(f"x0 has dim {x0.dim}, problem expects n={problem.n}")
+    if grid.horizon != problem.horizon:
+        raise ValueError(f"x0 has horizon {grid.horizon!r}, problem expects "
+                         f"T={problem.horizon!r}")
     if u_tilde1 is None:
         u_tilde1 = Trajectory.constant(grid, np.zeros(problem.p))
     if v_tilde1 is None:
@@ -184,10 +186,6 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
     records = []
     diverged_streak = 0
     status = SolveStatus.MAX_OUTER_REACHED
-
-    if iteration_csv is not None:
-        iteration_csv.write(ITERATION_CSV_HEADER + "\n")
-        iteration_csv.flush()
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         for k in range(1, cfg.max_outer + 1):
@@ -218,9 +216,6 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
                 objective_quadrature=objective,
                 inner_worst_status=inner_worst, inner_max_grad=inner_max_grad)
             records.append(record)
-            if iteration_csv is not None:
-                iteration_csv.write(record.csv_row() + "\n")
-                iteration_csv.flush()
 
             if akkt_holds(residuals, cfg.eps_stop):
                 status = SolveStatus.AKKT_CONVERGED
@@ -239,9 +234,9 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
             rho = rho_next
 
     x, u, v = (Trajectory(grid, rows) for rows in (xs, u_rows, v_rows))
-    report = SolveReport(status=status, grid=grid, iterations=records, x=x, u=u, v=v)
-    report.certificates = diagnostics.certify(problem, grid, bundle, u, v,
-                                              residuals, cfg.eps_stop)
-    if problem.reference is not None:
-        report.error_metrics = diagnostics.solution_error(grid, x, problem)
-    return report
+    return SolveReport(
+        status=status, grid=grid, iterations=records, x=x, u=u, v=v,
+        certificates=diagnostics.certify(problem, grid, bundle, u, v, residuals,
+                                         cfg.eps_stop),
+        error_metrics=(diagnostics.solution_error(grid, x, problem)
+                       if problem.reference is not None else None))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -19,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .alm import AlmConfig, SolveStatus, StartEvaluationError, _in_box, solve
+from .alm import (ITERATION_CSV_HEADER, AlmConfig, SolveStatus, StartEvaluationError,
+                  _in_box, solve)
 from .diagnostics import _reference_trajectory, certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv, write_trajectory_csv)
@@ -162,6 +164,8 @@ def _merged_options(args) -> tuple:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
+        except OSError as exc:
+            raise CliError(EXIT_DATA, f"{where}: {exc.strerror}") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CliError(EXIT_DATA, f"{where}: {exc}") from None
         if not isinstance(file_values, dict):
@@ -205,6 +209,26 @@ def _json_text(obj: dict, what: str = "result") -> str:
         raise OverflowError(f"{what} out of floating-point range: {exc}") from None
 
 
+def _publish(out_dir: str, texts: dict) -> None:
+    """Write each of OUTPUT_FILES to its `.tmp.` name, then rename all into place;
+    after a failure, remove the temp files this call made and did not rename."""
+    made = []
+    try:
+        for name in OUTPUT_FILES:
+            path = os.path.join(out_dir, f".tmp.{name}")
+            with open(path, "wb") as fh:
+                made.append(path)
+                fh.write(texts[name].encode("utf-8"))
+        for path, name in zip(made, OUTPUT_FILES):
+            os.replace(path, os.path.join(out_dir, name))
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"--out-dir: {exc}") from None
+    finally:
+        for path in made:
+            if os.path.exists(path):
+                os.unlink(path)
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     opts, sources = _merged_options(args)
@@ -236,68 +260,57 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_DATA, f"{flag}: entries must lie in [{low:g}, {high:g}]")
 
     out_dir = args.out_dir
-    tmp = {name: os.path.join(out_dir, f".tmp.{name}") for name in OUTPUT_FILES}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        log = open(tmp["iterations.csv"], "w", encoding="utf-8")
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"--out-dir: {exc}") from None
     try:
-        with log:
-            try:
-                report = solve(problem, cfg, x0, u0, v0, iteration_csv=log)
-            except StartEvaluationError as exc:
-                raise CliError(EXIT_DATA, f"{start}: {exc}") from None
+        report = solve(problem, cfg, x0, u0, v0)
+    except StartEvaluationError as exc:
+        raise CliError(EXIT_DATA, f"{start}: {exc}") from None
 
-        columns = ([f"x{i + 1}" for i in range(problem.n)]
-                   + [f"u{i + 1}" for i in range(problem.p)]
-                   + [f"v{i + 1}" for i in range(problem.m)])
-        combined = np.hstack([report.x.values, report.u.values, report.v.values])
-        write_trajectory_csv(Trajectory(grid, combined), tmp["trajectory.csv"], columns)
-
-        reference = (_reference_trajectory(problem, grid)
-                     if problem.reference is not None else None)
-        with open(tmp["trajectory.svg"], "w", encoding="utf-8") as fh:
-            fh.write(trajectory_svg(report.x, reference,
-                                    title=f"{problem.name}: solver trajectory"))
-        with open(tmp["residuals.svg"], "w", encoding="utf-8") as fh:
-            fh.write(residuals_svg(report.iterations,
-                                   title=f"{problem.name}: residual history"))
-
-        final = report.final
-        summary = {
-            "problem": problem.name,
-            "status": report.status.value,
-            "outer_iterations": len(report.iterations),
-            "rho_final": final.rho,
-            "residuals": {
-                "stationarity_l1": final.residuals.stationarity_l1,
-                "complementarity_sup": final.residuals.complementarity_sup,
-                "multiplier_min": final.residuals.multiplier_min,
-            },
-            "infeas_measure": final.infeas_measure,
-            "primal_infeasibility": final.residuals.primal_infeasibility,
-            "objective": final.objective_quadrature,
-            "certificates": _certificates_json(report.certificates),
-            "error_metrics": (report.error_metrics.as_json_obj()
-                              if report.error_metrics is not None else None),
-            "config": {
-                "problem": problem.name, "nodes": opts["nodes"],
-                **{f.name: getattr(cfg, f.name) for f in _ALM_FIELDS},
-                **{f"inner_{f.name}": getattr(cfg.inner, f.name) for f in _INNER_FIELDS},
-                "x0": opts["x0"], "u0": opts["u0"], "v0": opts["v0"],
-            },
-        }
-        with open(tmp["summary.json"], "wb") as fh:
-            fh.write(_json_text(summary).encode("utf-8"))
-    except BaseException:
-        for path in tmp.values():
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
-    # All files were produced; publish them together.
-    for name in OUTPUT_FILES:
-        os.replace(tmp[name], os.path.join(out_dir, name))
+    columns = ([f"x{i + 1}" for i in range(problem.n)]
+               + [f"u{i + 1}" for i in range(problem.p)]
+               + [f"v{i + 1}" for i in range(problem.m)])
+    combined = np.hstack([report.x.values, report.u.values, report.v.values])
+    trajectory_csv = io.StringIO()
+    write_trajectory_csv(Trajectory(grid, combined), trajectory_csv, columns)
+    reference = (_reference_trajectory(problem, grid)
+                 if problem.reference is not None else None)
+    final = report.final
+    summary = {
+        "problem": problem.name,
+        "status": report.status.value,
+        "outer_iterations": len(report.iterations),
+        "rho_final": final.rho,
+        "residuals": {
+            "stationarity_l1": final.residuals.stationarity_l1,
+            "complementarity_sup": final.residuals.complementarity_sup,
+            "multiplier_min": final.residuals.multiplier_min,
+        },
+        "infeas_measure": final.infeas_measure,
+        "primal_infeasibility": final.residuals.primal_infeasibility,
+        "objective": final.objective_quadrature,
+        "certificates": _certificates_json(report.certificates),
+        "error_metrics": (report.error_metrics.as_json_obj()
+                          if report.error_metrics is not None else None),
+        "config": {
+            "problem": problem.name, "nodes": opts["nodes"],
+            **{f.name: getattr(cfg, f.name) for f in _ALM_FIELDS},
+            **{f"inner_{f.name}": getattr(cfg.inner, f.name) for f in _INNER_FIELDS},
+            "x0": opts["x0"], "u0": opts["u0"], "v0": opts["v0"],
+        },
+    }
+    _publish(out_dir, {
+        "iterations.csv": "\n".join([ITERATION_CSV_HEADER,
+                                     *(r.csv_row() for r in report.iterations)]) + "\n",
+        "trajectory.csv": trajectory_csv.getvalue(),
+        "summary.json": _json_text(summary),
+        "trajectory.svg": trajectory_svg(report.x, reference,
+                                         title=f"{problem.name}: solver trajectory"),
+        "residuals.svg": residuals_svg(report.iterations,
+                                       title=f"{problem.name}: residual history"),
+    })
 
     print(f"{problem.name}: {report.status.value} after "
           f"{len(report.iterations)} outer iteration(s); outputs in {out_dir}")
@@ -316,6 +329,9 @@ def cmd_check(args) -> int:
     if x.dim != problem.n:
         raise CliError(EXIT_DATA, f"{x_path}: trajectory has {x.dim} state column(s), "
                                   f"expected {problem.n}")
+    if x.grid.horizon != problem.horizon:
+        raise CliError(EXIT_DATA, f"{x_path}: trajectory ends at t={x.grid.horizon!r}, "
+                                  f"problem horizon is T={problem.horizon!r}")
     if mults.dim != problem.p + problem.m:
         raise CliError(EXIT_DATA, f"{m_path}: multiplier file has {mults.dim} column(s), "
                                   f"expected p+m={problem.p + problem.m}")

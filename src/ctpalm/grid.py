@@ -101,10 +101,10 @@ def _l1_quadrature(rows: np.ndarray, h: float) -> float:
 
 
 def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
-    """Write `t,c0,c1,...` rows at full double precision.
+    """Write `t,c0,c1,...` rows at full double precision to the text file `dest`.
 
-    `dest` is a path or a writable text file.  `columns` names the value
-    columns (default c0, c1, ...).  One data row per node, newline-terminated.
+    `columns` names the value columns (default c0, c1, ...).  One data row per
+    node, newline-terminated.
     """
     if columns is None:
         columns = [f"c{d}" for d in range(traj.dim)]
@@ -113,12 +113,7 @@ def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
     for i, t in enumerate(traj.grid.nodes):
         cells = [f"{t:.17g}"] + [f"{x:.17g}" for x in traj.values[i]]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    dest.write("\n".join(lines) + "\n")
 
 
 class TrajectoryCsvError(ValueError):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,15 @@ _BY_SEVERITY = (InnerStatus.CONVERGED, InnerStatus.MAX_ITERS, InnerStatus.DIVERG
 _CONVERGED, _MAX_ITERS, _DIVERGED = range(3)
 
 
+def _count(value):
+    """`value` as an integer, numpy integers included; NaN, which fails every
+    range test, for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class InnerConfig:
     """Stationarity tolerance and descent iteration budget of each node solve."""
@@ -76,7 +86,7 @@ class InnerConfig:
     def __post_init__(self):
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if not 1 <= self.max_iters <= _MAX_ITERS_LIMIT:
+        if not 1 <= _count(self.max_iters) <= _MAX_ITERS_LIMIT:
             raise ValueError(f"max_iters must lie in [1, {_MAX_ITERS_LIMIT}]")
 
 

@@ -2,7 +2,6 @@
 and the structural invariants of whole runs."""
 
 import dataclasses
-import io
 import warnings
 
 import numpy as np
@@ -12,8 +11,8 @@ import ctpalm as c
 import ctpalm.alm as alm_mod
 import ctpalm.inner as inner_mod
 import ctpalm.lagrangian as lagrangian
-from ctpalm.alm import (ITERATION_CSV_HEADER, SolveStatus, StartEvaluationError,
-                        multiplier_update, penalty_update, safeguard_project)
+from ctpalm.alm import (SolveStatus, StartEvaluationError, multiplier_update,
+                        penalty_update, safeguard_project)
 from ctpalm.grid import _trapezoid_sum
 from ctpalm.inner import InnerStatus
 from ctpalm.lagrangian import violations
@@ -176,6 +175,20 @@ def test_solve_rejects_dimension_mismatch():
         c.solve(prob, c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0, 1.0]))
 
 
+def test_solve_rejects_a_start_on_another_horizon():
+    # ex4 runs to T = 2; a start on [0, 1] covers half of it.
+    grid = c.make_uniform_grid(1.0, 43)
+    with pytest.raises(ValueError, match=r"^x0 has horizon 1\.0, problem expects T=2\.0$"):
+        c.solve(c.builtin("ex4"), c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("max_outer", [2.5, 3.0, "3", None])
+def test_config_rejects_a_non_integer_outer_budget(max_outer):
+    with pytest.raises(ValueError, match="^max_outer must be >= 1$"):
+        c.AlmConfig(max_outer=max_outer)
+    assert c.AlmConfig(max_outer=np.int64(3)).max_outer == 3
+
+
 @pytest.mark.parametrize("cfg_kwargs,x0,message", [
     ({"rho_init": 1e300}, [0.0, -1e10], "multiplier update overflowed"),
     ({"gamma": 1e300}, [0.0, 0.0], "penalty parameter overflowed"),
@@ -264,21 +277,6 @@ def test_deterministic_records():
     rows_a = [r.csv_row() for r in a[0].iterations]
     rows_b = [r.csv_row() for r in b[0].iterations]
     assert rows_a == rows_b
-
-
-def test_iteration_csv_sink_incremental():
-    prob = c.builtin("ex1")
-    grid = c.make_uniform_grid(1.0, 21)
-    sink = io.StringIO()
-    report = c.solve(prob, c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0]),
-                     None, c.Trajectory.constant(grid, [1.0, 1.0]),
-                     iteration_csv=sink)
-    lines = sink.getvalue().strip().splitlines()
-    assert lines[0] == ITERATION_CSV_HEADER
-    assert len(lines) == 1 + len(report.iterations)
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert first[6] in {s.value for s in InnerStatus}
 
 
 def test_inner_failure_after_persistent_divergence():

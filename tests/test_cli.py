@@ -95,6 +95,26 @@ def test_solve_atomic_outputs_no_temp_leftovers(ex1_cli_dirs):
     assert leftovers == []
 
 
+def test_iterations_csv_is_the_log_of_the_solve(ex1_cli_dirs, ex1_run):
+    # Both solve ex1 from the same start with the default config.
+    report = ex1_run[0]
+    lines = (ex1_cli_dirs[0] / "iterations.csv").read_text().splitlines()
+    assert lines == [c.alm.ITERATION_CSV_HEADER,
+                     *(r.csv_row() for r in report.iterations)]
+
+
+def test_blocked_temp_name_publishes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / ".tmp.summary.json").mkdir(parents=True)
+    proc = run_in_process(["solve", "--problem", "ex1", "--nodes", "5",
+                           "--out-dir", str(out)], capsys)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("error: --out-dir: ")
+    assert len(proc.stderr.splitlines()) == 1
+    # Only the directory that was there before the run is left.
+    assert os.listdir(out) == [".tmp.summary.json"]
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"nodes": 21, "x0": "1,1", "v0": "1,1",
@@ -294,6 +314,11 @@ _BAD_INPUTS = {
         "u0.csv"),
     "config-not-object": (65, lambda d: ["solve", "--problem", "ex1", "--config",
                                          _write(d / "run.json", "[1, 2]")], "run.json"),
+    "config-missing": (65, lambda d: ["solve", "--problem", "ex1",
+                                      "--config", str(d / "missing.json")],
+                       ("--config", "missing.json")),
+    "config-directory": (65, lambda d: ["solve", "--problem", "ex1", "--config", str(d)],
+                         ("--config", "")),
     "check-state-wrong-width": (65, lambda d: [
         "check", "ex1", _write(d / "x.csv", "t,c0\n0,0\n1,0\n"),
         _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,0\n")], "x.csv"),
@@ -306,6 +331,10 @@ _BAD_INPUTS = {
     "check-multipliers-negative": (65, lambda d: [
         "check", "ex1", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
         _write(d / "m.csv", "t,c0,c1\n0,0,0\n1,0,-1\n")], "m.csv"),
+    # ex4 runs to T = 2: these files cover [0, 1] only.
+    "check-short-horizon": (65, lambda d: [
+        "check", "ex4", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
+        _write(d / "m.csv", "t,c0,c1,c2,c3,c4\n0,0,0,0,0,0\n1,0,0,0,0,0\n")], "x.csv"),
 }
 
 
@@ -347,6 +376,11 @@ _EXACT_ERRORS = {
                                               f"files use different grids",
     "check-multipliers-negative": lambda d: f"{d / 'm.csv'}: negative inequality "
                                             f"multiplier entries",
+    "config-missing": lambda d: f"--config: {d / 'missing.json'}: No such file or "
+                                f"directory",
+    "config-directory": lambda d: f"--config: {d}: Is a directory",
+    "check-short-horizon": lambda d: f"{d / 'x.csv'}: trajectory ends at t=1.0, "
+                                     f"problem horizon is T=2.0",
 }
 
 

@@ -232,7 +232,8 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     traj = Trajectory(grid, rng.normal(size=(17, 3)))
     path = tmp_path / "x.csv"
-    write_trajectory_csv(traj, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        write_trajectory_csv(traj, fh)
     text = path.read_text()
     assert text.splitlines()[0] == "t,c0,c1,c2"
     assert text.endswith("\n")

@@ -66,6 +66,13 @@ def test_node_reports_divergence_on_unbounded_objective():
     assert result.status is InnerStatus.DIVERGED
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3", None])
+def test_config_rejects_a_non_integer_descent_budget(max_iters):
+    with pytest.raises(ValueError, match=r"^max_iters must lie in \[1, "):
+        c.InnerConfig(max_iters=max_iters)
+    assert c.InnerConfig(max_iters=np.int64(3)).max_iters == 3
+
+
 def test_node_rejects_bad_inputs():
     with pytest.raises(ValueError):
         c.solve_node(shifted_quadratic(), 0.0, np.zeros(2), MultiplierSet(), -1.0,

@@ -6,29 +6,29 @@ Usage, from the root of a source checkout:
   python3 tools/output_digest.py [CHECKOUT]
 
 imports `ctpalm` from CHECKOUT/src (default: the checkout holding this
-script) and solves:
+script) and solves, each through `ctpalm solve` with the default config:
 
-  - the five runs of `tests/conftest.py` (`run_builtin` with `RUN_STARTS`,
-    85 nodes, default config);
+  - the five runs of `tests/conftest.py` (`RUN_STARTS`, 85 nodes);
   - ex3 from its conftest start at 17 nodes;
-  - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers and config;
+  - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line.
 
-Each digest covers x, u and v (shape and bytes), the `iterations.csv` text,
-the status, the certificates, the error metrics, and the texts of the two
-plots as `ctpalm solve` writes them: `trajectory_svg` with the reference
-overlay when the problem has one, and `residuals_svg`.  The one-node line
-covers each result's x_star bytes, gradient norm, iterations and status.
-Run it on two checkouts and compare the lines.
+Each solve's digest covers its exit code and the bytes of the five files it
+publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
+round-trips every double), `summary.json` (status, certificates, error
+metrics), and both plots.  The one-node line covers each result's x_star
+bytes, gradient norm, iterations and status.  Run it on two checkouts and
+compare the lines.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
-import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,7 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path.insert(0, str(ROOT / "src"))
 
 import ctpalm as c  # noqa: E402
-from ctpalm.diagnostics import _reference_trajectory  # noqa: E402
-from ctpalm.plots import residuals_svg, trajectory_svg  # noqa: E402
+import ctpalm.cli  # noqa: E402
 
 # (name, problem, x0, u0, v0, nodes); the first five are tests/conftest.py's.
 RUNS = (
@@ -53,32 +52,17 @@ RUNS = (
 
 
 def digest(problem_name, x0, u0, v0, nodes) -> str:
-    problem = c.builtin(problem_name)
-    grid = c.make_uniform_grid(problem.horizon, nodes)
-    log = io.StringIO()
-    report = c.solve(problem, c.AlmConfig(), c.Trajectory.constant(grid, x0),
-                     c.Trajectory.constant(grid, u0) if u0 is not None else None,
-                     c.Trajectory.constant(grid, v0) if v0 is not None else None,
-                     iteration_csv=log)
-    h = hashlib.sha256()
-    for traj in (report.x, report.u, report.v):
-        h.update(repr(traj.values.shape).encode())
-        h.update(traj.values.tobytes())
-    certificates = {key: cert.as_json_obj() if cert is not None else None
-                    for key, cert in report.certificates.items()}
-    metrics = (report.error_metrics.as_json_obj()
-               if report.error_metrics is not None else None)
-    reference = (_reference_trajectory(problem, grid)
-                 if problem.reference is not None else None)
-    for text in (log.getvalue(), report.status.value,
-                 json.dumps(certificates, sort_keys=True),
-                 json.dumps(metrics, sort_keys=True),
-                 trajectory_svg(report.x, reference,
-                                title=f"{problem.name}: solver trajectory"),
-                 residuals_svg(report.iterations,
-                               title=f"{problem.name}: residual history")):
-        h.update(text.encode())
-        h.update(b"\0")
+    argv = ["solve", "--problem", problem_name, "--nodes", str(nodes)]
+    for flag, values in (("x0", x0), ("u0", u0), ("v0", v0)):
+        if values is not None:
+            argv.append(f"--{flag}=" + ",".join(map(repr, values)))
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ctpalm.cli.main(argv + ["--out-dir", out])
+        h = hashlib.sha256(repr(code).encode())
+        for name in ctpalm.cli.OUTPUT_FILES:
+            h.update(name.encode() + b"\0")
+            h.update((Path(out) / name).read_bytes())
     return h.hexdigest()
 
 
