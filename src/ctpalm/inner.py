@@ -8,6 +8,13 @@ with the row's own step size, Barzilai-Borwein memory, Armijo backtracking and
 termination, and evaluates only the rows still working.  A row's arithmetic
 is that of a solve of its node alone.
 
+Rows are selected by one rule: a selection that covers the whole working
+batch is the basic slice `[:]`, so gathering through it takes views of the
+batch's arrays and no copy, and a whole-batch result becomes the rows' state
+as it is, without a scatter.  Any other selection is an index array.  The
+evaluators therefore see the batch's own state and time arrays, which they
+must not write into.
+
 1. Spectral (Barzilai-Borwein) gradient descent with a monotone Armijo
    backtracking safeguard on the augmented objective.
 2. Rows where descent stops short (budget exhausted or iterates escaping the
@@ -110,6 +117,22 @@ class _Rows:
             self.__dict__.update({k: a[mask] for k, a in vars(self).items()})
 
 
+def _select(rows: np.ndarray, count: int):
+    """Selector of `rows`, ascending indices into a batch of `count` rows: the
+    slice over the whole batch when they are all of it, so that a gather
+    through it is a view, else the indices."""
+    return slice(None) if len(rows) == count else rows
+
+
+def _update(dest, j, values, mask) -> None:
+    """dest[j][mask] = values[mask] for a selector j from `_select`; over the
+    whole batch, one masked copy."""
+    if isinstance(j, slice):
+        np.copyto(dest, values, where=mask.reshape(mask.shape + (1,) * (dest.ndim - 1)))
+    else:
+        dest[j[mask]] = values[mask]
+
+
 def _gradient_at(problem, xs, ts, us, vs, rho):
     """Augmented gradient at states xs, from one call of each evaluator it
     needs there."""
@@ -141,10 +164,11 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     monotone Armijo safeguard on the objective with values w.f, gradients w.gr.
 
     `alpha` is the phase's first step; None takes the BB step.  Steps halve
-    until `trial(rows, x, bound)` accepts them or drop below _STEP_MIN;
-    `trial` returns the mask of accepted points and their values of `fields`
-    (w.f first), or None for the values when it accepts none.  Rows without
-    an acceptable step stop after `it` iterations.
+    until `trial(j, x, bound)` accepts them or drop below _STEP_MIN; `j`
+    selects the trial's rows of `w` (see `_select`), and `trial` returns the
+    mask of accepted points and their values of `fields` (w.f first), or None
+    for the values when it accepts none.  Rows without an acceptable step
+    stop after `it` iterations.
     """
     d = -w.gr
     gd = _row_dots(w.gr, d)
@@ -152,24 +176,34 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
         # Every row past its first step has accepted one, so has BB memory.
         alpha = _bb_step(w.x - w.prev_x, w.gr - w.prev_g)
     names = ("x",) + fields
-    new = [np.empty_like(getattr(w, k)) for k in names]
-    accepted = np.zeros(len(w.rows), dtype=bool)
+    count = len(w.rows)
+    new = None
+    accepted = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(alpha >= _STEP_MIN)
     while rows.size:
-        xt = w.x[rows] + alpha[rows, None] * d[rows]
-        ok, values = trial(rows, xt, w.f[rows] + _ARMIJO_C * alpha[rows] * gd[rows])
+        j = _select(rows, count)
+        xt = w.x[j] + alpha[j, None] * d[j]
+        ok, values = trial(j, xt, w.f[j] + _ARMIJO_C * alpha[j] * gd[j])
         if values is not None:
-            j = rows[ok]
+            if isinstance(j, slice) and ok.all():
+                # The whole batch accepts, and no row has before.
+                new, accepted = (xt,) + values, ok
+                break
+            if new is None:
+                new = [np.empty_like(getattr(w, k)) for k in names]
+            k = rows[ok]
             for a, value in zip(new, (xt[ok],) + values):
-                a[j] = value
-            accepted[j] = True
+                a[k] = value
+            accepted[k] = True
         rows = rows[~ok]
         alpha[rows] *= 0.5
         rows = rows[alpha[rows] >= _STEP_MIN]
-    iters[w.rows[~accepted]] = it
     w.prev_x, w.prev_g = w.x, w.gr
-    vars(w).update(zip(names, new))
-    w.keep(accepted)
+    if new is not None:
+        vars(w).update(zip(names, new))
+    if not accepted.all():
+        iters[w.rows[~accepted]] = it
+        w.keep(accepted)
 
 
 def _stop_test(rows, gn, x, it, iters, status, cfg):
@@ -221,29 +255,34 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     def trial(j, xt, bound):
         # The gradient is evaluated only where the value passes, and takes h
         # and g from the value's evaluation.
-        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
-        pt = _penalty_value(ev, w.u[j], w.v[j], rho)
+        t, u, v = w.t[j], w.u[j], w.v[j]
+        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, t))
+        pt = _penalty_value(ev, u, v, rho)
         ft = ev.phi + pt
         ok = np.isfinite(ft) & (ft <= bound)
         if not ok.any():
             return ok, None
-        k = j[ok]
+        k = _select(np.flatnonzero(ok), len(ok))
         ev.keep(ok)
-        vars(ev).update(_evaluate_fields(problem, _GRADIENT_FIELDS, xt[ok], w.t[k]))
-        gt = _aug_gradient(ev, w.u[k], w.v[k], rho)
+        vars(ev).update(_evaluate_fields(problem, _GRADIENT_FIELDS, xt[k], t[k]))
+        gt = _aug_gradient(ev, u[k], v[k], rho)
         finite = np.isfinite(gt).all(axis=1)
-        ok[ok] = finite
-        return ok, (ft[ok], pt[ok], gt[finite])
+        if not finite.all():
+            ok[ok] = finite
+            k, gt = np.flatnonzero(ok), gt[finite]
+        return ok, (ft[k], pt[k], gt)
 
     for it in range(1, cfg.max_iters + 1):
         first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
         _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it)
         w.gn = np.abs(w.gr).max(axis=1)
-        rows = w.rows
-        better = w.gn <= best_gn[rows]
-        best_x[rows[better]], best_gn[rows[better]] = w.x[better], w.gn[better]
-        lower = w.pen < minpen[rows]
-        minpen_x[rows[lower]], minpen[rows[lower]] = w.x[lower], w.pen[lower]
+        j = _select(w.rows, count)
+        better = w.gn <= best_gn[j]
+        _update(best_x, j, w.x, better)
+        _update(best_gn, j, w.gn, better)
+        lower = w.pen < minpen[j]
+        _update(minpen_x, j, w.x, lower)
+        _update(minpen, j, w.pen, lower)
         on = _stop_test(w.rows, w.gn, w.x, it, iters, status, cfg)
         if on is not None:
             w.keep(on)
@@ -261,6 +300,7 @@ def _psi_gradient(problem, w, rho):
     out = np.zeros_like(w.x)
     j = np.flatnonzero(norm != 0.0)
     if j.size:
+        j = _select(j, len(norm))
         scale = norm[j, None]
         step = _POLISH_FD_STEP * (w.F[j] / scale)
         u, v, t = w.u[j], w.v[j], w.t[j]
@@ -291,7 +331,8 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
         Ft = _gradient_at(problem, xt, w.t[j], w.u[j], w.v[j], rho)
         psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
         ok = np.isfinite(psit) & (psit <= bound)
-        return ok, (psit[ok], Ft[ok])
+        k = _select(np.flatnonzero(ok), len(ok))
+        return ok, (psit[k], Ft[k])
 
     for it in range(1, _POLISH_ITERS + 1):
         landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.gr).all(axis=1)
@@ -307,10 +348,12 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
                  if it == 1 else None)
         _armijo_pass(w, first, trial, ("f", "F"), iters, it)
         w.gn = np.abs(w.F).max(axis=1)
-        best = best_gn[w.rows]
+        j = _select(w.rows, count)
+        best = best_gn[j]
         improved = w.gn <= 0.99 * best
         kept = w.gn <= best
-        best_x[w.rows[kept]], best_gn[w.rows[kept]] = w.x[kept], w.gn[kept]
+        _update(best_x, j, w.x, kept)
+        _update(best_gn, j, w.gn, kept)
         w.since_best = np.where(improved, 0, w.since_best + 1)
         escaped = _escaped(w.x)
         iters[w.rows[escaped]] = it

@@ -59,8 +59,10 @@ class ProblemDefinition:
     N rows, phi (N,), grad_phi (N, n), h (N, p), jac_h (N, p, n), g (N, m)
     or jac_g (N, m, n).  Callers check these shapes exactly.  Evaluators must
     be pure and act row by row: a row's values depend only on that row's
-    (x, t), and repeated calls return identical values.  Wrap callables of
-    one state x (n,) at one time with `pointwise`.
+    (x, t), and repeated calls return identical values.  They must not
+    write into x or t: the solver passes its own arrays, the grid's nodes and
+    the iterates it goes on with.  Wrap callables of one state x (n,) at one
+    time with `pointwise`.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise
@@ -89,14 +91,18 @@ class ProblemDefinition:
         if self.n < 1 or self.p < 0 or self.m < 0:
             raise ValueError("dimensions must satisfy n >= 1, p >= 0, m >= 0")
         n, p, m = self.n, self.p, self.m
-        # Built once: every evaluator call checks its output against it.
-        object.__setattr__(self, "_row_shapes", {
-            "phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
-            "g": (m,), "jac_g": (m, n)})
+        shapes = {"phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
+                  "g": (m,), "jac_g": (m, n)}
+        # Built once (`dataclasses.replace` builds it anew): every evaluator
+        # call takes the callable here and checks its output against the
+        # shape; the evaluators of absent constraints are never called.
+        object.__setattr__(self, "_evaluators", {
+            name: (getattr(self, "eval_" + name), shape, 0 in shape)
+            for name, shape in shapes.items()})
 
     def row_shape(self, name: str) -> tuple:
         """Shape of one node's value of evaluator `name` ("phi", "jac_g", ...)."""
-        return self._row_shapes[name]
+        return self._evaluators[name][1]
 
 
 EVALUATORS = ("phi", "grad_phi", "h", "jac_h", "g", "jac_g")
@@ -143,12 +149,12 @@ def _evaluate_fields(problem: ProblemDefinition, names, xs: np.ndarray,
     """
     fields = {}
     for name in names:
-        shape = problem.row_shape(name)
+        fn, shape, absent = problem._evaluators[name]
         expected = (len(ts),) + shape
-        if 0 in shape:
+        if absent:
             fields[name] = np.empty(expected)
             continue
-        out = np.asarray(getattr(problem, "eval_" + name)(xs, ts), dtype=float)
+        out = np.asarray(fn(xs, ts), dtype=float)
         if out.shape != expected:
             raise ValueError(f"eval_{name} returned shape {out.shape}, "
                              f"expected {expected}")

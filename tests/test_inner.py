@@ -344,6 +344,27 @@ def test_lockstep_rows_equal_the_node_solver_from_random_starts(name):
         assert_rows_match_reference(name, grid, xs, us, vs, rho, c.AlmConfig().inner)
 
 
+def test_whole_batch_descent_trial_takes_views(monkeypatch):
+    """ex3 from its conftest start at 17 nodes: every row descends through the
+    whole budget, and every descent trial that covers the whole batch hands
+    the evaluators a view of the grid's nodes, not a gathered copy."""
+    x0, u0, v0, nodes = CONFTEST_STARTS["ex3"]
+    prob = c.builtin("ex3")
+    grid = c.make_uniform_grid(prob.horizon, nodes)
+    evaluate, shares = inner_mod._evaluate_fields, []
+
+    def observed(problem, names, xs, ts):
+        if (names in (inner_mod._VALUE_FIELDS, inner_mod._GRADIENT_FIELDS)
+                and len(ts) == nodes):
+            shares.append(np.shares_memory(ts, grid.nodes))
+        return evaluate(problem, names, xs, ts)
+
+    monkeypatch.setattr(inner_mod, "_evaluate_fields", observed)
+    xs, us, vs = (np.tile(np.asarray(a, dtype=float), (nodes, 1)) for a in (x0, u0, v0))
+    c.solve_subproblem(prob, grid.nodes, xs, us, vs, 1.0, c.InnerConfig())
+    assert shares and all(shares)
+
+
 def test_lockstep_ex3_batch_mixes_every_outcome():
     """ex3 at rho = 1: rows converging in descent, rows the polish rescues,
     rows falling back to the min-penalty iterate (one diverged, one with an

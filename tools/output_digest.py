@@ -11,6 +11,11 @@ script) and solves, each through `ctpalm solve` with the default config:
   - the five runs of `tests/conftest.py` (`RUN_STARTS`, 85 nodes);
   - ex3 from its conftest start at 17 nodes;
   - akkt_example from x0 = (1, 1) at 84 nodes, default multipliers;
+  - ex4 and infeasible1 at 85 nodes from the conftest x0 plus a uniform
+    offset per node and component, drawn by `np.random.default_rng(11)` with
+    half-width 0.1 and 0.5 (the seeded starts of the benchmark's ex4-outer
+    and infeasible1-stall at seed 11), handed to `ctpalm solve` as an `--x0`
+    trajectory CSV;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line.
 
@@ -33,30 +38,53 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
 sys.path.insert(0, str(ROOT / "src"))
 
 import ctpalm as c  # noqa: E402
 import ctpalm.cli  # noqa: E402
 
-# (name, problem, x0, u0, v0, nodes); the first five are tests/conftest.py's.
+# Seed of the seeded starts.
+SEED = 11
+
+# (name, problem, x0, u0, v0, nodes, half-width of the seeded offset, 0 for
+# none); the first five are tests/conftest.py's.
 RUNS = (
-    ("ex1", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85),
-    ("ex2", "ex2", [0.5, 0.5], None, [1.0, 1.0, 1.0], 85),
-    ("ex3", "ex3", [-100.0, -100.0, -100.0], [1.0], [1.0, 1.0], 85),
-    ("ex4", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85),
-    ("infeasible1", "infeasible1", [5.0], None, None, 85),
-    ("ex3@17", "ex3", [-100.0, -100.0, -100.0], [1.0], [1.0, 1.0], 17),
-    ("akkt_example@84", "akkt_example", [1.0, 1.0], None, None, 84),
+    ("ex1", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85, 0.0),
+    ("ex2", "ex2", [0.5, 0.5], None, [1.0, 1.0, 1.0], 85, 0.0),
+    ("ex3", "ex3", [-100.0, -100.0, -100.0], [1.0], [1.0, 1.0], 85, 0.0),
+    ("ex4", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85, 0.0),
+    ("infeasible1", "infeasible1", [5.0], None, None, 85, 0.0),
+    ("ex3@17", "ex3", [-100.0, -100.0, -100.0], [1.0], [1.0, 1.0], 17, 0.0),
+    ("akkt_example@84", "akkt_example", [1.0, 1.0], None, None, 84, 0.0),
+    (f"ex4@seed{SEED}", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85, 0.1),
+    (f"infeasible1@seed{SEED}", "infeasible1", [5.0], None, None, 85, 0.5),
 )
 
 
-def digest(problem_name, x0, u0, v0, nodes) -> str:
-    argv = ["solve", "--problem", problem_name, "--nodes", str(nodes)]
-    for flag, values in (("x0", x0), ("u0", u0), ("v0", v0)):
-        if values is not None:
-            argv.append(f"--{flag}=" + ",".join(map(repr, values)))
-    with tempfile.TemporaryDirectory() as out:
+def write_seeded_start(path, problem_name, x0, nodes, half_width) -> None:
+    """x0 at every node plus a uniform offset in [-half_width, half_width)
+    per component, as a trajectory CSV at `path`."""
+    grid = c.make_uniform_grid(c.builtin(problem_name).horizon, nodes)
+    xs = np.tile(np.asarray(x0, dtype=float), (nodes, 1))
+    xs = xs + np.random.default_rng(SEED).uniform(-half_width, half_width,
+                                                  size=xs.shape)
+    with open(path, "w", encoding="utf-8") as fh:
+        c.write_trajectory_csv(c.Trajectory(grid, xs), fh)
+
+
+def digest(problem_name, x0, u0, v0, nodes, half_width) -> str:
+    specs = [",".join(map(repr, values)) if values is not None else None
+             for values in (x0, u0, v0)]
+    # The solve runs in its output directory, so that the seeded start's
+    # path, which the summary names, is the same on every run.
+    with tempfile.TemporaryDirectory() as out, contextlib.chdir(out):
+        if half_width:
+            specs[0] = "x0.csv"
+            write_seeded_start(specs[0], problem_name, x0, nodes, half_width)
+        argv = ["solve", "--problem", problem_name, "--nodes", str(nodes)]
+        argv += [f"--{flag}={spec}" for flag, spec in zip(("x0", "u0", "v0"), specs)
+                 if spec is not None]
         with contextlib.redirect_stdout(io.StringIO()):
             code = ctpalm.cli.main(argv + ["--out-dir", out])
         h = hashlib.sha256(repr(code).encode())
