@@ -68,15 +68,27 @@ class _Parser(argparse.ArgumentParser):
 _ALM_FIELDS = tuple(f for f in dataclasses.fields(AlmConfig) if f.name != "inner")
 _INNER_FIELDS = dataclasses.fields(InnerConfig)
 
-# Flag name -> (type, built-in default), the defaults taken from AlmConfig.
-# None defaults let a --config file fill values in; flags always win when both
-# are present.  Inner flags left unset keep AlmConfig's inner config, whose
-# grad_tol follows eps_stop.
+# The `solve` options, which are also the --config keys: name -> (type,
+# built-in default), the numeric defaults taken from AlmConfig.  None defaults
+# let a --config file fill values in; flags always win when both are present.
+# Inner flags left unset keep AlmConfig's inner config, whose grad_tol follows
+# eps_stop.
 _SOLVE_DEFAULTS = {
     "nodes": (int, 85),
     **{f.name.lower(): (type(f.default), f.default) for f in _ALM_FIELDS},
     **{f"inner_{f.name}": (type(f.default), None) for f in _INNER_FIELDS},
+    "x0": (str, None), "u0": (str, None), "v0": (str, None),
 }
+_SOLVE_HELP = {
+    "x0": "initial state: comma-separated constants or a trajectory CSV",
+    "u0": "initial equality multipliers (constants or CSV)",
+    "v0": "initial inequality multipliers (constants or CSV)",
+}
+# Option type -> (the JSON value types it takes, its name in errors).  JSON
+# types are kept: an int option takes a JSON integer, a float option any JSON
+# number, a str option a JSON string.
+_JSON_TYPES = {int: ((int,), "int"), float: ((int, float), "float"),
+               str: ((str,), "a string")}
 
 
 def build_parser() -> _Parser:
@@ -89,13 +101,8 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="run the solver on a built-in problem")
     ps.add_argument("--problem", required=True, help="registry name")
     for flag, (typ, _) in _SOLVE_DEFAULTS.items():
-        ps.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ, default=None)
-    ps.add_argument("--x0", default=None,
-                    help="initial state: comma-separated constants or a trajectory CSV")
-    ps.add_argument("--u0", default=None,
-                    help="initial equality multipliers (constants or CSV)")
-    ps.add_argument("--v0", default=None,
-                    help="initial inequality multipliers (constants or CSV)")
+        ps.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ, default=None,
+                        help=_SOLVE_HELP.get(flag))
     ps.add_argument("--out-dir", default=".", help="output directory (default: .)")
     ps.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags; flags win")
@@ -113,33 +120,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_problem(name: str):
-    try:
-        return builtin(name)
-    except UnknownProblemError as exc:
-        raise CliError(EXIT_USAGE, str(exc.args[0])) from None
-
-
-def _parse_constants(spec: str) -> Optional[np.ndarray]:
-    try:
-        return np.array([float(part) for part in spec.split(",")])
-    except ValueError:
-        return None
-
-
 def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
-                               source: str) -> Optional[Trajectory]:
-    """Constants broadcast to every node; otherwise the spec is a CSV path."""
+                               source: str) -> tuple:
+    """(trajectory, where it came from) for `spec`, (None, source) for none.
+    Constants are broadcast to every node and come from `source`; any other
+    spec is a CSV path and comes from `source: PATH`."""
     if spec is None:
-        return None
-    constants = _parse_constants(spec)
+        return None, source
+    try:
+        constants = np.array([float(part) for part in spec.split(",")])
+    except ValueError:
+        constants = None
     if constants is not None:
         if constants.size != dim:
             raise CliError(EXIT_DATA,
                            f"{source}: expected {dim} component(s), got {constants.size}")
         if not np.all(np.isfinite(constants)):
             raise CliError(EXIT_DATA, f"{source}: non-finite value in {spec!r}")
-        return Trajectory.constant(grid, constants)
+        return Trajectory.constant(grid, constants), source
     if not os.path.exists(spec):
         raise CliError(EXIT_DATA, f"{source}: {spec!r} is neither a number list "
                                   f"nor an existing CSV file")
@@ -152,11 +150,11 @@ def _vector_spec_to_trajectory(spec: Optional[str], dim: int, grid,
         raise CliError(EXIT_DATA, f"{where}: expected {dim} column(s), got {traj.dim}")
     if traj.grid != grid:
         raise CliError(EXIT_DATA, f"{where}: CSV grid does not match the run grid")
-    return traj
+    return traj, where
 
 
 def _merged_options(args) -> tuple:
-    """Option values, flags before --config; and where x0, u0 and v0 came from."""
+    """Each option's value, from its flag before --config, and where it came from."""
     merged, sources = {}, {}
     file_values = {}
     where = f"--config: {args.config}"
@@ -170,28 +168,19 @@ def _merged_options(args) -> tuple:
             raise CliError(EXIT_DATA, f"{where}: {exc}") from None
         if not isinstance(file_values, dict):
             raise CliError(EXIT_DATA, f"{where}: top-level JSON object expected")
+        unknown = sorted(set(file_values) - set(_SOLVE_DEFAULTS))
+        if unknown:
+            raise CliError(EXIT_DATA, f"{where}: unknown keys: {', '.join(unknown)}")
     for flag, (typ, default) in _SOLVE_DEFAULTS.items():
-        value = getattr(args, flag)
+        value, sources[flag] = getattr(args, flag), f"--{flag.replace('_', '-')}"
         if value is None and flag in file_values:
-            # JSON types are kept: an integer flag takes a JSON integer, a
-            # float flag any JSON number.
-            value = file_values[flag]
-            numeric = (int,) if typ is int else (int, float)
-            if isinstance(value, bool) or not isinstance(value, numeric):
-                raise CliError(EXIT_DATA, f"{where}: {flag}: expected {typ.__name__}, "
+            value, sources[flag] = file_values[flag], f"{where}: {flag}"
+            json_types, name = _JSON_TYPES[typ]
+            if isinstance(value, bool) or not isinstance(value, json_types):
+                raise CliError(EXIT_DATA, f"{sources[flag]}: expected {name}, "
                                           f"got {value!r}")
             value = typ(value)
         merged[flag] = default if value is None else value
-    for flag in ("x0", "u0", "v0"):
-        value = getattr(args, flag)
-        sources[flag] = f"--{flag}"
-        if value is None and flag in file_values:
-            value = file_values[flag]
-            sources[flag] = f"{where}: {flag}"
-            if not isinstance(value, str):
-                raise CliError(EXIT_DATA, f"{sources[flag]}: expected a string, "
-                                          f"got {value!r}")
-        merged[flag] = value
     return merged, sources
 
 
@@ -230,7 +219,7 @@ def _publish(out_dir: str, texts: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = builtin(args.problem)
     opts, sources = _merged_options(args)
     try:
         grid = make_uniform_grid(problem.horizon, opts["nodes"])
@@ -244,16 +233,12 @@ def cmd_solve(args) -> int:
             message += f" (options from the flags and --config {args.config})"
         raise CliError(EXIT_USAGE, message) from None
 
-    x0 = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, sources["x0"])
-    # Where the start came from, for an evaluator that fails there.
+    # `start` names where the start came from, for an evaluator that fails there.
+    x0, start = _vector_spec_to_trajectory(opts["x0"], problem.n, grid, sources["x0"])
     if x0 is None:
         x0, start = Trajectory.constant(grid, np.zeros(problem.n)), "x0 (zeros by default)"
-    elif _parse_constants(opts["x0"]) is None:
-        start = f"{sources['x0']}: {opts['x0']}"
-    else:
-        start = sources["x0"]
-    u0 = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, sources["u0"])
-    v0 = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, sources["v0"])
+    u0, _ = _vector_spec_to_trajectory(opts["u0"], problem.p, grid, sources["u0"])
+    v0, _ = _vector_spec_to_trajectory(opts["v0"], problem.m, grid, sources["v0"])
     for traj, low, high, flag in ((u0, -cfg.bound_M, cfg.bound_M, sources["u0"]),
                                   (v0, 0.0, cfg.bound_N, sources["v0"])):
         if traj is not None and not _in_box(traj.values, low, high):
@@ -318,7 +303,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = builtin(args.problem)
     try:
         eps_stop = AlmConfig(eps_stop=args.eps_stop).eps_stop
     except ValueError as exc:
@@ -390,6 +375,8 @@ def main(argv=None) -> int:
             return cmd_list()
     except CliError as exc:
         code, message = exc.exit_code, str(exc)
+    except UnknownProblemError as exc:
+        code, message = EXIT_USAGE, exc.args[0]
     # An input file that cannot be opened or parsed, an evaluator returning a
     # non-finite value and a run whose values overflow are data errors.
     except (OSError, TrajectoryCsvError, EvaluationError, OverflowError) as exc:

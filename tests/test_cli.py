@@ -335,6 +335,11 @@ _BAD_INPUTS = {
     "check-short-horizon": (65, lambda d: [
         "check", "ex4", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
         _write(d / "m.csv", "t,c0,c1,c2,c3,c4\n0,0,0,0,0,0\n1,0,0,0,0,0\n")], "x.csv"),
+    "problem-unknown": (64, lambda d: ["solve", "--problem", "nope"], None),
+    # `bound_M` is summary.json's name for --bound-m, not a --config key.
+    "config-unknown-keys": (65, lambda d: [
+        "solve", "--problem", "ex1", "--config",
+        _write(d / "run.json", '{"max_outr": 1, "bound_M": 5, "nodes": 5}')], "run.json"),
 }
 
 
@@ -381,6 +386,14 @@ _EXACT_ERRORS = {
     "config-directory": lambda d: f"--config: {d}: Is a directory",
     "check-short-horizon": lambda d: f"{d / 'x.csv'}: trajectory ends at t=1.0, "
                                      f"problem horizon is T=2.0",
+    "config-x0-number": lambda d: f"--config: {d / 'run.json'}: x0: expected a string, "
+                                  f"got 5",
+    "config-nodes-abc": lambda d: f"--config: {d / 'run.json'}: nodes: expected int, "
+                                  f"got 'abc'",
+    "problem-unknown": lambda d: "unknown problem 'nope'; valid names: ex1, ex2, ex3, "
+                                 "ex4, akkt_example, infeasible1",
+    "config-unknown-keys": lambda d: f"--config: {d / 'run.json'}: unknown keys: "
+                                     f"bound_M, max_outr",
 }
 
 
@@ -623,6 +636,20 @@ def test_solve_cli_covers_every_config_field(tmp_path, capsys):
         assert code in (0, 2), capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())["config"]
         assert {flag: summary[key] for flag, key in fields.items()} == values
+
+
+def test_config_accepts_every_solve_option(tmp_path, capsys):
+    """Every option of the solve table, initial data included, is a --config
+    key; ex3 has an equality constraint, so u0 is used."""
+    values = {**_NON_DEFAULT, "nodes": 5, "x0": "1,1,0", "u0": "0", "v0": "1,1"}
+    assert set(values) == set(cli._SOLVE_DEFAULTS)
+    out = tmp_path / "out"
+    proc = run_in_process(["solve", "--problem", "ex3", "--config",
+                           _write(tmp_path / "run.json", json.dumps(values)),
+                           "--out-dir", str(out)], capsys)
+    assert proc.returncode in (0, 2), proc.stderr
+    summary = json.loads((out / "summary.json").read_text())["config"]
+    assert {key.lower(): summary[key] for key in summary if key != "problem"} == values
 
 
 # Drawn for every numeric flag besides the valid values: zero, negative,

@@ -6,7 +6,8 @@ Usage, from the root of a source checkout:
   python3 tools/output_digest.py [CHECKOUT]
 
 imports `ctpalm` from CHECKOUT/src (default: the checkout holding this
-script) and solves, each through `ctpalm solve` with the default config:
+script) and solves, each through `ctpalm solve` with the default config but
+the last:
 
   - the five runs of `tests/conftest.py` (`RUN_STARTS`, 85 nodes);
   - ex3 from its conftest start at 17 nodes;
@@ -16,6 +17,8 @@ script) and solves, each through `ctpalm solve` with the default config:
     half-width 0.1 and 0.5 (the seeded starts of the benchmark's ex4-outer
     and infeasible1-stall at seed 11), handed to `ctpalm solve` as an `--x0`
     trajectory CSV;
+  - ex1 from the conftest start at 85 nodes with every option taken from a
+    `--config` file, at the non-default values of `tests/test_cli.py`;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -47,8 +51,15 @@ import ctpalm.cli  # noqa: E402
 # Seed of the seeded starts.
 SEED = 11
 
+# The options other than nodes and initial data of the --config run:
+# tests/test_cli.py's `_NON_DEFAULT`.
+CONFIG_OPTIONS = {"rho_init": 2.0, "gamma": 1.5, "tau": 0.5, "bound_m": 1e40,
+                  "bound_n": 1e30, "eps_stop": 1e-4, "max_outer": 3,
+                  "inner_grad_tol": 1e-7, "inner_max_iters": 400}
+
 # (name, problem, x0, u0, v0, nodes, half-width of the seeded offset, 0 for
-# none); the first five are tests/conftest.py's.
+# none[, options of a run that takes them all from --config]); the first five
+# are tests/conftest.py's.
 RUNS = (
     ("ex1", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85, 0.0),
     ("ex2", "ex2", [0.5, 0.5], None, [1.0, 1.0, 1.0], 85, 0.0),
@@ -59,6 +70,7 @@ RUNS = (
     ("akkt_example@84", "akkt_example", [1.0, 1.0], None, None, 84, 0.0),
     (f"ex4@seed{SEED}", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85, 0.1),
     (f"infeasible1@seed{SEED}", "infeasible1", [5.0], None, None, 85, 0.5),
+    ("ex1@config", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85, 0.0, CONFIG_OPTIONS),
 )
 
 
@@ -73,7 +85,7 @@ def write_seeded_start(path, problem_name, x0, nodes, half_width) -> None:
         c.write_trajectory_csv(c.Trajectory(grid, xs), fh)
 
 
-def digest(problem_name, x0, u0, v0, nodes, half_width) -> str:
+def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> str:
     specs = [",".join(map(repr, values)) if values is not None else None
              for values in (x0, u0, v0)]
     # The solve runs in its output directory, so that the seeded start's
@@ -82,9 +94,16 @@ def digest(problem_name, x0, u0, v0, nodes, half_width) -> str:
         if half_width:
             specs[0] = "x0.csv"
             write_seeded_start(specs[0], problem_name, x0, nodes, half_width)
-        argv = ["solve", "--problem", problem_name, "--nodes", str(nodes)]
-        argv += [f"--{flag}={spec}" for flag, spec in zip(("x0", "u0", "v0"), specs)
-                 if spec is not None]
+        options = {"nodes": nodes, **{flag: spec for flag, spec
+                                      in zip(("x0", "u0", "v0"), specs)
+                                      if spec is not None}}
+        argv = ["solve", "--problem", problem_name]
+        if config is None:
+            argv += [f"--{flag}={value}" for flag, value in options.items()]
+        else:
+            with open("run.json", "w", encoding="utf-8") as fh:
+                json.dump({**config, **options}, fh)
+            argv += ["--config", "run.json"]
         with contextlib.redirect_stdout(io.StringIO()):
             code = ctpalm.cli.main(argv + ["--out-dir", out])
         h = hashlib.sha256(repr(code).encode())
