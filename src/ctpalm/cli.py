@@ -91,14 +91,7 @@ _JSON_TYPES = {int: ((int,), "int"), float: ((int, float), "float"),
                str: ((str,), "a string")}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ctpalm",
-                     description="Augmented Lagrangian solver for "
-                                 "continuous-time programs on a uniform grid.")
-    parser.add_argument("--version", action="version", version=f"ctpalm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="run the solver on a built-in problem")
+def _solve_arguments(ps) -> None:
     ps.add_argument("--problem", required=True, help="registry name")
     for flag, (typ, _) in _SOLVE_DEFAULTS.items():
         ps.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ, default=None,
@@ -107,8 +100,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags; flags win")
 
-    pc = sub.add_parser("check", help="evaluate optimality residuals for "
-                                      "externally produced trajectories")
+
+def _check_arguments(pc) -> None:
     pc.add_argument("problem", help="registry name")
     pc.add_argument("trajectory_csv", help="state trajectory (t,c0,...,c{n-1})")
     pc.add_argument("multipliers_csv",
@@ -116,7 +109,31 @@ def build_parser() -> _Parser:
                          "then m inequality columns")
     pc.add_argument("--eps-stop", dest="eps_stop", type=float, default=1e-5)
 
-    sub.add_parser("list-problems", help="print the registry")
+
+# Subcommand -> (help, the function that adds its arguments).
+_COMMANDS = {
+    "solve": ("run the solver on a built-in problem", _solve_arguments),
+    "check": ("evaluate optimality residuals for externally produced trajectories",
+              _check_arguments),
+    "list-problems": ("print the registry", lambda _: None),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand; with `command`, only that subcommand
+    gets its arguments.  The others keep their name and help, which is all
+    that top-level help and usage lines show of them, so `main` builds only
+    the subcommand it runs."""
+    parser = _Parser(prog="ctpalm",
+                     description="Augmented Lagrangian solver for "
+                                 "continuous-time programs on a uniform grid.")
+    parser.add_argument("--version", action="version", version=f"ctpalm {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command is None or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:  # never parsed, so it needs no arguments, not even --help
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
@@ -164,7 +181,8 @@ def _merged_options(args) -> tuple:
                 file_values = json.load(fh)
         except OSError as exc:
             raise CliError(EXIT_DATA, f"{where}: {exc.strerror}") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # Bad bytes, bad JSON, or an integer with more digits than int() takes.
+        except ValueError as exc:
             raise CliError(EXIT_DATA, f"{where}: {exc}") from None
         if not isinstance(file_values, dict):
             raise CliError(EXIT_DATA, f"{where}: top-level JSON object expected")
@@ -179,7 +197,10 @@ def _merged_options(args) -> tuple:
             if isinstance(value, bool) or not isinstance(value, json_types):
                 raise CliError(EXIT_DATA, f"{sources[flag]}: expected {name}, "
                                           f"got {value!r}")
-            value = typ(value)
+            try:
+                value = typ(value)
+            except OverflowError as exc:  # a JSON integer beyond the float range
+                raise CliError(EXIT_DATA, f"{sources[flag]}: {exc}") from None
         merged[flag] = default if value is None else value
     return merged, sources
 
@@ -201,7 +222,7 @@ def _json_text(obj: dict, what: str = "result") -> str:
 def _publish(out_dir: str, texts: dict) -> None:
     """Write each of OUTPUT_FILES to its `.tmp.` name, then rename all into place;
     after a failure, remove the temp files this call made and did not rename."""
-    made = []
+    made, renamed = [], 0
     try:
         for name in OUTPUT_FILES:
             path = os.path.join(out_dir, f".tmp.{name}")
@@ -210,12 +231,12 @@ def _publish(out_dir: str, texts: dict) -> None:
                 fh.write(texts[name].encode("utf-8"))
         for path, name in zip(made, OUTPUT_FILES):
             os.replace(path, os.path.join(out_dir, name))
+            renamed += 1
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"--out-dir: {exc}") from None
     finally:
-        for path in made:
-            if os.path.exists(path):
-                os.unlink(path)
+        for path in made[renamed:]:
+            os.unlink(path)
 
 
 def cmd_solve(args) -> int:
@@ -363,8 +384,11 @@ def cmd_list() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand is the first token that is no option: the top-level
+    # parser has no option that takes a value.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         # Overflow reaches users as the error line below, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ run in ascending node order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -108,12 +109,10 @@ def write_trajectory_csv(traj: Trajectory, dest, columns=None) -> None:
     """
     if columns is None:
         columns = [f"c{d}" for d in range(traj.dim)]
-    header = "t," + ",".join(columns)
-    lines = [header]
-    for i, t in enumerate(traj.grid.nodes):
-        cells = [f"{t:.17g}"] + [f"{x:.17g}" for x in traj.values[i]]
-        lines.append(",".join(cells))
-    dest.write("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * (traj.dim + 1))
+    cells = np.column_stack([traj.grid.nodes, traj.values]).ravel().tolist()
+    body = "\n".join([row] * traj.grid.num_nodes) % tuple(cells)
+    dest.write(f"t,{','.join(columns)}\n{body}\n")
 
 
 class TrajectoryCsvError(ValueError):
@@ -129,8 +128,10 @@ class TrajectoryCsvError(ValueError):
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a `t,c0,c1,...` CSV file back into a trajectory on a uniform grid.
 
-    `path` names a UTF-8 file.  Malformed input, including more than MAX_NODES
-    data rows, raises TrajectoryCsvError.
+    `path` names a UTF-8 file; cells are parsed with `float`.  Malformed
+    input raises TrajectoryCsvError at its first offending line, each line
+    checked for its column count, the MAX_NODES row limit, numeric cells and
+    finite cells in that order; the time column is checked after the last.
     """
 
     def fail(message, line):
@@ -163,7 +164,7 @@ def read_trajectory_csv(path) -> Trajectory:
             vals = [float(c) for c in cells]
         except ValueError:
             raise fail("non-numeric cell", lineno) from None
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise fail("non-finite cell", lineno)
         ts.append(vals[0])
         rows.append(vals[1:])
@@ -177,8 +178,8 @@ def read_trajectory_csv(path) -> Trajectory:
         grid = make_uniform_grid(horizon, len(ts))
     except ValueError as exc:  # a horizon too small or too large to divide
         raise fail(f"time column gives no uniform grid ({exc})", 2) from None
-    tol = 1e-12 * max(1.0, horizon)
-    for lineno, got, want in zip(linenos, ts, grid.nodes):
-        if abs(got - want) > tol:
-            raise fail(f"time column is not a uniform grid (t={got!r})", lineno)
+    off_grid = np.flatnonzero(np.abs(np.array(ts) - grid.nodes) > 1e-12 * max(1.0, horizon))
+    if off_grid.size:
+        i = off_grid[0]
+        raise fail(f"time column is not a uniform grid (t={ts[i]!r})", linenos[i])
     return Trajectory(grid, np.array(rows))

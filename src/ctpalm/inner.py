@@ -233,7 +233,8 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     `_BY_SEVERITY` indices.
     """
     count = len(ts)
-    pen = _penalty_value(start, us, vs, rho)
+    shift_u, shift_v = us / rho, vs / rho
+    pen = _penalty_value(start, shift_u, shift_v, rho)
     f = start.phi + pen
     gr = _aug_gradient(start, us, vs, rho)
     gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
@@ -248,8 +249,8 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
         # No row takes a step: each is its own best and min-penalty point.
         return xs.copy(), gn.copy(), xs, gn, iters, status
     best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
-    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, f=f, pen=pen, gr=gr,
-              gn=gn)
+    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, shift_u=shift_u, shift_v=shift_v,
+              x=xs, f=f, pen=pen, gr=gr, gn=gn)
     w.keep(go)
 
     def trial(j, xt, bound):
@@ -257,7 +258,7 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
         # and g from the value's evaluation.
         t, u, v = w.t[j], w.u[j], w.v[j]
         ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, t))
-        pt = _penalty_value(ev, u, v, rho)
+        pt = _penalty_value(ev, w.shift_u[j], w.shift_v[j], rho)
         ft = ev.phi + pt
         ok = np.isfinite(ft) & (ft <= bound)
         if not ok.any():

@@ -69,20 +69,21 @@ def _weighted_gradient(ev, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalty_value(ev, us: np.ndarray, vs: np.ndarray, rho: float) -> np.ndarray:
+def _penalty_value(ev, shift_u: np.ndarray, shift_v: np.ndarray, rho: float) -> np.ndarray:
     """Quadratic penalty part of the augmented Lagrangian (shifted violations)
     at every row of a stack, from the values `ev.h` and `ev.g` there and that
-    row's multipliers.  Each term is >= +0 or NaN, so starting from the first
+    row's multiplier shifts `us / rho` and `vs / rho`, which a subproblem
+    computes once.  Each term is >= +0 or NaN, so starting from the first
     present one gives the bits of a sum started at zero."""
     pen = None
-    if us.shape[1]:
-        r = ev.h + us / rho
+    if shift_u.shape[1]:
+        r = ev.h + shift_u
         pen = 0.5 * rho * _row_dots(r, r)
-    if vs.shape[1]:
-        s = np.maximum(ev.g + vs / rho, 0.0)
+    if shift_v.shape[1]:
+        s = np.maximum(ev.g + shift_v, 0.0)
         term = 0.5 * rho * _row_dots(s, s)
         pen = term if pen is None else pen + term
-    return np.zeros(len(us)) if pen is None else pen
+    return np.zeros(len(shift_u)) if pen is None else pen
 
 
 def multiplier_update(bundle, u_tilde: np.ndarray, v_tilde: np.ndarray, rho: float):

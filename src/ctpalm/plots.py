@@ -80,8 +80,12 @@ def _chart(title, xlabel, ylabel, t_range, v_range, curves, legend, ylog=False) 
     parts = _frame(title, xlabel, ylabel)
     _axis_ticks(parts, t0, t1, v0, v1, ylog)
     for ts, vs, color, dash in curves:
-        pts = " ".join(f"{_xpix(t, t0, t1):.2f},{_ypix(max(v, v0), v0, v1):.2f}"
-                       for t, v in zip(ts, vs))
+        # Silent inf and NaN, as in float arithmetic: an infinite residual
+        # makes the axis infinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = _xpix(np.asarray(ts, dtype=float), t0, t1)
+            ys = _ypix(np.maximum(np.asarray(vs, dtype=float), v0), v0, v1)
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                      f'{_dash(dash)} points="{pts}"/>')
     for i, (label, color, dash) in enumerate(legend):

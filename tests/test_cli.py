@@ -31,6 +31,22 @@ def test_list_problems_table():
     assert any("ref=no" in line for line in lines)
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "list-problems"])
+def test_subcommand_help_equals_that_of_the_full_parser(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    full = capsys.readouterr().out
+    proc = run_in_process([command, "--help"], capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, full, "")
+
+
+def test_usage_error_after_a_command_lists_every_command(capsys):
+    proc = run_in_process(["list-problems", "extra"], capsys)
+    assert (proc.returncode, proc.stderr) == (
+        64, "usage: ctpalm [-h] [--version] {solve,check,list-problems} ...\n"
+            "error: unrecognized arguments: extra\n")
+
+
 # -- solve ----------------------------------------------------------------------
 
 def test_solve_ex1_writes_everything(ex1_cli_dirs):
@@ -336,6 +352,14 @@ _BAD_INPUTS = {
         "check", "ex4", _write(d / "x.csv", "t,c0,c1\n0,0,0\n1,0,0\n"),
         _write(d / "m.csv", "t,c0,c1,c2,c3,c4\n0,0,0,0,0,0\n1,0,0,0,0,0\n")], "x.csv"),
     "problem-unknown": (64, lambda d: ["solve", "--problem", "nope"], None),
+    # A JSON integer with more digits than Python converts.
+    "config-nodes-5000-digits": (65, lambda d: [
+        "solve", "--problem", "ex1", "--config",
+        _write(d / "run.json", '{"nodes": 1' + "0" * 5000 + "}")], "run.json"),
+    # A JSON integer beyond the float range for a float option.
+    "config-gamma-overflow": (65, lambda d: [
+        "solve", "--problem", "ex1", "--config",
+        _write(d / "run.json", '{"gamma": 1' + "0" * 400 + "}")], "run.json"),
     # `bound_M` is summary.json's name for --bound-m, not a --config key.
     "config-unknown-keys": (65, lambda d: [
         "solve", "--problem", "ex1", "--config",
@@ -394,6 +418,8 @@ _EXACT_ERRORS = {
                                  "ex4, akkt_example, infeasible1",
     "config-unknown-keys": lambda d: f"--config: {d / 'run.json'}: unknown keys: "
                                      f"bound_M, max_outr",
+    "config-gamma-overflow": lambda d: f"--config: {d / 'run.json'}: gamma: int too "
+                                       f"large to convert to float",
 }
 
 

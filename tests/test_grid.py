@@ -1,6 +1,7 @@
 """Grid construction, quadrature, norms and trajectory CSV round-trips."""
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -243,6 +244,41 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert back.grid == grid
 
 
+def loop_csv(traj, columns=None):
+    """The per-cell f-string loop `write_trajectory_csv` replaces: its
+    byte-for-byte reference."""
+    if columns is None:
+        columns = [f"c{d}" for d in range(traj.dim)]
+    lines = ["t," + ",".join(columns)]
+    for i, t in enumerate(traj.grid.nodes):
+        lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in traj.values[i]]))
+    return "\n".join(lines) + "\n"
+
+
+# Finite doubles the writer must spell as the loop does.
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0]
+
+
+@pytest.mark.parametrize("width", [0, 1, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_csv_writer_equals_the_cell_loop_byte_for_byte(width, seed):
+    rng = np.random.default_rng(seed)
+    nodes = int(rng.integers(2, 40))
+    grid = make_uniform_grid(float(rng.uniform(0.1, 1e3)), nodes)
+    values = rng.normal(size=(nodes, width)) * 10.0 ** rng.integers(-320, 300,
+                                                                     size=(nodes, width))
+    flat = values.reshape(-1)
+    picks = rng.integers(0, len(_EDGE_DOUBLES), size=flat.size)
+    keep = rng.random(flat.size) < 0.5
+    flat[keep] = np.array(_EDGE_DOUBLES)[picks[keep]]
+    traj = Trajectory(grid, values)
+    for columns in (None, [f"x{d + 1}" for d in range(width)]):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf, columns)
+        assert buf.getvalue() == loop_csv(traj, columns)
+
+
 def test_csv_rejects_empty_file(tmp_path):
     assert csv_error(tmp_path, "").line == 1
 
@@ -253,6 +289,17 @@ def test_csv_reports_offending_line(tmp_path):
 
 def test_csv_time_error_reports_the_row_line_after_a_blank_line(tmp_path):
     assert csv_error(tmp_path, "t,c0\n0,0\n\n0.3,0\n1,0\n").line == 4
+
+
+def test_csv_reports_a_nonfinite_row_before_a_later_non_numeric_one(tmp_path):
+    err = csv_error(tmp_path, "t,c0\n0,0\n0.25,inf\n0.5,0\n0.75,zap\n1,0\n")
+    assert str(err) == f"{tmp_path / 'x.csv'}: line 3: non-finite cell"
+
+
+def test_csv_reports_the_first_of_two_off_grid_times_with_its_repr(tmp_path):
+    err = csv_error(tmp_path, "t,c0\n0,0\n\n0.3,0\n0.6,0\n1,0\n")
+    assert str(err) == (f"{tmp_path / 'x.csv'}: line 4: time column is not a "
+                        f"uniform grid (t=0.3)")
 
 
 def test_csv_rejects_column_mismatch(tmp_path):

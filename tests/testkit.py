@@ -117,7 +117,7 @@ def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     ev = _one_row(problem, x, t, "phi", "h", "g")
-    pen = _penalty_value(ev, safeguarded.u[None], safeguarded.v[None], rho)
+    pen = _penalty_value(ev, safeguarded.u[None] / rho, safeguarded.v[None] / rho, rho)
     return float(ev.phi[0] + pen[0])
 
 

@@ -26,8 +26,21 @@ Each solve's digest covers its exit code and the bytes of the five files it
 publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
 round-trips every double), `summary.json` (status, certificates, error
 metrics), and both plots.  The one-node line covers each result's x_star
-bytes, gradient norm, iterations and status.  Run it on two checkouts and
-compare the lines.
+bytes, gradient norm, iterations and status.
+
+Then come the lines of the CLI's text, each covering exit codes and output:
+
+  - `check:NAME`, per solve: `ctpalm check` on that solve's `trajectory.csv`,
+    split into a state CSV and a multiplier CSV as `perfbench/workloads.py`
+    splits it (exit code and stdout);
+  - `help`: `ctpalm --help` and the `--help` of each subcommand (exit code
+    and stdout), at 80 columns;
+  - `usage-errors`: an unknown command, an argument that `list-problems`
+    does not take and `solve` without `--problem` (exit code and stderr);
+  - `csv-errors`: `ctpalm check ex1` on six malformed state CSVs (exit code
+    and stderr).
+
+Run it on two checkouts and compare the lines.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -85,7 +99,33 @@ def write_seeded_start(path, problem_name, x0, nodes, half_width) -> None:
         c.write_trajectory_csv(c.Trajectory(grid, xs), fh)
 
 
-def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> str:
+def split_trajectory(text, n) -> tuple:
+    """The state and multiplier CSV texts of a `t,x..,u..,v..` trajectory CSV
+    with n state columns, cells as written, headers `t,c0,...`."""
+    lines = text.splitlines()
+    m_cols = len(lines[0].split(",")) - 1 - n
+    x_rows = ["t," + ",".join(f"c{d}" for d in range(n))]
+    m_rows = ["t," + ",".join(f"c{d}" for d in range(m_cols))]
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        x_rows.append(",".join(cells[:1 + n]))
+        m_rows.append(",".join(cells[:1] + cells[1 + n:]))
+    return "\n".join(x_rows) + "\n", "\n".join(m_rows) + "\n"
+
+
+def cli_text(argv) -> bytes:
+    """Exit code, stdout and stderr of `ctpalm ARGV`, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ctpalm.cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return f"{code!r}\0{out.getvalue()}\0{err.getvalue()}\0".encode()
+
+
+def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> tuple:
+    """(digest of the solve, digest of `ctpalm check` on its trajectory)."""
     specs = [",".join(map(repr, values)) if values is not None else None
              for values in (x0, u0, v0)]
     # The solve runs in its output directory, so that the seeded start's
@@ -110,7 +150,12 @@ def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> str:
         for name in ctpalm.cli.OUTPUT_FILES:
             h.update(name.encode() + b"\0")
             h.update((Path(out) / name).read_bytes())
-    return h.hexdigest()
+        texts = split_trajectory((Path(out) / "trajectory.csv").read_text(),
+                                 c.builtin(problem_name).n)
+        for path, text in zip(("x.csv", "m.csv"), texts):
+            Path(path).write_text(text)
+        check = hashlib.sha256(cli_text(["check", problem_name, "x.csv", "m.csv"]))
+    return h.hexdigest(), check.hexdigest()
 
 
 # (problem, x0, v0, instants) of acceptance criterion 10.
@@ -134,10 +179,47 @@ def node_digest() -> str:
     return h.hexdigest()
 
 
+# Malformed state CSVs for `ctpalm check ex1`: one error each.
+BAD_CSVS = (
+    b"x,c0,c1\n0,0,0\n1,0,0\n",
+    b"t,c0,c1\n0,0,0\n0.5,0\n1,0,0\n",
+    b"t,c0,c1\n0,0,0\n0.5,zap,0\n1,0,0\n",
+    b"t,c0,c1\n0,0,0\n0.25,inf,0\n0.5,0,0\n0.75,zap,0\n1,0,0\n",
+    b"t,c0,c1\n0,0,0\n0.3,0,0\n0.6,0,0\n1,0,0\n",
+    b"t,c0,c1\n0,\xff,0\n1,0,0\n",
+)
+USAGE_ERRORS = (["frobnicate"], ["list-problems", "extra"], ["solve", "--nodes", "5"])
+
+
+def text_digests() -> list:
+    """(name, digest) of the help, usage error and CSV error texts."""
+    os.environ["COLUMNS"] = "80"
+    helps = hashlib.sha256()
+    for argv in (["--help"], ["solve", "--help"], ["check", "--help"],
+                 ["list-problems", "--help"]):
+        helps.update(cli_text(argv))
+    usage = hashlib.sha256()
+    for argv in USAGE_ERRORS:
+        usage.update(cli_text(argv))
+    csvs = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+        Path("m.csv").write_text("t,c0,c1\n0,0,0\n1,0,0\n")
+        for data in BAD_CSVS:
+            Path("x.csv").write_bytes(data)
+            csvs.update(cli_text(["check", "ex1", "x.csv", "m.csv"]))
+    return [("help", helps.hexdigest()), ("usage-errors", usage.hexdigest()),
+            ("csv-errors", csvs.hexdigest())]
+
+
 def main() -> None:
+    checks = []
     for name, *run in RUNS:
-        print(f"{digest(*run)}  {name}", flush=True)
+        solved, checked = digest(*run)
+        print(f"{solved}  {name}", flush=True)
+        checks.append((f"check:{name}", checked))
     print(f"{node_digest()}  solve_node@criterion10", flush=True)
+    for name, value in checks + text_digests():
+        print(f"{value}  {name}", flush=True)
 
 
 if __name__ == "__main__":
