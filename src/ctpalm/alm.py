@@ -119,7 +119,8 @@ def safeguard_project(u: np.ndarray, v: np.ndarray, bound_M: float, bound_N: flo
     """Clamp equality multipliers into [-M, M] and inequality ones into [0, N]."""
     if bound_M <= 0 or bound_N <= 0:
         raise ValueError("safeguard bounds must be positive")
-    return np.clip(u, -bound_M, bound_M), np.clip(v, 0.0, bound_N)
+    # The method skips np.clip's dispatch wrapper and computes the same bits.
+    return u.clip(-bound_M, bound_M), v.clip(0.0, bound_N)
 
 
 def _in_box(values: np.ndarray, low: float, high: float) -> bool:

@@ -230,7 +230,9 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
     entry per row: best_* track the smallest gradient norm seen and minpen_x
     the first iterate with strictly smallest penalty value; status holds
-    `_BY_SEVERITY` indices.
+    `_BY_SEVERITY` indices.  When every row starts within cfg.grad_tol, one
+    whole-batch comparison returns them all Converged after 0 iterations, at
+    a copy of xs, without an evaluator call or a gather of rows.
     """
     count = len(ts)
     shift_u, shift_v = us / rho, vs / rho
@@ -239,6 +241,9 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     gr = _aug_gradient(start, us, vs, rho)
     gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
     iters = np.zeros(count, dtype=int)
+    if (gn <= cfg.grad_tol).all():
+        # Every row starts stationary and stops at step 0.
+        return xs.copy(), gn.copy(), xs, gn, iters, np.full(count, _CONVERGED)
     status = np.full(count, _MAX_ITERS)
     # Rows with a non-finite start take no step and meet no stop test.
     go = np.isfinite(gn)
@@ -382,6 +387,10 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
             start = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
         x_star, grad, minpen_x, initial_gn, iters, status = _descend(
             problem, ts, xs, start, us, vs, rho, cfg)
+        if not status.any():
+            # Every row converged (_CONVERGED is 0): nothing to polish or
+            # fall back from.
+            return x_star, grad, iters, status
         # The polish targets stationary points of penalized subproblems, whose
         # one-sided curvature can make pure descent escape.  Without
         # constraints the augmented objective is the plain objective: there a
@@ -421,7 +430,7 @@ def _check_rows(problem, ts, xs, us, vs, rho, node=False):
                              f"got {a.shape[node:]}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("x_init must be finite")
     _check_multipliers(us, vs)
 
@@ -445,8 +454,11 @@ def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
     `start` is the evaluation of the warm starts, `evaluate_all(problem, xs,
     ts)`, which the outer loop already holds; the first descent pass takes
     the objective and gradient from it instead of calling the evaluators.
-    Without it the warm starts are evaluated here.  Returns (node solutions
-    (N, n), worst status, max grad norm).
+    Without it the warm starts are evaluated here.  When every row's start
+    gradient norm is within cfg.grad_tol, the solve ends after one
+    whole-batch comparison: the rows are Converged at a copy of xs, with no
+    evaluator call.  Returns (node solutions (N, n), worst status, max grad
+    norm).
     """
     _check_rows(problem, ts, xs, us, vs, rho)
     x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=start)

@@ -7,6 +7,7 @@ the outer iteration counter on a log scale.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,10 +20,25 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def _scale(lo: float, hi: float):
+    """Ends of a y axis over [lo, hi], each padded by 5 % of its width and
+    kept within the float range.  When hi <= lo the width is 1, or |lo| where
+    1 is below lo's precision."""
     if hi <= lo:
         hi = lo + 1.0
+        if hi == lo:
+            hi = lo + abs(lo)
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    if pad == math.inf:
+        # hi - lo overflowed; the difference of the scaled ends does not.
+        pad = 0.05 * hi - 0.05 * lo
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
+def _unit(v0: float, v1: float) -> float:
+    """Unit a y axis over [v0, v1] is charted in: 1, or the power of two that
+    brings both ends under 2**1000 in magnitude, which keeps pixel and tick
+    arithmetic finite."""
+    return 2.0 ** max(0, math.frexp(max(abs(v0), abs(v1)))[1] - 1000)
 
 
 def _xpix(t, t0, t1):
@@ -54,7 +70,7 @@ def _frame(title: str, xlabel: str, ylabel: str):
     ]
 
 
-def _axis_ticks(parts, t0, t1, v0, v1, ylog=False):
+def _axis_ticks(parts, t0, t1, v0, v1, unit, ylog=False):
     for i in range(5):
         tv = t0 + (t1 - t0) * i / 4
         xp = _xpix(tv, t0, t1)
@@ -64,7 +80,7 @@ def _axis_ticks(parts, t0, t1, v0, v1, ylog=False):
                      f'font-family="sans-serif" font-size="10">{tv:.4g}</text>')
         vv = v0 + (v1 - v0) * i / 4
         yp = _ypix(vv, v0, v1)
-        label = f"1e{vv:.1f}" if ylog else f"{vv:.4g}"
+        label = f"1e{vv * unit:.1f}" if ylog else f"{vv * unit:.4g}"
         parts.append(f'<line x1="{_ML - 4}" y1="{yp:.1f}" x2="{_ML}" '
                      f'y2="{yp:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 7}" y="{yp + 3:.1f}" text-anchor="end" '
@@ -73,18 +89,21 @@ def _axis_ticks(parts, t0, t1, v0, v1, ylog=False):
 
 def _chart(title, xlabel, ylabel, t_range, v_range, curves, legend, ylog=False) -> str:
     """SVG text of one chart: x axis over t_range, y axis over v_range padded
-    by `_scale`.  `curves` are (ts, vs, color, dash) polylines in data units,
-    values below the y axis drawn on it; `legend` lists (label, color, dash)."""
+    by `_scale` and charted in units of `_unit`.  `curves` are (ts, vs, color,
+    dash) polylines in data units, values below the y axis drawn on it;
+    `legend` lists (label, color, dash)."""
     t0, t1 = t_range
     v0, v1 = _scale(*v_range)
+    unit = _unit(v0, v1)
+    v0, v1 = v0 / unit, v1 / unit
     parts = _frame(title, xlabel, ylabel)
-    _axis_ticks(parts, t0, t1, v0, v1, ylog)
+    _axis_ticks(parts, t0, t1, v0, v1, unit, ylog)
     for ts, vs, color, dash in curves:
-        # Silent inf and NaN, as in float arithmetic: an infinite residual
-        # makes the axis infinite.
+        # Silent inf and NaN, as in float arithmetic: an infinite or NaN
+        # value is drawn at a non-finite pixel.
         with np.errstate(over="ignore", invalid="ignore"):
             xs = _xpix(np.asarray(ts, dtype=float), t0, t1)
-            ys = _ypix(np.maximum(np.asarray(vs, dtype=float), v0), v0, v1)
+            ys = _ypix(np.maximum(np.asarray(vs, dtype=float) / unit, v0), v0, v1)
         pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                      f'{_dash(dash)} points="{pts}"/>')

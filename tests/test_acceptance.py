@@ -22,7 +22,7 @@ from ctpalm.inner import InnerStatus
 from ctpalm.lagrangian import MultiplierSet, akkt_residuals
 from ctpalm.problems import builtin, builtin_names, evaluate_all, reference_solution
 from testkit import (FdConfig, akkt_example_sequence, aug_lagrangian_gradient,
-                     aug_lagrangian_value, dense_grid_min, fd_gradient,
+                     aug_lagrangian_values, dense_grid_min, fd_gradient,
                      lagrangian_gradient)
 from conftest import run_cli
 
@@ -261,7 +261,7 @@ def test_criterion_10_inner_oracle_agreement():
             result = c.solve_node(prob, t, np.array(x0), mult, 1.0, cfg)
             assert result.status is InnerStatus.CONVERGED
             x_best, _ = dense_grid_min(
-                lambda z: aug_lagrangian_value(prob, z, mult, 1.0, t),
+                lambda z: aug_lagrangian_values(prob, z, mult, 1.0, t),
                 np.array(x0), 2.0, 201)
             dev = float(np.max(np.abs(result.x_star - x_best)))
             worst = max(worst, dev)

@@ -12,7 +12,7 @@ import node_solver_reference as reference
 from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
 from ctpalm.lagrangian import MultiplierSet
 from ctpalm.problems import evaluate_all
-from conftest import unconstrained_quadratic
+from conftest import counting, unconstrained_quadratic
 from testkit import FdConfig, aug_lagrangian_value, fd_gradient
 
 
@@ -422,6 +422,59 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
     c.solve_subproblem(prob, grid.nodes, mixed, us, vs, 1.0, cfg,
                        evaluate_all(prob, mixed, grid.nodes))
     assert built
+
+
+def stationary_batch():
+    """infeasible1 at x = 0 on 9 nodes, stationary for any v >= 0: states,
+    multipliers and the grid."""
+    grid = c.make_uniform_grid(1.0, 9)
+    return np.zeros((9, 1)), np.zeros((9, 0)), np.linspace(0.0, 2.0, 9)[:, None], grid
+
+
+def test_batch_that_starts_stationary_takes_the_whole_batch_exit(monkeypatch):
+    """Given the start's evaluation, a batch whose rows all start within
+    grad_tol returns a copy of its states, each row Converged after 0
+    iterations, without an evaluator call or a stop test."""
+    prob = c.builtin("infeasible1")
+    counted, calls = counting(prob)
+    xs, us, vs, grid = stationary_batch()
+    start = evaluate_all(prob, xs, grid.nodes)
+    stop_tests = []
+    monkeypatch.setattr(inner_mod, "_stop_test", lambda *args: stop_tests.append(args))
+    cfg = c.AlmConfig().inner
+    for rho in (1.0, 30.0):
+        x, grad, iters, status = _solve_rows(counted, grid.nodes, xs, us, vs, rho, cfg,
+                                             start)
+        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+        assert grad.tolist() == [0.0] * 9 and iters.tolist() == [0] * 9
+        assert [_BY_SEVERITY[s] for s in status] == [InnerStatus.CONVERGED] * 9
+        x, worst, max_grad = c.solve_subproblem(counted, grid.nodes, xs, us, vs, rho,
+                                                cfg, start)
+        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+        assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
+    assert calls == {} and stop_tests == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("x4,rho,outcome", [
+    # The penalty overflows: a non-finite start, which takes no step.
+    (1e5, 1e300, (0, InnerStatus.MAX_ITERS)),
+    # Outside the iterate box: diverges at step 0, then the polish takes one.
+    (2e6, 1.0, (1, InnerStatus.DIVERGED)),
+])
+def test_one_row_not_stationary_keeps_the_batch_off_the_exit(x4, rho, outcome):
+    """The stationary batch with row 4 moved, given the start's evaluation or
+    not, equals the node solver at every row."""
+    prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
+    xs, us, vs, grid = stationary_batch()
+    xs[4] = x4
+    solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg)
+    assert [(r.iterations, r.status) for r in solo] == (
+        [(0, InnerStatus.CONVERGED)] * 4 + [outcome] + [(0, InnerStatus.CONVERGED)] * 4)
+    x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg,
+                                            evaluate_all(prob, xs, grid.nodes))
+    assert x.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
+    assert (worst, max_grad) == (outcome[1], solo[4].grad_inf_norm)
 
 
 def test_lockstep_rows_test_the_last_budget_step():

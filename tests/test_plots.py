@@ -1,12 +1,14 @@
-"""SVG charts: polyline points."""
+"""SVG charts: polyline points, and finite charts of extreme values."""
 
 import math
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ctpalm as c
 from ctpalm import plots
 
 
@@ -47,3 +49,28 @@ def test_nan_residual_is_drawn_at_nan():
     stationarity = re.findall(r'points="([^"]*)"', svg)[0].split()
     assert stationarity[1].endswith(",nan")
     assert "nan" not in stationarity[0] + stationarity[2]
+
+
+@pytest.mark.parametrize("values", [
+    [[1e308], [-1e308], [0.0]],        # hi - lo overflows
+    [[sys.float_info.max], [-sys.float_info.max], [0.0]],  # so does the padding
+    [[1e306], [0.0], [0.0]],           # so would the pixel arithmetic
+    [[sys.float_info.max]] * 3,        # constant, 1 below the precision
+    [[-1e17]] * 3,
+])
+def test_trajectory_chart_of_extreme_values_stays_finite(values):
+    """No nan or inf reaches the SVG, and every point lies in the frame."""
+    grid = c.make_uniform_grid(1.0, len(values))
+    svg = plots.trajectory_svg(c.Trajectory(grid, np.array(values)))
+    assert "nan" not in svg and "inf" not in svg
+    for point in re.findall(r'points="([^"]*)"', svg)[0].split():
+        assert plots._MT <= float(point.split(",")[1]) <= plots._H - plots._MB
+
+
+def test_axis_over_more_than_the_float_range_keeps_its_padding():
+    """The axis over [-1e308, 1e308] is padded by 5 % of its width, which is
+    itself beyond the float range, and stops at the largest float."""
+    assert plots._scale(-1e308, 1e308) == (pytest.approx(-1.1e308, rel=1e-15),
+                                           pytest.approx(1.1e308, rel=1e-15))
+    assert plots._scale(-sys.float_info.max, 1.0) == (
+        -sys.float_info.max, pytest.approx(0.05 * sys.float_info.max, rel=1e-15))

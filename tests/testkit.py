@@ -9,7 +9,6 @@ stacked functions, kept beside the independent oracles.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -48,8 +47,11 @@ def fd_gradient(f, x: np.ndarray, cfg: FdConfig = FdConfig()) -> np.ndarray:
 def dense_grid_min(f, box_center: np.ndarray, radius: float, points_per_axis: int):
     """Exhaustive minimum of f over a cubic lattice; ties keep the first hit.
 
-    Iteration runs in row-major index order, so the tie-break is the
-    lexicographically smallest index tuple.  Only meant for n <= 3.
+    `f` maps a stack of points (K, n) to their K values and is called once,
+    on the whole lattice in row-major index order.  The minimum is the first
+    smallest value in that order, so the tie-break is the lexicographically
+    smallest index tuple; NaN values are skipped, as is every value when none
+    is below +inf (the result is then (None, inf)).  Only meant for n <= 3.
     """
     center = np.atleast_1d(np.asarray(box_center, dtype=float))
     n = center.size
@@ -64,15 +66,16 @@ def dense_grid_min(f, box_center: np.ndarray, radius: float, points_per_axis: in
                   for k in range(points_per_axis)])
         for d in range(n)
     ]
-    best_x = None
-    best_f = np.inf
-    for idx in itertools.product(range(points_per_axis), repeat=n):
-        x = np.array([axes[d][idx[d]] for d in range(n)])
-        val = float(f(x))
-        if val < best_f:
-            best_f = val
-            best_x = x
-    return best_x, best_f
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"f returned shape {values.shape} for {len(points)} points")
+    # np.argmin would pick a NaN; a NaN fails every `<` test, as +inf does.
+    values = np.where(np.isnan(values), np.inf, values)
+    i = int(np.argmin(values))
+    if not values[i] < np.inf:
+        return None, np.inf
+    return points[i].copy(), float(values[i])
 
 
 def akkt_example_sequence(grid: TimeGrid, k: int):
@@ -97,11 +100,16 @@ def akkt_example_sequence(grid: TimeGrid, k: int):
     return Trajectory(grid, x), Trajectory(grid, v)
 
 
-def _one_row(problem, x, t, *names):
-    """Evaluators `names` at one state and time, as a one-row stack,
-    unchecked for finiteness as the solver's trial points are."""
-    xs, ts = np.asarray(x, dtype=float)[None], np.array([t], dtype=float)
+def _rows(problem, xs, t, *names):
+    """Evaluators `names` at states xs (K, n), all at time t, unchecked for
+    finiteness as the solver's trial points are."""
+    ts = np.full(len(xs), float(t))
     return SimpleNamespace(**_evaluate_fields(problem, names, xs, ts))
+
+
+def _one_row(problem, x, t, *names):
+    """Evaluators `names` at one state and time, as a one-row stack."""
+    return _rows(problem, np.asarray(x, dtype=float)[None], t, *names)
 
 
 def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
@@ -114,11 +122,20 @@ def lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,
 def aug_lagrangian_value(problem: ProblemDefinition, x: np.ndarray,
                          safeguarded: MultiplierSet, rho: float, t: float) -> float:
     """phi + (rho/2) sum [h_i + u_i/rho]^2 + (rho/2) sum [max(0, g_j + v_j/rho)]^2."""
+    return float(aug_lagrangian_values(problem, np.asarray(x, dtype=float)[None],
+                                       safeguarded, rho, t)[0])
+
+
+def aug_lagrangian_values(problem: ProblemDefinition, xs: np.ndarray,
+                          safeguarded: MultiplierSet, rho: float, t: float) -> np.ndarray:
+    """`aug_lagrangian_value` at every state of a stack xs (K, n), at one time
+    and with one multiplier pair, from one call of each evaluator."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    ev = _one_row(problem, x, t, "phi", "h", "g")
-    pen = _penalty_value(ev, safeguarded.u[None] / rho, safeguarded.v[None] / rho, rho)
-    return float(ev.phi[0] + pen[0])
+    ev = _rows(problem, xs, t, "phi", "h", "g")
+    shift_u, shift_v = (np.broadcast_to(w / rho, (len(xs), w.size))
+                        for w in (safeguarded.u, safeguarded.v))
+    return ev.phi + _penalty_value(ev, shift_u, shift_v, rho)
 
 
 def aug_lagrangian_gradient(problem: ProblemDefinition, x: np.ndarray,

@@ -20,13 +20,18 @@ the last:
   - ex1 from the conftest start at 85 nodes with every option taken from a
     `--config` file, at the non-default values of `tests/test_cli.py`;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
-    and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line.
+    and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line;
+  - three `solve_subproblem` batches of infeasible1 on 9 nodes, each given
+    its start's evaluation, on one line: every row at x = 0 (all stationary,
+    the whole-batch exit), then row 4 moved to 1e5 under rho = 1e300 (a
+    non-finite start) and to 2e6 (outside the iterate box).
 
 Each solve's digest covers its exit code and the bytes of the five files it
 publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
 round-trips every double), `summary.json` (status, certificates, error
 metrics), and both plots.  The one-node line covers each result's x_star
-bytes, gradient norm, iterations and status.
+bytes, gradient norm, iterations and status; the batch line each batch's
+solution bytes, worst status and largest gradient norm.
 
 Then come the lines of the CLI's text, each covering exit codes and output:
 
@@ -179,6 +184,27 @@ def node_digest() -> str:
     return h.hexdigest()
 
 
+# (row 4's state, rho) of the infeasible1 batches on 9 nodes whose other rows
+# sit at the stationary point x = 0.
+EXIT_BATCHES = ((0.0, 1.0), (1e5, 1e300), (2e6, 1.0))
+
+
+def exit_digest() -> str:
+    h = hashlib.sha256()
+    problem = c.builtin("infeasible1")
+    grid = c.make_uniform_grid(problem.horizon, 9)
+    us, vs = np.zeros((9, 0)), np.linspace(0.0, 2.0, 9)[:, None]
+    for x4, rho in EXIT_BATCHES:
+        xs = np.zeros((9, 1))
+        xs[4] = x4
+        x, worst, max_grad = c.solve_subproblem(
+            problem, grid.nodes, xs, us, vs, rho, c.AlmConfig().inner,
+            c.evaluate_all(problem, xs, grid.nodes))
+        h.update(x.tobytes())
+        h.update(repr((worst.value, max_grad)).encode())
+    return h.hexdigest()
+
+
 # Malformed state CSVs for `ctpalm check ex1`: one error each.
 BAD_CSVS = (
     b"x,c0,c1\n0,0,0\n1,0,0\n",
@@ -218,6 +244,7 @@ def main() -> None:
         print(f"{solved}  {name}", flush=True)
         checks.append((f"check:{name}", checked))
     print(f"{node_digest()}  solve_node@criterion10", flush=True)
+    print(f"{exit_digest()}  solve_subproblem@stationary-exit", flush=True)
     for name, value in checks + text_digests():
         print(f"{value}  {name}", flush=True)
 
