@@ -90,8 +90,9 @@ def _axis_ticks(parts, t0, t1, v0, v1, unit, ylog=False):
 def _chart(title, xlabel, ylabel, t_range, v_range, curves, legend, ylog=False) -> str:
     """SVG text of one chart: x axis over t_range, y axis over v_range padded
     by `_scale` and charted in units of `_unit`.  `curves` are (ts, vs, color,
-    dash) polylines in data units, values below the y axis drawn on it;
-    `legend` lists (label, color, dash)."""
+    dash) polylines in data units, values below the y axis drawn at its
+    bottom and values above it at its top; `legend` lists (label, color,
+    dash)."""
     t0, t1 = t_range
     v0, v1 = _scale(*v_range)
     unit = _unit(v0, v1)
@@ -99,11 +100,11 @@ def _chart(title, xlabel, ylabel, t_range, v_range, curves, legend, ylog=False) 
     parts = _frame(title, xlabel, ylabel)
     _axis_ticks(parts, t0, t1, v0, v1, unit, ylog)
     for ts, vs, color, dash in curves:
-        # Silent inf and NaN, as in float arithmetic: an infinite or NaN
-        # value is drawn at a non-finite pixel.
+        # Silent NaN, as in float arithmetic: a NaN value is drawn at a NaN
+        # pixel; an infinite one lies beyond an end of the axis.
         with np.errstate(over="ignore", invalid="ignore"):
             xs = _xpix(np.asarray(ts, dtype=float), t0, t1)
-            ys = _ypix(np.maximum(np.asarray(vs, dtype=float) / unit, v0), v0, v1)
+            ys = _ypix(np.clip(np.asarray(vs, dtype=float) / unit, v0, v1), v0, v1)
         pts = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                      f'{_dash(dash)} points="{pts}"/>')
@@ -144,7 +145,9 @@ def residuals_svg(records, title: str = "residual history") -> str:
         ("infeasibility", [math.log10(max(r.infeas_measure, floor))
                            for r in records]),
     ]
-    vals = [v for _, ys in curves for v in ys if v > -250]
+    # The axis spans the finite values above the floor; the others are drawn
+    # at its ends.
+    vals = [v for _, ys in curves for v in ys if -250 < v < math.inf]
     if not vals:
         vals = [0.0]
     t_range = ks[0], ks[-1] if ks[-1] > ks[0] else ks[0] + 1.0

@@ -125,17 +125,20 @@ class EvalBundle:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i along the last axis at every row, by stacked matmul.
+    """a_i . b_i along the last axis at every row, in one `np.vecdot` call.
 
-    Stacked matmul takes the same dot kernel as a 1-D `a @ b` and gives the
-    same bits; einsum and `(a * b).sum(...)` sum in another order.
+    Stacked products are one numpy kernel each, because on the solver's small
+    stacks the cost is the number of numpy calls.  `vecdot` runs the float64
+    dot loop of a 1-D `a @ b` and gives its bits; einsum and
+    `(a * b).sum(...)` sum in another order.
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """M_i v_i at every row, by stacked matmul (the kernel of a 2-D @ 1-D)."""
-    return np.matmul(mat, vec[..., :, None])[..., 0]
+    """M_i v_i at every row, in one `np.matvec` call: (..., k, n) and (..., n)
+    to (..., k), with the bits of a per-row 2-D @ 1-D."""
+    return np.matvec(mat, vec)
 
 
 def _evaluate_fields(problem: ProblemDefinition, names, xs: np.ndarray,

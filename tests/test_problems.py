@@ -9,6 +9,7 @@ import pytest
 
 from ctpalm import problems
 from ctpalm.grid import make_uniform_grid
+from ctpalm.lagrangian import _transposed_product
 from ctpalm.problems import (EVALUATORS, Convexity, EvaluationError,
                              MissingReferenceError, ProblemDefinition,
                              UnknownProblemError, builtin, builtin_names,
@@ -195,6 +196,76 @@ def test_problem_definition_rejects_bad_dimensions(dims):
     with pytest.raises(ValueError,
                        match="^dimensions must satisfy n >= 1, p >= 0, m >= 0$"):
         dataclasses.replace(builtin("ex1"), **dims)
+
+
+# -- stacked products --------------------------------------------------------
+
+# Entries that one row each carries: signed zeros, infinities, NaN and
+# magnitudes whose products overflow or underflow.
+SPECIAL_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
+                   -1e-300, 5e-324)
+# A row whose sum depends on its order: 6 summed in index order, 5 pairwise.
+CANCELLING_ROW = (1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def stacked_operands(rng, rows, width, *lead):
+    """(rows, *lead, width) seeded entries over 16 decades; row r < 10 holds
+    SPECIAL_ENTRIES[r] at one place, and the last row starts with
+    CANCELLING_ROW."""
+    out = rng.normal(size=(rows, *lead, width)) * 10.0 ** rng.integers(
+        -8, 9, size=(rows, *lead, width))
+    if width:
+        for r, value in enumerate(SPECIAL_ENTRIES[:rows - 1]):
+            out[(r, *(rng.integers(0, d) for d in lead), rng.integers(0, width))] = value
+        out[-1] = CANCELLING_ROW[:width]
+    return out
+
+
+def same_bits(new, old) -> bool:
+    new, old = np.asarray(new), np.asarray(old)
+    return (new.shape == old.shape and new.dtype == old.dtype
+            and new.tobytes() == old.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 9])
+def test_stacked_products_equal_per_node_matmul(width):
+    """`_row_dots`, `_matvec` and `_transposed_product` give the bits of
+    per-node `a @ b`, `M @ x` and `J.T @ w` at reduction width 0 to 9, over
+    special entries and a cancelling row that `(a * b).sum(axis=-1)` sums to
+    other bits; width 0 gives zeros."""
+    rng = np.random.default_rng(31)
+    rows = len(SPECIAL_ENTRIES) + 2
+    a, b = stacked_operands(rng, rows, width), stacked_operands(rng, rows, width)
+    b[-1] = 1.0
+    assert same_bits(problems._row_dots(a, b), [ai @ bi for ai, bi in zip(a, b)])
+    for n in (1, 2, 3):
+        mat = stacked_operands(rng, rows, width, n)
+        mat[-1] = 1.0
+        assert same_bits(problems._matvec(mat, a),
+                         [mi @ ai for mi, ai in zip(mat, a)])
+        jac = np.swapaxes(mat, -1, -2).copy()
+        assert same_bits(_transposed_product(jac, a),
+                         [ji.T @ ai for ji, ai in zip(jac, a)])
+        if not width:
+            assert same_bits(_transposed_product(jac, a), np.zeros((rows, n)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 9])
+def test_stacked_products_of_one_state_equal_matmul(width):
+    """Without a node axis, as ex4's evaluators call them on one state, the
+    products are the 0-d and 1-d results of `@`."""
+    rng = np.random.default_rng(37)
+    rows = len(SPECIAL_ENTRIES) + 2
+    for a, b, mat in zip(stacked_operands(rng, rows, width),
+                         stacked_operands(rng, rows, width),
+                         stacked_operands(rng, rows, width, 3)):
+        assert same_bits(problems._row_dots(a, b), a @ b)
+        assert same_bits(problems._matvec(mat, a), mat @ a)
+        assert same_bits(_transposed_product(mat.T, a), mat @ a)
 
 
 # -- reference solutions -----------------------------------------------------

@@ -24,14 +24,21 @@ the last:
   - three `solve_subproblem` batches of infeasible1 on 9 nodes, each given
     its start's evaluation, on one line: every row at x = 0 (all stationary,
     the whole-batch exit), then row 4 moved to 1e5 under rho = 1e300 (a
-    non-finite start) and to 2e6 (outside the iterate box).
+    non-finite start) and to 2e6 (outside the iterate box);
+  - the three stacked products `_row_dots`, `_matvec` and
+    `_transposed_product` on one line, at reduction widths 0, 1, 2, 3, 5 and
+    9, on seeded stacks and on one state without a node axis, the entries
+    spread over 16 decades with signed zeros, infinities, NaN, magnitudes
+    near 1e+-300 and a row whose sum depends on its order.  This line pins
+    the bits of the numpy kernels behind the products across numpy versions.
 
 Each solve's digest covers its exit code and the bytes of the five files it
 publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
 round-trips every double), `summary.json` (status, certificates, error
 metrics), and both plots.  The one-node line covers each result's x_star
 bytes, gradient norm, iterations and status; the batch line each batch's
-solution bytes, worst status and largest gradient norm.
+solution bytes, worst status and largest gradient norm; the kernel line each
+product's shape and bytes.
 
 Then come the lines of the CLI's text, each covering exit codes and output:
 
@@ -66,6 +73,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import ctpalm as c  # noqa: E402
 import ctpalm.cli  # noqa: E402
+from ctpalm.lagrangian import _transposed_product  # noqa: E402
+from ctpalm.problems import _matvec, _row_dots  # noqa: E402
 
 # Seed of the seeded starts.
 SEED = 11
@@ -205,6 +214,44 @@ def exit_digest() -> str:
     return h.hexdigest()
 
 
+# Entries placed once in each stack, and a row (first entries of the last)
+# whose sum depends on its order.
+SPECIAL_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
+                   -1e-300, 5e-324)
+CANCELLING_ROW = (1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def kernel_operand(rng, *shape) -> np.ndarray:
+    """Seeded entries over 16 decades, SPECIAL_ENTRIES at distinct random
+    places, and the last row along the last axis the start of CANCELLING_ROW."""
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    flat = out.reshape(-1)
+    count = min(flat.size, len(SPECIAL_ENTRIES))
+    flat[rng.choice(flat.size, count, replace=False)] = SPECIAL_ENTRIES[:count]
+    if flat.size:
+        out.reshape(-1, shape[-1])[-1] = CANCELLING_ROW[:shape[-1]]
+    return out
+
+
+def kernel_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(SEED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width in (0, 1, 2, 3, 5, 9):
+            # Stacks of 17 and 85 rows, and one state without a node axis.
+            for lead in ((17,), (85,), ()):
+                a, b = kernel_operand(rng, *lead, width), kernel_operand(rng, *lead, width)
+                outs = [_row_dots(a, b), _row_dots(a, np.ones_like(a))]
+                for n in (1, 2, 3):
+                    mat = kernel_operand(rng, *lead, n, width)
+                    outs += [_matvec(mat, a),
+                             _transposed_product(np.swapaxes(mat, -1, -2).copy(), a)]
+                for out in outs:
+                    h.update(repr(out.shape).encode())
+                    h.update(out.tobytes())
+    return h.hexdigest()
+
+
 # Malformed state CSVs for `ctpalm check ex1`: one error each.
 BAD_CSVS = (
     b"x,c0,c1\n0,0,0\n1,0,0\n",
@@ -245,6 +292,7 @@ def main() -> None:
         checks.append((f"check:{name}", checked))
     print(f"{node_digest()}  solve_node@criterion10", flush=True)
     print(f"{exit_digest()}  solve_subproblem@stationary-exit", flush=True)
+    print(f"{kernel_digest()}  kernels", flush=True)
     for name, value in checks + text_digests():
         print(f"{value}  {name}", flush=True)
 
