@@ -26,8 +26,8 @@ import numpy as np
 from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
 from .inner import InnerConfig, InnerStatus, _count, solve_subproblem
-from .lagrangian import (Residuals, _residuals, _sup, akkt_holds, multiplier_update,
-                         violations)
+from .lagrangian import (Residuals, _residuals, _sup, _weighted_gradient, akkt_holds,
+                         multiplier_update, violations)
 from .problems import EvaluationError, ProblemDefinition, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
@@ -193,22 +193,29 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
             if rho == math.inf:
                 raise OverflowError(
                     f"outer iteration {k}: the penalty parameter overflowed")
+            # The update and the Lagrangian gradient at the warm start; the
+            # gradient is the subproblem's augmented gradient there.
             warm_start = xs
+            u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
+            gradient = _weighted_gradient(bundle, u_rows, v_rows)
             xs, inner_worst, inner_max_grad = solve_subproblem(
-                problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle)
+                problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle,
+                gradient)
 
-            # The evaluation of the subproblem's solution, its objective and its
-            # violation feed the update, the residuals, the log and the next
-            # subproblem's start.  A solution equal to its warm start bit for bit
-            # (so -0.0 differs from 0.0) has them already: evaluators are pure
-            # and row-wise, and the bundle was checked finite.
+            # The evaluation of the subproblem's solution, its objective, its
+            # violation, the update and the gradient feed the residuals, the log
+            # and the next subproblem's start.  A solution equal to its warm
+            # start bit for bit (so -0.0 differs from 0.0) has them already:
+            # evaluators are pure and row-wise, the bundle was checked finite,
+            # and the update and gradient depend on nothing else that changed.
             if xs.tobytes() != warm_start.tobytes():
                 bundle, objective, violation = _evaluation(problem, grid, xs)
-            u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
+                u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
+                gradient = _weighted_gradient(bundle, u_rows, v_rows)
             if not (np.isfinite(u_rows).all() and np.isfinite(v_rows).all()):
                 raise OverflowError(f"outer iteration {k}: the multiplier update "
                                     f"overflowed (rho = {rho:g})")
-            residuals = _residuals(grid.spacing, bundle, u_rows, v_rows, violation)
+            residuals = _residuals(grid.spacing, bundle, gradient, v_rows, violation)
             # Penalty-rule measure: sup over all nodes of |h| and |max(g, -v~/rho)|.
             infeas_measure = max(_sup(np.abs(bundle.h)),
                                  _sup(np.abs(np.maximum(bundle.g, -v_tilde / rho))))

@@ -223,9 +223,10 @@ def _stop_test(rows, gn, x, it, iters, status, cfg):
     return ~stop
 
 
-def _descend(problem, ts, xs, start, us, vs, rho, cfg):
+def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
     """Phase 1 at every row: BB descent on the augmented objective, from
-    states xs whose evaluator outputs are `start`.
+    states xs whose evaluator outputs are `start` and whose augmented
+    gradient rows are gr, `_aug_gradient(start, us, vs, rho)`.
 
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
     entry per row: best_* track the smallest gradient norm seen and minpen_x
@@ -238,7 +239,6 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     shift_u, shift_v = us / rho, vs / rho
     pen = _penalty_value(start, shift_u, shift_v, rho)
     f = start.phi + pen
-    gr = _aug_gradient(start, us, vs, rho)
     gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
     iters = np.zeros(count, dtype=int)
     if (gn <= cfg.grad_tol).all():
@@ -371,22 +371,24 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
     return best_x, best_gn, iters
 
 
-def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
+def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None, gradient=None):
     """Solve the node problem of every row: states xs (N, n) at times ts (N,)
     with multipliers us (N, p), vs (N, m).
 
-    `start` holds the evaluator outputs at xs (an EvalBundle); they are
-    evaluated here when it is None.  Returns (x_star, grad_inf_norm,
-    iterations, status) with one entry per row, status as `_BY_SEVERITY`
-    indices.
+    `start` holds the evaluator outputs at xs (an EvalBundle), and `gradient`
+    the augmented gradient rows there; each is computed here when it is None.
+    Returns (x_star, grad_inf_norm, iterations, status) with one entry per
+    row, status as `_BY_SEVERITY` indices.
     """
     # Overflow in a trial point shows up as a non-finite value, which the
     # phases reject.
     with np.errstate(over="ignore", invalid="ignore"):
         if start is None:
             start = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
+        if gradient is None:
+            gradient = _aug_gradient(start, us, vs, rho)
         x_star, grad, minpen_x, initial_gn, iters, status = _descend(
-            problem, ts, xs, start, us, vs, rho, cfg)
+            problem, ts, xs, start, gradient, us, vs, rho, cfg)
         if not status.any():
             # Every row converged (_CONVERGED is 0): nothing to polish or
             # fall back from.
@@ -415,23 +417,26 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
     return x_star, grad, iters, status
 
 
-def _check_rows(problem, ts, xs, us, vs, rho, node=False):
+def _check_rows(problem, ts, xs, us, vs, rho, gradient=None, node=False):
     """The input checks of both entries, on node-row stacks, in this order:
-    one row per time, rows of widths n, p and m, rho > 0, finite states, then
-    the multipliers.  The one-node entry (`node`) names its own arguments and
-    shows their shapes without the row axis."""
+    one row per time, rows of widths n, p and m (and n for a given start
+    gradient), rho > 0, finite states, then the multipliers.  The one-node
+    entry (`node`) names its own arguments and shows their shapes without the
+    row axis."""
     if not len(xs) == len(us) == len(vs) == len(ts):
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
-    names = ("x_init", "safeguarded.u", "safeguarded.v") if node else ("xs", "us", "vs")
-    for name, a, k in zip(names, (xs, us, vs), (problem.n, problem.p, problem.m)):
-        if a.shape != (len(ts), k):
+    names = (("x_init", "safeguarded.u", "safeguarded.v") if node
+             else ("xs", "us", "vs", "gradient"))
+    for name, a, k in zip(names, (xs, us, vs, gradient),
+                          (problem.n, problem.p, problem.m, problem.n)):
+        if a is not None and a.shape != (len(ts), k):
             raise ValueError(f"{name} must have shape {(len(ts), k)[node:]}, "
                              f"got {a.shape[node:]}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not np.isfinite(xs).all():
-        raise ValueError("x_init must be finite")
+        raise ValueError(f"{names[0]} must be finite")
     _check_multipliers(us, vs)
 
 
@@ -447,19 +452,22 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
 
 def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
                      us: np.ndarray, vs: np.ndarray, rho: float, cfg: InnerConfig,
-                     start: Optional[EvalBundle] = None):
+                     start: Optional[EvalBundle] = None,
+                     gradient: Optional[np.ndarray] = None):
     """Solve the node problem of every row in lockstep: warm starts xs (N, n)
     at times ts (N,) with safeguarded multipliers us (N, p), vs (N, m).
 
     `start` is the evaluation of the warm starts, `evaluate_all(problem, xs,
-    ts)`, which the outer loop already holds; the first descent pass takes
-    the objective and gradient from it instead of calling the evaluators.
-    Without it the warm starts are evaluated here.  When every row's start
-    gradient norm is within cfg.grad_tol, the solve ends after one
-    whole-batch comparison: the rows are Converged at a copy of xs, with no
-    evaluator call.  Returns (node solutions (N, n), worst status, max grad
-    norm).
+    ts)`, and `gradient` (N, n) the augmented gradient rows there,
+    `_weighted_gradient(start, *multiplier_update(start, us, vs, rho))`;
+    the outer loop already holds both.  The first descent pass takes the
+    objective from `start` and the gradient from `gradient` instead of
+    calling the evaluators and computing it; each is computed here when it
+    is not given.  When every row's start gradient norm is within
+    cfg.grad_tol, the solve ends after one whole-batch comparison: the rows
+    are Converged at a copy of xs, with no evaluator call.  Returns (node
+    solutions (N, n), worst status, max grad norm).
     """
-    _check_rows(problem, ts, xs, us, vs, rho)
-    x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=start)
+    _check_rows(problem, ts, xs, us, vs, rho, gradient)
+    x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start, gradient)
     return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))

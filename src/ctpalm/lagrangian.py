@@ -128,16 +128,20 @@ def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
     if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
             or v_traj.dim != bundle.g.shape[1]):
         raise ValueError("trajectory dimensions do not match the problem")
-    _check_multipliers(u_traj.values, v_traj.values)
-    return _residuals(grid.spacing, bundle, u_traj.values, v_traj.values,
+    u, v = u_traj.values, v_traj.values
+    _check_multipliers(u, v)
+    return _residuals(grid.spacing, bundle, _weighted_gradient(bundle, u, v), v,
                       max(violations(bundle)))
 
 
-def _residuals(spacing: float, bundle: EvalBundle, u: np.ndarray, v: np.ndarray,
+def _residuals(spacing: float, bundle: EvalBundle, gradient: np.ndarray, v: np.ndarray,
                primal_infeasibility: float) -> Residuals:
-    """Residuals of node-row multipliers u, v >= 0 given max(violations(bundle))."""
+    """Residuals at the evaluated node rows, from the Lagrangian gradient rows
+    `_weighted_gradient(bundle, u, v)` of node-row multipliers u and v >= 0,
+    those v, and max(violations(bundle)).  The caller computes the gradient,
+    so the outer loop keeps the one it handed to the subproblem."""
     return Residuals(
-        stationarity_l1=_l1_quadrature(_weighted_gradient(bundle, u, v), spacing),
+        stationarity_l1=_l1_quadrature(gradient, spacing),
         complementarity_sup=_sup(v * np.maximum(-bundle.g, 0.0)),
         multiplier_min=float(v.min()) if v.size else 0.0,
         primal_infeasibility=primal_infeasibility)

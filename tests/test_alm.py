@@ -1,6 +1,7 @@
 """Outer-loop mechanics: update formulas, penalty rule, termination, logging,
 and the structural invariants of whole runs."""
 
+import collections
 import dataclasses
 import warnings
 
@@ -218,6 +219,23 @@ def test_overflow_stops_the_run_without_a_numpy_warning(cfg_kwargs, x0, message)
             c.solve(prob, cfg, c.Trajectory.constant(grid, x0))
 
 
+def test_overflow_is_checked_on_the_update_of_the_returned_iterate(monkeypatch):
+    """The update at the warm start overflows, the one at the iterate that the
+    subproblem returns does not: the run goes on, as the record uses the
+    latter."""
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(1.0, 5)
+    monkeypatch.setattr(alm_mod, "solve_subproblem",
+                        lambda problem, ts, xs, *rest: (np.zeros_like(xs),
+                                                        InnerStatus.CONVERGED, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = c.solve(prob, c.AlmConfig(rho_init=1e300, max_outer=1),
+                         c.Trajectory.constant(grid, [0.0, -1e10]))
+    assert report.status is SolveStatus.MAX_OUTER_REACHED
+    assert report.v.values.tolist() == [[0.0, 0.0]] * 5
+
+
 def test_rho_monotone_and_growth_matches_progress_rule(ex4_run):
     report, prob, cfg = ex4_run
     records = report.iterations
@@ -340,30 +358,36 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
 
 def record_update_passes(monkeypatch):
     """Wrap the outer loop's calls: the lists of the iterates the subproblem
-    returned, whether each differs from its warm start, the bundles that the
-    multiplier updates used, and the arguments of each evaluate_all call."""
-    solve_subproblem = alm_mod.solve_subproblem
-    multiplier_update = alm_mod.multiplier_update
-    returned, moved, used, evaluations = [], [], [], []
+    returned, whether each differs from its warm start, the subproblem's
+    multipliers and rho, what each iteration's residuals were computed from
+    (bundle, gradient rows and v), and the arguments of each evaluate_all
+    call."""
+    solve_subproblem, residuals = alm_mod.solve_subproblem, alm_mod._residuals
+    returned, moved, inputs, kept, evaluations = [], [], [], [], []
 
-    def subproblem(problem, ts, xs, *rest):
-        out = solve_subproblem(problem, ts, xs, *rest)
+    def subproblem(problem, ts, xs, us, vs, rho, *rest):
+        out = solve_subproblem(problem, ts, xs, us, vs, rho, *rest)
         returned.append(out[0])
         moved.append(out[0].tobytes() != xs.tobytes())
+        inputs.append((us, vs, rho))
         return out
 
-    def update(bundle, *rest):
-        used.append(bundle)
-        return multiplier_update(bundle, *rest)
+    def recorded(spacing, bundle, gradient, v, *rest):
+        kept.append((bundle, gradient, v))
+        return residuals(spacing, bundle, gradient, v, *rest)
 
     def evaluated(*args):
         evaluations.append(args)
         return evaluate_all(*args)
 
     monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
-    monkeypatch.setattr(alm_mod, "multiplier_update", update)
+    monkeypatch.setattr(alm_mod, "_residuals", recorded)
     monkeypatch.setattr(alm_mod, "evaluate_all", evaluated)
-    return returned, moved, used, evaluations
+    return returned, moved, inputs, kept, evaluations
+
+
+def assert_same_bits(a, b, what):
+    assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), what
 
 
 # Outer iterations of the ex4 and infeasible1 runs of tests/conftest.py whose
@@ -371,25 +395,65 @@ def record_update_passes(monkeypatch):
 @pytest.mark.parametrize("name,moves", [("ex4", 95), ("infeasible1", 4)])
 def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
                                                                   monkeypatch):
-    returned, moved, used, evaluations = record_update_passes(monkeypatch)
-    report, problem, _ = run_builtin(name, *RUN_STARTS[name])
-    assert len(returned) == len(used) == len(report.iterations)
-    for xs, bundle in zip(returned, used):
+    """Each record's residuals, the next subproblem's multipliers and the
+    returned multipliers come from the evaluation of the iterate that the
+    subproblem returned, bit for bit: its bundle, its multiplier update and
+    the Lagrangian gradient at that update."""
+    returned, moved, inputs, kept, evaluations = record_update_passes(monkeypatch)
+    report, problem, cfg = run_builtin(name, *RUN_STARTS[name])
+    assert len(returned) == len(inputs) == len(kept) == len(report.iterations)
+    updates = []
+    for xs, (us, vs, rho), (bundle, gradient, v) in zip(returned, inputs, kept):
         fresh = evaluate_all(problem, xs, report.grid.nodes)
         for f in dataclasses.fields(EvalBundle):
-            a, b = getattr(bundle, f.name), getattr(fresh, f.name)
-            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f.name
+            assert_same_bits(getattr(bundle, f.name), getattr(fresh, f.name), f.name)
+        u_fresh, v_fresh = multiplier_update(fresh, us, vs, rho)
+        assert_same_bits(v, v_fresh, "v")
+        assert_same_bits(gradient, lagrangian._weighted_gradient(fresh, u_fresh, v_fresh),
+                         "gradient")
+        updates.append((u_fresh, v_fresh))
+    for (u, v), (us, vs, _) in zip(updates, inputs[1:]):
+        projected = safeguard_project(u, v, cfg.bound_M, cfg.bound_N)
+        assert_same_bits(us, projected[0], "next u~")
+        assert_same_bits(vs, projected[1], "next v~")
+    assert_same_bits(report.u.values, updates[-1][0], "returned u")
+    assert_same_bits(report.v.values, updates[-1][1], "returned v")
     # x0, then each iterate the subproblem changed; an unchanged one reuses
     # the bundle of its warm start.
     assert sum(moved) == moves
     assert len(evaluations) == 1 + moves
 
 
+# Calls of the multiplier update and of the Lagrangian gradient in the ex4 and
+# infeasible1 runs of tests/conftest.py.  The outer loop computes both at each
+# warm start, hands the gradient to the subproblem, and computes them again
+# only at an iterate that the subproblem changed (95 and 4 of them); each
+# other call is a descent trial pass that accepts a point (727 and 11).
+# Computing them again at an unchanged iterate, or in the subproblem at its
+# start, would raise them (infeasible1: 2,011 each).
+@pytest.mark.parametrize("name,expected", [("ex4", 917), ("infeasible1", 1015)])
+def test_update_and_gradient_are_computed_once_per_iterate(name, expected, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (lagrangian.multiplier_update, lagrangian._weighted_gradient):
+        wrapper = counted(fn)
+        for module in (lagrangian, alm_mod):
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+    run_builtin(name, *RUN_STARTS[name])
+    assert dict(calls) == {"multiplier_update": expected, "_weighted_gradient": expected}
+
+
 @pytest.mark.parametrize("name", ["ex4", "infeasible1"])
 def test_logged_objective_and_violation_are_those_of_each_iterate(name, monkeypatch):
     """The loop keeps the objective and the violation beside the evaluation
     it keeps; each record's must equal a fresh evaluation's, bit for bit."""
-    returned, _, _, _ = record_update_passes(monkeypatch)
+    returned, _, _, _, _ = record_update_passes(monkeypatch)
     report, problem, _ = run_builtin(name, *RUN_STARTS[name])
     assert len(returned) == len(report.iterations)
     for xs, record in zip(returned, report.iterations):
@@ -427,7 +491,7 @@ def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
         convexity=c.Convexity(False, (), ())))
-    _, _, used, evaluations = record_update_passes(monkeypatch)
+    _, _, _, kept, evaluations = record_update_passes(monkeypatch)
 
     def flipped(problem, ts, xs, *rest):
         out = xs.copy()
@@ -438,7 +502,7 @@ def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(
     grid = c.make_uniform_grid(1.0, 3)
     report = c.solve(prob, c.AlmConfig(max_outer=1), c.Trajectory.constant(grid, [0.0]))
     assert len(evaluations) == 2
-    assert np.array_equal(used[0].phi, [1.0, -1.0, 1.0])
+    assert len(kept) == 1 and np.array_equal(kept[0][0].phi, [1.0, -1.0, 1.0])
     assert np.signbit(report.x.values[:, 0]).tolist() == [False, True, False]
     # The objective is the trapezoid of phi = (1, -1, 1); the bundle of x0
     # would give 1.0.

@@ -10,7 +10,7 @@ import ctpalm as c
 import ctpalm.inner as inner_mod
 import node_solver_reference as reference
 from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
-from ctpalm.lagrangian import MultiplierSet
+from ctpalm.lagrangian import MultiplierSet, _weighted_gradient, multiplier_update
 from ctpalm.problems import evaluate_all
 from conftest import counting, unconstrained_quadratic
 from testkit import FdConfig, aug_lagrangian_value, fd_gradient
@@ -135,12 +135,16 @@ def test_subproblem_rejects_bad_inputs():
     nan_start = xs.copy()
     nan_start[2, 1] = np.nan
     cfg = c.InnerConfig()
-    for x, u, v, rho in [(xs, us, vs, -1.0),                 # rho <= 0
-                         (nan_start, us, vs, 1.0),           # warm start not finite
-                         (xs, us, -vs, 1.0),                 # v < 0
-                         (xs, us, np.full((4, 2), np.inf), 1.0)]:  # not finite
-        with pytest.raises(ValueError):
+    for x, u, v, rho, message in [
+            (xs, us, vs, -1.0, r"rho must be positive, got -1\.0"),
+            (nan_start, us, vs, 1.0, "xs must be finite"),
+            (xs, us, -vs, 1.0, "inequality multipliers must be nonnegative"),
+            (xs, us, np.full((4, 2), np.inf), 1.0, "multipliers must be finite")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             c.solve_subproblem(prob, ts, x, u, v, rho, cfg)
+    # The one-node entry names its own argument.
+    with pytest.raises(ValueError, match="^x_init must be finite$"):
+        c.solve_node(prob, ts[2], nan_start[2], MultiplierSet(v=vs[2]), 1.0, cfg)
     # Row counts other than one per time.
     for x, u, v in [(xs, np.zeros((5, 0)), vs), (xs, us, np.ones((5, 2))),
                     (xs, np.zeros((3, 0)), vs), (np.ones((5, 2)), us, vs)]:
@@ -165,6 +169,15 @@ def test_entries_reject_rows_of_the_wrong_width():
              r"xs must have shape \(4, 3\), got \(4, 4\)")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
+    # A start gradient, when given, has one row of width n per time.
+    xs, us, vs = np.ones((4, 2)), np.zeros((4, 0)), np.ones((4, 2))
+    start = evaluate_all(ex1, xs, ts)
+    for gradient, message in [(np.zeros((4, 3)), r"\(4, 3\)"),
+                              (np.zeros((3, 2)), r"\(3, 2\)"),
+                              (np.zeros(4), r"\(4,\)")]:
+        with pytest.raises(ValueError,
+                           match=rf"^gradient must have shape \(4, 2\), got {message}$"):
+            c.solve_subproblem(ex1, ts, xs, us, vs, 1.0, cfg, start, gradient)
     for prob, x, mult, message in [
             (ex1, np.ones(2), MultiplierSet(v=[1.0]),
              r"safeguarded.v must have shape \(2,\), got \(1,\)"),
@@ -298,23 +311,36 @@ CONFTEST_STARTS = {
 }
 
 
-def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg):
+def start_of(prob, ts, xs, us, vs, rho):
+    """The start's evaluation and its augmented gradient rows, as the outer
+    loop hands them to the subproblem."""
+    start = evaluate_all(prob, xs, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return start, _weighted_gradient(start, *multiplier_update(start, us, vs, rho))
+
+
+def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg, handed=False):
     """Every row of the lockstep solve of built-in `name` equals the reference
     solve of its node alone, and solve_subproblem reduces those rows as the
-    node loop did."""
+    node loop did.  With `handed`, so does the solve given the start's
+    evaluation and gradient, as the outer loop gives them."""
     prob, scalar = c.builtin(name), reference.scalar_builtin(name)
-    x, grad, iters, status = _solve_rows(prob, grid.nodes, xs, us, vs, rho, cfg)
     solo = [reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), rho, cfg)
             for i, t in enumerate(grid.nodes)]
-    for i, r in enumerate(solo):
-        assert x[i].tobytes() == r.x_star.tobytes(), i
-        assert grad[i] == r.grad_inf_norm, i
-        assert iters[i] == r.iterations, i
-        assert _BY_SEVERITY[status[i]] is r.status, i
-    xs_out, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg)
-    assert xs_out.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
-    assert worst is max((r.status for r in solo), key=_BY_SEVERITY.index)
-    assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
+    handed = (start_of(prob, grid.nodes, xs, us, vs, rho),) if handed else ()
+    for given in ((),) + handed:
+        x, grad, iters, status = _solve_rows(prob, grid.nodes, xs, us, vs, rho, cfg,
+                                             *given)
+        for i, r in enumerate(solo):
+            assert x[i].tobytes() == r.x_star.tobytes(), i
+            assert grad[i] == r.grad_inf_norm, i
+            assert iters[i] == r.iterations, i
+            assert _BY_SEVERITY[status[i]] is r.status, i
+        xs_out, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho,
+                                                     cfg, *given)
+        assert xs_out.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
+        assert worst is max((r.status for r in solo), key=_BY_SEVERITY.index)
+        assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
     return solo
 
 
@@ -329,7 +355,7 @@ def test_lockstep_rows_equal_the_node_solver_at_conftest_start(name):
         return np.tile(np.asarray(a, dtype=float), (nodes, 1)).reshape(nodes, k)
 
     assert_rows_match_reference(name, grid, tile(x0, prob.n), tile(u0, prob.p),
-                                tile(v0, prob.m), cfg.rho_init, cfg.inner)
+                                tile(v0, prob.m), cfg.rho_init, cfg.inner, handed=True)
 
 
 @pytest.mark.parametrize("name", sorted(CONFTEST_STARTS))
@@ -406,7 +432,8 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
     xs, us = np.zeros((9, 1)), np.zeros((9, 0))
     vs = np.linspace(0.0, 2.0, 9)[:, None]
     for rho in (1.0, 30.0):
-        solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg)
+        solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg,
+                                           handed=True)
         assert all(r.iterations == 0 and r.status is InnerStatus.CONVERGED
                    and r.grad_inf_norm == 0.0 for r in solo)
         built.clear()
@@ -415,7 +442,8 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
         assert built == []
     mixed = xs.copy()
     mixed[4] = 0.5
-    solo = assert_rows_match_reference("infeasible1", grid, mixed, us, vs, 1.0, cfg)
+    solo = assert_rows_match_reference("infeasible1", grid, mixed, us, vs, 1.0, cfg,
+                                       handed=True)
     assert [r.iterations > 0 for r in solo] == [i == 4 for i in range(9)]
     assert solo[4].status is InnerStatus.CONVERGED
     built.clear()
@@ -432,26 +460,28 @@ def stationary_batch():
 
 
 def test_batch_that_starts_stationary_takes_the_whole_batch_exit(monkeypatch):
-    """Given the start's evaluation, a batch whose rows all start within
-    grad_tol returns a copy of its states, each row Converged after 0
-    iterations, without an evaluator call or a stop test."""
+    """Given the start's evaluation, with or without its gradient, a batch
+    whose rows all start within grad_tol returns a copy of its states, each
+    row Converged after 0 iterations, without an evaluator call or a stop
+    test."""
     prob = c.builtin("infeasible1")
     counted, calls = counting(prob)
     xs, us, vs, grid = stationary_batch()
-    start = evaluate_all(prob, xs, grid.nodes)
     stop_tests = []
     monkeypatch.setattr(inner_mod, "_stop_test", lambda *args: stop_tests.append(args))
     cfg = c.AlmConfig().inner
     for rho in (1.0, 30.0):
-        x, grad, iters, status = _solve_rows(counted, grid.nodes, xs, us, vs, rho, cfg,
-                                             start)
-        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
-        assert grad.tolist() == [0.0] * 9 and iters.tolist() == [0] * 9
-        assert [_BY_SEVERITY[s] for s in status] == [InnerStatus.CONVERGED] * 9
-        x, worst, max_grad = c.solve_subproblem(counted, grid.nodes, xs, us, vs, rho,
-                                                cfg, start)
-        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
-        assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
+        start, gradient = start_of(prob, grid.nodes, xs, us, vs, rho)
+        for given in ((start,), (start, gradient)):
+            x, grad, iters, status = _solve_rows(counted, grid.nodes, xs, us, vs, rho,
+                                                 cfg, *given)
+            assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+            assert grad.tolist() == [0.0] * 9 and iters.tolist() == [0] * 9
+            assert [_BY_SEVERITY[s] for s in status] == [InnerStatus.CONVERGED] * 9
+            x, worst, max_grad = c.solve_subproblem(counted, grid.nodes, xs, us, vs,
+                                                    rho, cfg, *given)
+            assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+            assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
     assert calls == {} and stop_tests == []
 
 
@@ -468,7 +498,8 @@ def test_one_row_not_stationary_keeps_the_batch_off_the_exit(x4, rho, outcome):
     prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
     xs, us, vs, grid = stationary_batch()
     xs[4] = x4
-    solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg)
+    solo = assert_rows_match_reference("infeasible1", grid, xs, us, vs, rho, cfg,
+                                       handed=True)
     assert [(r.iterations, r.status) for r in solo] == (
         [(0, InnerStatus.CONVERGED)] * 4 + [outcome] + [(0, InnerStatus.CONVERGED)] * 4)
     x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg,
