@@ -119,21 +119,17 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser of every subcommand; with `command`, only that subcommand
-    gets its arguments.  The others keep their name and help, which is all
-    that top-level help and usage lines show of them, so `main` builds only
-    the subcommand it runs."""
+def build_parser() -> _Parser:
+    """The parser of every subcommand, for top-level help and the usage errors
+    that name every command; `main` parses a run of one subcommand with that
+    subcommand's parser alone."""
     parser = _Parser(prog="ctpalm",
                      description="Augmented Lagrangian solver for "
                                  "continuous-time programs on a uniform grid.")
     parser.add_argument("--version", action="version", version=f"ctpalm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        if command is None or command == name:
-            add_arguments(sub.add_parser(name, help=help_text))
-        else:  # never parsed, so it needs no arguments, not even --help
-            sub.add_parser(name, help=help_text, add_help=False)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -385,10 +381,16 @@ def cmd_list() -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The subcommand is the first token that is no option: the top-level
-    # parser has no option that takes a value.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    # A run of one subcommand parses as the full tree would hand it to that
+    # subcommand's parser; the tree parses any other argv, and one that leaves
+    # arguments over, so that its help and error lines name every command.
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = _Parser(prog=f"ctpalm {name}")
+        _COMMANDS[name][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if name not in _COMMANDS or rest:
+        args = build_parser().parse_args(argv)
     try:
         # Overflow reaches users as the error line below, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ run in ascending node order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -128,10 +129,11 @@ class TrajectoryCsvError(ValueError):
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a `t,c0,c1,...` CSV file back into a trajectory on a uniform grid.
 
-    `path` names a UTF-8 file; cells are parsed with `float`.  Malformed
-    input raises TrajectoryCsvError at its first offending line, each line
-    checked for its column count, the MAX_NODES row limit, numeric cells and
-    finite cells in that order; the time column is checked after the last.
+    `path` names a UTF-8 file; cells are parsed with `float`, all of them in
+    one pass.  Malformed input raises TrajectoryCsvError at its first
+    offending line, each line checked for its column count, the MAX_NODES
+    row limit, numeric cells and finite cells in that order; the time column
+    is checked after the last.
     """
 
     def fail(message, line):
@@ -151,35 +153,39 @@ def read_trajectory_csv(path) -> Trajectory:
     if not header or header[0] != "t":
         raise fail("header must start with 't'", 1)
     dim = len(header) - 1
-    ts, rows, linenos = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) != dim + 1:
-            raise fail(f"expected {dim + 1} columns, got {len(cells)}", lineno)
-        if len(ts) == MAX_NODES:
-            raise fail(f"more than {MAX_NODES} data rows", lineno)
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError:
-            raise fail("non-numeric cell", lineno) from None
-        if not all(map(math.isfinite, vals)):
-            raise fail("non-finite cell", lineno)
-        ts.append(vals[0])
-        rows.append(vals[1:])
-        linenos.append(lineno)
-    if len(ts) < 2:
+    linenos = [lineno for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    body = [lines[lineno - 1] for lineno in linenos]
+    cells = None
+    if len(body) <= MAX_NODES and all(ln.count(",") == dim for ln in body):
+        with contextlib.suppress(ValueError):
+            cells = np.fromiter(map(float, ",".join(body).split(",")), float,
+                                len(body) * (dim + 1)).reshape(len(body), dim + 1)
+    if cells is None or not np.isfinite(cells).all():
+        # Some line is malformed: name the first.
+        for row, (lineno, ln) in enumerate(zip(linenos, body)):
+            line_cells = ln.split(",")
+            if len(line_cells) != dim + 1:
+                raise fail(f"expected {dim + 1} columns, got {len(line_cells)}", lineno)
+            if row == MAX_NODES:
+                raise fail(f"more than {MAX_NODES} data rows", lineno)
+            try:
+                vals = [float(c) for c in line_cells]
+            except ValueError:
+                raise fail("non-numeric cell", lineno) from None
+            if not all(map(math.isfinite, vals)):
+                raise fail("non-finite cell", lineno)
+    if len(body) < 2:
         raise fail("need at least 2 data rows", len(lines))
-    horizon = ts[-1]
+    ts = cells[:, 0]
+    horizon = float(ts[-1])
     if horizon <= 0 or ts[0] != 0.0:
         raise fail("time column must run from 0 to a positive horizon", 2)
     try:
         grid = make_uniform_grid(horizon, len(ts))
     except ValueError as exc:  # a horizon too small or too large to divide
         raise fail(f"time column gives no uniform grid ({exc})", 2) from None
-    off_grid = np.flatnonzero(np.abs(np.array(ts) - grid.nodes) > 1e-12 * max(1.0, horizon))
+    off_grid = np.flatnonzero(np.abs(ts - grid.nodes) > 1e-12 * max(1.0, horizon))
     if off_grid.size:
         i = off_grid[0]
-        raise fail(f"time column is not a uniform grid (t={ts[i]!r})", linenos[i])
-    return Trajectory(grid, np.array(rows))
+        raise fail(f"time column is not a uniform grid (t={float(ts[i])!r})", linenos[i])
+    return Trajectory(grid, cells[:, 1:])

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, file outputs, and data checks."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -45,6 +46,83 @@ def test_usage_error_after_a_command_lists_every_command(capsys):
     assert (proc.returncode, proc.stderr) == (
         64, "usage: ctpalm [-h] [--version] {solve,check,list-problems} ...\n"
             "error: unrecognized arguments: extra\n")
+
+
+
+# Files for the routed `check` runs: a constant ex1 trajectory and zero
+# multipliers.
+ROUTING_FILES = {"x.csv": "t,c0,c1\n0,1,1\n0.5,1,1\n1,1,1\n",
+                 "m.csv": "t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n"}
+CHECK = ["check", "ex1", "x.csv", "m.csv"]
+# Valid runs, abbreviated options, help and --version before and after the
+# command, `--` separators, arguments no parser takes, missing arguments.
+ROUTING_ARGV = (
+    ["solve", "--problem", "ex1", "--nodes", "9", "--out-dir", "out"],
+    ["solve", "--prob", "ex1", "--nodes", "9", "--max-o", "1", "--out-dir", "out"],
+    CHECK, CHECK + ["--eps", "1e-3"], ["list-problems"],
+    ["-h"], ["--help"], ["--version"], ["-h", "check"], ["--version", "solve"],
+    ["solve", "-h"], ["check", "--help"], ["list-problems", "-h"],
+    ["check", "--version"], CHECK + ["--version"], ["list-problems", "--version"],
+    ["check", "--", "ex1", "x.csv", "m.csv"], ["check", "ex1", "--", "x.csv", "m.csv"],
+    ["--", "check", "ex1", "x.csv", "m.csv"], ["list-problems", "--"],
+    CHECK + ["--bogus"], ["check", "--bogus", "ex1", "x.csv", "m.csv"],
+    ["list-problems", "extra"], ["check", "ex1", "x.csv"], ["solve", "--nodes", "5"],
+    ["check", "ex1", "x.csv", "m.csv", "--eps-stop"], [], ["frobnicate"],
+)
+
+
+class _TreeOnly(dict):
+    """`cli._COMMANDS` in which `main` finds no command, so that it parses
+    every argv with the full tree of `cli.build_parser()`."""
+
+    def __contains__(self, name):
+        return False
+
+
+def run_both_ways(argv, monkeypatch, capsys) -> tuple:
+    """(exit code, stdout, stderr) of `main(argv)`, then of `main(argv)`
+    parsing with the full tree."""
+    outs = []
+    for commands in (cli._COMMANDS, _TreeOnly(cli._COMMANDS)):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_COMMANDS", commands)
+            proc = run_in_process(argv, capsys)
+        outs.append((proc.returncode, proc.stdout, proc.stderr))
+    return tuple(outs)
+
+
+@pytest.fixture
+def routing_dir(tmp_path, monkeypatch):
+    """A working directory holding ROUTING_FILES, help at 80 columns."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in ROUTING_FILES.items():
+        (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("argv", ROUTING_ARGV, ids=" ".join)
+def test_routed_parse_equals_the_full_tree(argv, routing_dir, monkeypatch, capsys):
+    routed, tree = run_both_ways(argv, monkeypatch, capsys)
+    assert routed == tree
+
+
+def test_a_valid_check_builds_one_argument_parser(routing_dir, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    counts = []
+    for commands in (cli._COMMANDS, _TreeOnly(cli._COMMANDS)):
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_COMMANDS", commands)
+            assert run_in_process(CHECK, capsys).returncode in (0, 1)
+        counts.append(len(built))
+    assert counts == [1, 4]
 
 
 # -- solve ----------------------------------------------------------------------

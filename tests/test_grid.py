@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import csv_reader_reference as reference
+import ctpalm.grid as grid_mod
 from ctpalm.grid import (MAX_NODES, TimeGrid, Trajectory, TrajectoryCsvError,
                          _l1_quadrature, _trapezoid_sum, make_uniform_grid,
                          read_trajectory_csv, write_trajectory_csv)
@@ -325,3 +327,88 @@ def test_csv_error_names_the_file_and_the_line_of_a_bad_byte(tmp_path):
         read_trajectory_csv(str(path))
     assert err.value.line == 3 and err.value.path == str(path)
     assert str(err.value).startswith(f"{path}: line 3: not UTF-8 text")
+
+
+# Cell spellings that `float` takes: padded, underscored, signed, upper-case
+# exponent, a signed zero, subnormals and magnitudes near the float range.
+ODD_CELLS = (" 1 ", "\t2.5", "1_0", "+1E5", "-0.0", "5e-324", "-2.5e-320",
+             "1.7e308", "-1.7e308")
+# Cells that are no finite float.
+BAD_CELLS = ("", " ", "nan", "inf", "-inf", "1e400", "zap", "1__0")
+# What `csv_files` does to a well-formed file.
+DEFECTS = ("none", "bad cell", "balanced widths", "too many rows", "off-grid time")
+
+
+@st.composite
+def csv_files(draw):
+    """(text of a trajectory CSV, MAX_NODES to read it under or None): a
+    well-formed file in odd spellings, with blank lines and either line end,
+    then at most one defect from DEFECTS."""
+    dim, rows = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+    horizon = draw(st.sampled_from([1.0, 2.5, 1e-3, 1e300]))
+    cell = st.one_of(st.sampled_from(ODD_CELLS),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    spelled = st.sampled_from(["{!r}", " {!r} ", "+{!r}", "{:.17g}"])
+    times = [i * horizon / (rows - 1) for i in range(rows - 1)] + [horizon] * (rows > 0)
+    body = [[draw(spelled).format(t)] + [draw(cell) for _ in range(dim)] for t in times]
+    defect, max_nodes = draw(st.sampled_from(DEFECTS)), None
+    if defect == "bad cell" and rows:
+        row = draw(st.integers(0, rows - 1))
+        body[row][draw(st.integers(0, dim))] = draw(st.sampled_from(BAD_CELLS))
+    if defect == "balanced widths" and rows >= 2:
+        short, long = draw(st.permutations(range(rows)))[:2]
+        body[long].append(body[short].pop())
+    if defect == "too many rows":
+        max_nodes = draw(st.integers(2, 6))
+    lines = [",".join(["t"] + [f"c{d}" for d in range(dim)])] + [",".join(r) for r in body]
+    if defect == "off-grid time" and rows >= 3:
+        row = draw(st.integers(1, rows - 2))
+        lines[1 + row] = ",".join([repr(times[row] + 0.3 * horizon / (rows - 1))]
+                                  + body[row][1:])
+        lines.insert(1 + row, "")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), max_nodes
+
+
+def csv_outcome(read, path):
+    """The grid and value bits a reader returns, or its error's message and line."""
+    try:
+        traj = read(str(path))
+    except TrajectoryCsvError as exc:
+        return str(exc), exc.line
+    return traj.grid, traj.values.shape, traj.values.tobytes()
+
+
+@given(csv_files())
+@example(("t,c0,c1\r\n0, 1 ,1_0\r\n\r\n0.5,+1E5,-0.0\r\n1,5e-324,1.7e308\r\n"
+          "\r\n", None))
+@example(("t,c0\n0,-1.7e308\n  \n1,-2.5e-320\n", None))
+@example(("t,c0\n0,1\n0.5,\n1,2\n", None))
+@example(("t,c0\n0,1\n0.5,nan\n1,2\n", None))
+@example(("t,c0\n0,1\n0.5,inf\n1,2\n", None))
+@example(("t,c0\n0,1\n0.5,1e400\n1,2\n", None))
+@example(("t,c0,c1\n0,1\n0.5,1,2,3\n1,2,3\n", None))
+@example(("t,c0\n0,1\n0.25,1\n0.5,1\n0.75,1\n1,2\n", 3))
+@example(("t,c0\n0,0\n\n0.3,0\n1,0\n", None))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_reader_equals_the_line_by_line_reader(tmp_path, case):
+    text, max_nodes = case
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        if max_nodes is not None:
+            mp.setattr(grid_mod, "MAX_NODES", max_nodes)
+        assert (csv_outcome(read_trajectory_csv, path)
+                == csv_outcome(reference.read_trajectory_csv, path))
+
+
+def test_csv_reader_takes_every_float_spelling(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"t,c0,c1\r\n 0 , 1 ,1_0\r\n\r\n+0.5,+1E5,-0.0\r\n"
+                     b"1,5e-324,-1.7e308\r\n")
+    values = read_trajectory_csv(str(path)).values
+    assert values.tobytes() == np.array([[1.0, 10.0], [1e5, -0.0],
+                                         [5e-324, -1.7e308]]).tobytes()

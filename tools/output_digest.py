@@ -50,7 +50,15 @@ Then come the lines of the CLI's text, each covering exit codes and output:
   - `usage-errors`: an unknown command, an argument that `list-problems`
     does not take and `solve` without `--problem` (exit code and stderr);
   - `csv-errors`: `ctpalm check ex1` on six malformed state CSVs (exit code
-    and stderr).
+    and stderr);
+  - `argv-routing`: `ctpalm ARGV` for each argv of `ROUTING_ARGV`: valid
+    `solve`, `check` and `list-problems` runs, abbreviated options, `-h` and
+    `--version` before and after the command, `--` separators, arguments no
+    parser takes, missing arguments and an empty argv (exit code, stdout and
+    stderr);
+  - `csv-accepted`: `ctpalm check ex1` on valid state and multiplier CSVs in
+    unusual spellings: CRLF line ends, blank lines, padded cells, `1_0`,
+    `+1E5`, `-0.0`, subnormals and +-1.7e308 (exit code, stdout and stderr).
 
 Run it on two checkouts and compare the lines.
 """
@@ -262,6 +270,34 @@ BAD_CSVS = (
     b"t,c0,c1\n0,\xff,0\n1,0,0\n",
 )
 USAGE_ERRORS = (["frobnicate"], ["list-problems", "extra"], ["solve", "--nodes", "5"])
+# `tests/test_cli.py`'s argv routing table, run where x.csv and m.csv hold a
+# constant ex1 trajectory and zero multipliers.
+CHECK = ["check", "ex1", "x.csv", "m.csv"]
+ROUTING_ARGV = (
+    ["solve", "--problem", "ex1", "--nodes", "9", "--out-dir", "out"],
+    ["solve", "--prob", "ex1", "--nodes", "9", "--max-o", "1", "--out-dir", "out"],
+    CHECK, CHECK + ["--eps", "1e-3"], ["list-problems"],
+    ["-h"], ["--help"], ["--version"], ["-h", "check"], ["--version", "solve"],
+    ["solve", "-h"], ["check", "--help"], ["list-problems", "-h"],
+    ["check", "--version"], CHECK + ["--version"], ["list-problems", "--version"],
+    ["check", "--", "ex1", "x.csv", "m.csv"], ["check", "ex1", "--", "x.csv", "m.csv"],
+    ["--", "check", "ex1", "x.csv", "m.csv"], ["list-problems", "--"],
+    CHECK + ["--bogus"], ["check", "--bogus", "ex1", "x.csv", "m.csv"],
+    ["list-problems", "extra"], ["check", "ex1", "x.csv"], ["solve", "--nodes", "5"],
+    ["check", "ex1", "x.csv", "m.csv", "--eps-stop"], [], ["frobnicate"],
+)
+# (state CSV, multiplier CSV) pairs for `ctpalm check ex1` that the reader
+# takes, in unusual spellings.
+ODD_CSVS = (
+    (b"t,c0,c1\r\n0, 1 ,1_0\r\n\r\n0.5,+1E-1,-0.0\r\n1,\t2 ,1\r\n",
+     b" t , c0 ,c1\n\n0,0,0\n  \n+0.5,1_0,+1E5\n1.0,-0.0,0\n\n"),
+    (b"t,c0,c1\n0,5e-324,-2.5e-320\n0.5,1,1\n1,1,1",
+     b"t,c0,c1\r\n0,5e-324,0\r\n0.5,0,2.2250738585072014e-308\r\n1,0,0\r\n"),
+    (b"t,c0,c1\n0,1.7e308,-1.7e308\n0.5,1,1\n1,1,1\n",
+     b"t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n"),
+    (b"t,c0,c1\n0,1,1\n0.5,1,1\n1,1,1\n",
+     b"t,c0,c1\n0,1.7e308,0\n0.5,0,0\n1,0,0\n"),
+)
 
 
 def text_digests() -> list:
@@ -280,8 +316,19 @@ def text_digests() -> list:
         for data in BAD_CSVS:
             Path("x.csv").write_bytes(data)
             csvs.update(cli_text(["check", "ex1", "x.csv", "m.csv"]))
+    routing, accepted = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+        Path("x.csv").write_text("t,c0,c1\n0,1,1\n0.5,1,1\n1,1,1\n")
+        Path("m.csv").write_text("t,c0,c1\n0,0,0\n0.5,0,0\n1,0,0\n")
+        for argv in ROUTING_ARGV:
+            routing.update(cli_text(argv))
+        for x_data, m_data in ODD_CSVS:
+            Path("x.csv").write_bytes(x_data)
+            Path("m.csv").write_bytes(m_data)
+            accepted.update(cli_text(CHECK))
     return [("help", helps.hexdigest()), ("usage-errors", usage.hexdigest()),
-            ("csv-errors", csvs.hexdigest())]
+            ("csv-errors", csvs.hexdigest()), ("argv-routing", routing.hexdigest()),
+            ("csv-accepted", accepted.hexdigest())]
 
 
 def main() -> None:
