@@ -11,12 +11,17 @@ is that of a solve of its node alone.
 Rows are selected by one rule: a selection that covers the whole working
 batch is the basic slice `[:]`, so gathering through it takes views of the
 batch's arrays and no copy, and a whole-batch result becomes the rows' state
-as it is, without a scatter.  Any other selection is an index array.  The
+as it is, without a scatter.  Any other selection is an index array, which
+a backtracking block repeats once per candidate step of each row.  The
 evaluators therefore see the batch's own state and time arrays, which they
 must not write into.
 
 1. Spectral (Barzilai-Borwein) gradient descent with a monotone Armijo
-   backtracking safeguard on the augmented objective.
+   backtracking safeguard on the augmented objective.  Backtracking is
+   stacked: a row that rejects its first trial step evaluates its next
+   halvings in blocks, several trial rows of one evaluator call when few rows
+   backtrack, and takes the first that passes, the step that halving one
+   trial at a time would reach.
 2. Rows where descent stops short (budget exhausted or iterates escaping the
    guard box) go on to a stationary-point polish, which minimizes half the
    squared gradient norm from the best point seen.  Penalized subproblems can
@@ -54,6 +59,15 @@ _STEP_INIT = 1.0
 _STEP_MIN = 1e-14
 _ITERATE_BOX = 1e6
 _POLISH_ITERS = 200
+# Backtracking blocks: a block tries the next _BLOCK_ROWS // R halvings of
+# each of the R rows still backtracking, at most _BLOCK_HALVINGS.  Each trial
+# row costs evaluator work, and a row often passes at its next halving, so
+# the row budget keeps blocks short where many rows backtrack at once: past
+# _BLOCK_ROWS // 2 rows a block is the one next halving of each.
+_BLOCK_ROWS = 128
+_BLOCK_HALVINGS = 16
+# 2^-i for i < _BLOCK_HALVINGS, exact.
+_HALVINGS = tuple(math.ldexp(1.0, -i) for i in range(_BLOCK_HALVINGS))
 # Largest descent budget whose iteration counts, polish included, fit the
 # int64 counters.
 _MAX_ITERS_LIMIT = int(np.iinfo(np.int64).max) - _POLISH_ITERS
@@ -163,12 +177,25 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     """Pass `it` of a phase: at every row of `w`, one step along -w.gr under a
     monotone Armijo safeguard on the objective with values w.f, gradients w.gr.
 
-    `alpha` is the phase's first step; None takes the BB step.  Steps halve
-    until `trial(j, x, bound)` accepts them or drop below _STEP_MIN; `j`
-    selects the trial's rows of `w` (see `_select`), and `trial` returns the
-    mask of accepted points and their values of `fields` (w.f first), or None
-    for the values when it accepts none.  Rows without an acceptable step
-    stop after `it` iterations.
+    `alpha` is the phase's first step; None takes the BB step.  A row takes
+    the first of alpha, alpha/2, alpha/4, ... at or above _STEP_MIN that
+    `trial` accepts.  The first trial tries each row's alpha, in one call.
+    A row that rejects it tries its next halvings in blocks, one call per
+    block and one trial row per candidate step (block size: `_BLOCK_ROWS`),
+    and takes the first candidate that passes; a block of one halving per
+    row is a trial like the first.  Scaling by a power of two
+    gives the bits of repeated halving, and evaluators act row by row, so a
+    row lands where halving one trial at a time would.
+
+    `trial(j, xt, bound)` tests points xt at rows `j` of `w` against their
+    Armijo bounds: `j` is a selector from `_select` in the first trial and
+    row indices, each repeated once per candidate, in a block.  It returns
+    the mask of passing points and a completion `complete(k, r)`, which
+    takes the picked points k (a selector into xt) at rows r of `w` (a
+    selector from `_select`) and returns the mask of those it accepts and
+    their values of `fields` (w.f first).  A row whose pick it refuses goes
+    on at the pick's next halving.  Rows without an acceptable step stop
+    after `it` iterations.
     """
     d = -w.gr
     gd = _row_dots(w.gr, d)
@@ -180,24 +207,52 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     new = None
     accepted = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(alpha >= _STEP_MIN)
+    block = 1
     while rows.size:
-        j = _select(rows, count)
-        xt = w.x[j] + alpha[j, None] * d[j]
-        ok, values = trial(j, xt, w.f[j] + _ARMIJO_C * alpha[j] * gd[j])
-        if values is not None:
-            if isinstance(j, slice) and ok.all():
-                # The whole batch accepts, and no row has before.
-                new, accepted = (xt,) + values, ok
+        if block == 1:
+            j = _select(rows, count)
+            step = alpha[j]
+        else:
+            steps = alpha[rows, None] * _HALVINGS[:block]
+            alpha[rows] = steps[:, -1]
+            j, step = rows.repeat(block), steps.reshape(-1)
+        xt = w.x[j] + step[:, None] * d[j]
+        ok, complete = trial(j, xt, w.f[j] + _ARMIJO_C * step * gd[j])
+        if block > 1:
+            ok &= step >= _STEP_MIN
+        k = np.flatnonzero(ok)
+        if k.size:
+            if isinstance(j, slice):
+                r = k
+            else:
+                r = j[k]
+                if block > 1:
+                    # Each row's first passing candidate.  The row indices
+                    # compare as doubles, exactly: an int64 comparison kernel,
+                    # which nothing else in a solve runs, raised peak RSS.
+                    rf = r.astype(float)
+                    first = np.empty(len(r), dtype=bool)
+                    first[0], first[1:] = True, rf[1:] > rf[:-1]
+                    k, r = k[first], r[first]
+            kj, rj = _select(k, len(ok)), _select(r, count)
+            good, values = complete(kj, rj)
+            if isinstance(rj, slice) and good.all():
+                # Every row accepts, and none has before.
+                new, accepted = (xt[kj],) + values, good
                 break
+            if not good.all():
+                alpha[r[~good]] = step[k[~good]]
+                k, r, values = k[good], r[good], tuple(a[good] for a in values)
             if new is None:
-                new = [np.empty_like(getattr(w, k)) for k in names]
-            k = rows[ok]
-            for a, value in zip(new, (xt[ok],) + values):
-                a[k] = value
-            accepted[k] = True
-        rows = rows[~ok]
+                new = [np.empty_like(getattr(w, name)) for name in names]
+            for a, value in zip(new, (xt[k],) + values):
+                a[r] = value
+            accepted[r] = True
+            rows = rows[~accepted[rows]]
         alpha[rows] *= 0.5
         rows = rows[alpha[rows] >= _STEP_MIN]
+        if rows.size:
+            block = max(1, min(_BLOCK_HALVINGS, _BLOCK_ROWS // rows.size))
     w.prev_x, w.prev_g = w.x, w.gr
     if new is not None:
         vars(w).update(zip(names, new))
@@ -259,24 +314,18 @@ def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
     w.keep(go)
 
     def trial(j, xt, bound):
-        # The gradient is evaluated only where the value passes, and takes h
-        # and g from the value's evaluation.
-        t, u, v = w.t[j], w.u[j], w.v[j]
-        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, t))
+        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
         pt = _penalty_value(ev, w.shift_u[j], w.shift_v[j], rho)
         ft = ev.phi + pt
-        ok = np.isfinite(ft) & (ft <= bound)
-        if not ok.any():
-            return ok, None
-        k = _select(np.flatnonzero(ok), len(ok))
-        ev.keep(ok)
-        vars(ev).update(_evaluate_fields(problem, _GRADIENT_FIELDS, xt[k], t[k]))
-        gt = _aug_gradient(ev, u[k], v[k], rho)
-        finite = np.isfinite(gt).all(axis=1)
-        if not finite.all():
-            ok[ok] = finite
-            k, gt = np.flatnonzero(ok), gt[finite]
-        return ok, (ft[k], pt[k], gt)
+
+        def complete(k, r):
+            # The gradient is evaluated only at picked points, and takes h and
+            # g from the value's evaluation; a non-finite one refuses the pick.
+            grad = _evaluate_fields(problem, _GRADIENT_FIELDS, xt[k], w.t[r])
+            gt = _aug_gradient(_Rows(h=ev.h[k], g=ev.g[k], **grad), w.u[r], w.v[r], rho)
+            return np.isfinite(gt).all(axis=1), (ft[k], pt[k], gt)
+
+        return np.isfinite(ft) & (ft <= bound), complete
 
     for it in range(1, cfg.max_iters + 1):
         first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
@@ -334,11 +383,11 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
     w.gr = _psi_gradient(problem, w, rho)
 
     def trial(j, xt, bound):
+        # psi's value needs F, so the completion only gathers it.
         Ft = _gradient_at(problem, xt, w.t[j], w.u[j], w.v[j], rho)
         psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
         ok = np.isfinite(psit) & (psit <= bound)
-        k = _select(np.flatnonzero(ok), len(ok))
-        return ok, (psit[k], Ft[k])
+        return ok, lambda k, r: (ok[k], (psit[k], Ft[k]))
 
     for it in range(1, _POLISH_ITERS + 1):
         landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.gr).all(axis=1)

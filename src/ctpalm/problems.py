@@ -59,10 +59,12 @@ class ProblemDefinition:
     N rows, phi (N,), grad_phi (N, n), h (N, p), jac_h (N, p, n), g (N, m)
     or jac_g (N, m, n).  Callers check these shapes exactly.  Evaluators must
     be pure and act row by row: a row's values depend only on that row's
-    (x, t), and repeated calls return identical values.  They must not
-    write into x or t: the solver passes its own arrays, the grid's nodes and
-    the iterates it goes on with.  Wrap callables of one state x (n,) at one
-    time with `pointwise`.
+    (x, t), and repeated calls return identical values.  The solver relies on
+    this: it evaluates trial points it does not accept, and one call may hold
+    several rows of one node, the same t at different x (the halvings of a
+    backtracking step).  Evaluators must not write into x or t: the solver
+    passes its own arrays, the grid's nodes and the iterates it goes on with.
+    Wrap callables of one state x (n,) at one time with `pointwise`.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise

@@ -319,12 +319,17 @@ def test_inner_failure_after_persistent_divergence():
 # Evaluator calls of the ex4 and infeasible1 runs of tests/conftest.py.  Each
 # count holds the outer loop's evaluations, 96 (ex4) and 5 (infeasible1): one
 # of x0 and one of each iterate that the subproblem changed.  Beyond those,
-# phi and g are called once per descent trial pass, grad_phi and jac_g once
-# per trial pass that accepts a point; neither run polishes.  Evaluating the
-# warm starts again, an unchanged iterate again, or h and g again for the
-# gradient at accepted points, would raise them.
+# phi and g are called once per descent trial block: the first trial of each
+# Armijo pass (523 and 11) and each block of halvings after it (246 and 15).
+# A block holds 128 // R halvings of each of the R rows still backtracking,
+# so infeasible1, whose 85 identical rows backtrack together, tries one
+# halving per call.  grad_phi and jac_g are called once per trial block that
+# picks a point (677 and 11); neither run polishes.  Evaluating the warm
+# starts again, an unchanged iterate again, h and g again for the gradient at
+# picked points, or each halving of ex4 in a call of its own, would raise
+# them (ex4 phi: 1,061).
 @pytest.mark.parametrize("name,expected", [
-    ("ex4", {"phi": 1061, "grad_phi": 823, "g": 1061, "jac_g": 823}),
+    ("ex4", {"phi": 865, "grad_phi": 773, "g": 865, "jac_g": 773}),
     ("infeasible1", {"phi": 31, "grad_phi": 16, "g": 31, "jac_g": 16}),
 ])
 def test_each_point_is_evaluated_once(name, expected, monkeypatch):
@@ -354,6 +359,24 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
     assert len(before_first_step) == len(report.iterations)
     assert [calls for _, calls in before_first_step] == [0] * len(report.iterations)
     assert dict(calls) == expected
+
+
+# Evaluator calls of ex3 at 17 nodes from its conftest start, where every node
+# exhausts the descent budget and the polish lands it.  The outer loop
+# evaluates x0 and 9 changed iterates (10 calls of each).  phi is called once
+# per descent trial block: 4,494 Armijo passes make 6,273 trial calls.
+# grad_phi and jac_h are called once per descent block that picks a point
+# (4,494), and once per augmented gradient of the polish and the fallback
+# (1,095: 9 polish starts, 642 for the central differences of the psi
+# gradient, 442 polish trial blocks and 2 fallbacks); h and g once per descent
+# trial block and once per such gradient.  A trial call per halving made
+# 11,706 phi and 13,189 h and g calls, and 5,987 gradient calls.
+def test_ex3_backtracks_in_blocks_of_halvings():
+    problem, calls = counting(c.builtin("ex3"))
+    report, _, _ = run_builtin(problem, *RUN_STARTS["ex3"], nodes=17)
+    assert report.status is SolveStatus.AKKT_CONVERGED
+    assert dict(calls) == {"phi": 6283, "grad_phi": 5599, "h": 7378, "jac_h": 5599,
+                           "g": 7378, "jac_g": 5599}
 
 
 def record_update_passes(monkeypatch):
@@ -428,10 +451,11 @@ def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
 # infeasible1 runs of tests/conftest.py.  The outer loop computes both at each
 # warm start, hands the gradient to the subproblem, and computes them again
 # only at an iterate that the subproblem changed (95 and 4 of them); each
-# other call is a descent trial pass that accepts a point (727 and 11).
+# other call is a descent trial block that picks a point (677 and 11).
 # Computing them again at an unchanged iterate, or in the subproblem at its
-# start, would raise them (infeasible1: 2,011 each).
-@pytest.mark.parametrize("name,expected", [("ex4", 917), ("infeasible1", 1015)])
+# start, would raise them (infeasible1: 2,011 each), and so would a gradient
+# per halving that accepts a point (ex4: 917).
+@pytest.mark.parametrize("name,expected", [("ex4", 867), ("infeasible1", 1015)])
 def test_update_and_gradient_are_computed_once_per_iterate(name, expected, monkeypatch):
     calls = collections.Counter()
 

@@ -320,11 +320,15 @@ def start_of(prob, ts, xs, us, vs, rho):
 
 
 def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg, handed=False):
-    """Every row of the lockstep solve of built-in `name` equals the reference
-    solve of its node alone, and solve_subproblem reduces those rows as the
-    node loop did.  With `handed`, so does the solve given the start's
-    evaluation and gradient, as the outer loop gives them."""
-    prob, scalar = c.builtin(name), reference.scalar_builtin(name)
+    """Every row of the lockstep solve of built-in `name` (or of a problem
+    with scalar evaluators) equals the reference solve of its node alone, and
+    solve_subproblem reduces those rows as the node loop did.  With `handed`,
+    so does the solve given the start's evaluation and gradient, as the outer
+    loop gives them."""
+    if isinstance(name, str):
+        prob, scalar = c.builtin(name), reference.scalar_builtin(name)
+    else:
+        prob, scalar = c.pointwise(name), name
     solo = [reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), rho, cfg)
             for i, t in enumerate(grid.nodes)]
     handed = (start_of(prob, grid.nodes, xs, us, vs, rho),) if handed else ()
@@ -582,3 +586,115 @@ def test_lockstep_pass_without_a_trial_step_equals_the_node_solver():
         assert grad[i] == r.grad_inf_norm, i
         assert iters[i] == r.iterations == 2, i
         assert _BY_SEVERITY[status[i]] is r.status is InnerStatus.MAX_ITERS, i
+
+
+# -- stacked backtracking ------------------------------------------------------
+
+def backtracking_problem(rows):
+    """phi = a x^2 (n = 1) with one constraint, g = -x - 10, inactive at the
+    points tried here.  Node i of len(rows) uniform nodes on [0, 1] takes
+    (a, cap) = rows[i]; grad_phi is NaN at x = 0 and +inf where |x| > cap,
+    so that a finite value can come with a non-finite gradient.  Scalar
+    evaluators, for the reference and through `pointwise`."""
+    def row(t):
+        return rows[round(t * (len(rows) - 1))]
+
+    def grad_phi(x, t):
+        a, cap = row(t)
+        if x[0] == 0.0:
+            return np.array([np.nan])
+        return np.array([2.0 * a * x[0] if abs(x[0]) <= cap else np.inf])
+
+    return c.ProblemDefinition(
+        name="backtracking", n=1, p=0, m=1, horizon=1.0,
+        eval_phi=lambda x, t: row(t)[0] * x[0] ** 2,
+        eval_grad_phi=grad_phi,
+        eval_h=lambda x, t: np.zeros(0),
+        eval_jac_h=lambda x, t: np.zeros((0, 1)),
+        eval_g=lambda x, t: np.array([-x[0] - 10.0]),
+        eval_jac_g=lambda x, t: np.array([[-1.0]]),
+        convexity=c.Convexity(True, (True,), ()))
+
+
+def record_trial_rows(monkeypatch):
+    """Per Armijo pass, in call order: the phase and the number of points of
+    each trial call."""
+    passes = []
+    armijo_pass = inner_mod._armijo_pass
+
+    def observed(w, alpha, trial, fields, *rest):
+        sizes = []
+        passes.append(("polish" if "F" in fields else "descent", sizes))
+
+        def counted(j, xt, bound):
+            sizes.append(len(xt))
+            return trial(j, xt, bound)
+        return armijo_pass(w, alpha, counted, fields, *rest)
+
+    monkeypatch.setattr(inner_mod, "_armijo_pass", observed)
+    return passes
+
+
+def first_steps(scalar, ts, xs, us, vs, rho, cfg, phase):
+    """The first step that the reference accepts in `phase` at each row, or
+    None when it accepts none."""
+    out = []
+    for i, t in enumerate(ts):
+        events = []
+        reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), rho, cfg,
+                             trace=events.append)
+        out.append(next((e["alpha"] for e in events if e["phase"] == phase), None))
+    return out
+
+
+def test_stacked_backtracking_in_descent_equals_the_node_solver(monkeypatch):
+    """Descent from x = 1 on four rows in one batch.  a = 1/4 accepts its
+    first trial step.  a = 1e6 passes first at 2^-20, in its second block.
+    a = 1e16 passes nowhere down to _STEP_MIN, which its third block
+    reaches.  a = 1 passes first at 1/2, where x = 0 and the gradient is NaN,
+    and goes on to 1/4.  Each row's x, gradient norm, iterations and status
+    equal the node solver's; the first pass makes one call for the first
+    steps, then blocks of 16 halvings."""
+    passes = record_trial_rows(monkeypatch)
+    scalar = backtracking_problem([(0.25, np.inf), (1e6, np.inf), (1e16, np.inf),
+                                   (1.0, np.inf)])
+    grid = c.make_uniform_grid(1.0, 4)
+    xs, us, vs, cfg = np.ones((4, 1)), np.zeros((4, 0)), np.zeros((4, 1)), c.InnerConfig()
+    solo = assert_rows_match_reference(scalar, grid, xs, us, vs, 1.0, cfg)
+    assert passes[0] == ("descent", [4, 48, 48, 16])
+    assert first_steps(scalar, grid.nodes, xs, us, vs, 1.0, cfg, "descent") == [
+        1.0, 2.0 ** -20, None, 0.25]
+    assert [r.status for r in solo] == [InnerStatus.CONVERGED, InnerStatus.CONVERGED,
+                                        InnerStatus.MAX_ITERS, InnerStatus.CONVERGED]
+
+
+def test_stacked_backtracking_in_the_polish_equals_the_node_solver(monkeypatch):
+    """The polish alone, from four rows in one batch.  a = 1/4 at x = 1
+    accepts its first trial step.  a = 1e3 at x = 1e-8 passes first at
+    2^-21 of its first step, in its second block.  a = 1e8 at x = 1e-6 passes
+    nowhere down to _STEP_MIN, which its first block reaches.  a = 20 at
+    x = 1e-4, where the gradient is +inf beyond |x| = 0.01, rejects the
+    non-finite points of its first trial and of its block's first three
+    candidates, then passes at 2^-10.  Each row's best point, gradient norm
+    and iterations equal the node solver's polish, and so does the whole
+    solve of the batch."""
+    passes = record_trial_rows(monkeypatch)
+    scalar = backtracking_problem([(0.25, np.inf), (1e3, np.inf), (1e8, np.inf),
+                                   (20.0, 0.01)])
+    grid = c.make_uniform_grid(1.0, 4)
+    xs = np.array([[1.0], [1e-8], [1e-6], [1e-4]])
+    us, vs, cfg = np.zeros((4, 0)), np.zeros((4, 1)), c.InnerConfig()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, gn, iters = inner_mod._polish(c.pointwise(scalar), grid.nodes, xs, us, vs,
+                                         1.0, cfg)
+    assert passes[0] == ("polish", [4, 48, 16])
+    firsts = []
+    for i, t in enumerate(grid.nodes):
+        events = []
+        rx, rgn, rits = reference._polish(scalar, t, xs[i], us[i], vs[i], 1.0, cfg,
+                                          events.append)
+        assert x[i].tobytes() == rx.tobytes(), i
+        assert (gn[i], iters[i]) == (rgn, rits), i
+        firsts.append(events[0]["alpha"] if events else None)
+    assert firsts == [1.0, 2.0 ** -21, None, 2.0 ** -10]
+    assert_rows_match_reference(scalar, grid, xs, us, vs, 1.0, cfg)

@@ -25,6 +25,13 @@ the last:
     its start's evaluation, on one line: every row at x = 0 (all stationary,
     the whole-batch exit), then row 4 moved to 1e5 under rho = 1e300 (a
     non-finite start) and to 2e6 (outside the iterate box);
+  - three batches of node problems through the lockstep solver's row
+    solve (`ctpalm.inner._solve_rows`, the body of `solve_subproblem`), on
+    one line: ex3 on 17 nodes from seeded states, u and v at rho = 1 and
+    rho = 1e4, where rows backtrack through many halvings in descent and in
+    the polish, then ex4 on 85 nodes from a seeded start around x0 = (1, 1)
+    with seeded v, where some rows accept their first trial step and others
+    backtrack;
   - the three stacked products `_row_dots`, `_matvec` and
     `_transposed_product` on one line, at reduction widths 0, 1, 2, 3, 5 and
     9, on seeded stacks and on one state without a node axis, the entries
@@ -37,8 +44,9 @@ publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
 round-trips every double), `summary.json` (status, certificates, error
 metrics), and both plots.  The one-node line covers each result's x_star
 bytes, gradient norm, iterations and status; the batch line each batch's
-solution bytes, worst status and largest gradient norm; the kernel line each
-product's shape and bytes.
+solution bytes, worst status and largest gradient norm; the backtracking line
+the bytes of each batch's solutions, gradient norms, iterations and statuses;
+the kernel line each product's shape and bytes.
 
 Then come the lines of the CLI's text, each covering exit codes and output:
 
@@ -81,6 +89,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import ctpalm as c  # noqa: E402
 import ctpalm.cli  # noqa: E402
+from ctpalm.inner import _solve_rows  # noqa: E402
 from ctpalm.lagrangian import _transposed_product  # noqa: E402
 from ctpalm.problems import _matvec, _row_dots  # noqa: E402
 
@@ -222,6 +231,23 @@ def exit_digest() -> str:
     return h.hexdigest()
 
 
+def backtracking_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(SEED)
+    ex3, ex4, cfg = c.builtin("ex3"), c.builtin("ex4"), c.InnerConfig()
+    ts = c.make_uniform_grid(ex3.horizon, 17).nodes
+    xs = rng.uniform(-3.0, 3.0, size=(17, 3))
+    us, vs = rng.uniform(-2.0, 2.0, size=(17, 1)), rng.uniform(0.0, 2.0, size=(17, 2))
+    batches = [(ex3, ts, xs, us, vs, 1.0), (ex3, ts, xs, us, vs, 1e4)]
+    ts = c.make_uniform_grid(ex4.horizon, 85).nodes
+    xs = 1.0 + rng.uniform(-0.5, 0.5, size=(85, 2))
+    batches.append((ex4, ts, xs, np.zeros((85, 0)), rng.uniform(0.0, 2.0, size=(85, 5)), 1.0))
+    for problem, ts, xs, us, vs, rho in batches:
+        for out in _solve_rows(problem, ts, xs, us, vs, rho, cfg):
+            h.update(out.tobytes())
+    return h.hexdigest()
+
+
 # Entries placed once in each stack, and a row (first entries of the last)
 # whose sum depends on its order.
 SPECIAL_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
@@ -339,6 +365,7 @@ def main() -> None:
         checks.append((f"check:{name}", checked))
     print(f"{node_digest()}  solve_node@criterion10", flush=True)
     print(f"{exit_digest()}  solve_subproblem@stationary-exit", flush=True)
+    print(f"{backtracking_digest()}  solve_subproblem@backtracking", flush=True)
     print(f"{kernel_digest()}  kernels", flush=True)
     for name, value in checks + text_digests():
         print(f"{value}  {name}", flush=True)
