@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .alm import (ITERATION_CSV_HEADER, AlmConfig, SolveStatus, StartEvaluationError,
                   _in_box, solve)
-from .diagnostics import _reference_trajectory, certify
+from .diagnostics import certify
 from .grid import (Trajectory, TrajectoryCsvError, make_uniform_grid,
                    read_trajectory_csv, write_trajectory_csv)
 from .inner import InnerConfig
@@ -68,9 +68,10 @@ class _Parser(argparse.ArgumentParser):
 _ALM_FIELDS = tuple(f for f in dataclasses.fields(AlmConfig) if f.name != "inner")
 _INNER_FIELDS = dataclasses.fields(InnerConfig)
 
-# The `solve` options, which are also the --config keys: name -> (type,
-# built-in default), the numeric defaults taken from AlmConfig.  None defaults
-# let a --config file fill values in; flags always win when both are present.
+# The `solve` options, which are also the --config keys and the keys of
+# summary.json's config echo: name -> (type, built-in default), the numeric
+# defaults taken from AlmConfig.  None defaults let a --config file fill
+# values in; flags always win when both are present.
 # Inner flags left unset keep AlmConfig's inner config, whose grad_tol follows
 # eps_stop.
 _SOLVE_DEFAULTS = {
@@ -107,7 +108,8 @@ def _check_arguments(pc) -> None:
     pc.add_argument("multipliers_csv",
                     help="multiplier trajectory (t,c0,...): p equality columns "
                          "then m inequality columns")
-    pc.add_argument("--eps-stop", dest="eps_stop", type=float, default=1e-5)
+    pc.add_argument("--eps-stop", dest="eps_stop", type=float,
+                    default=AlmConfig.eps_stop)
 
 
 # Subcommand -> (help, the function that adds its arguments).
@@ -277,38 +279,29 @@ def cmd_solve(args) -> int:
     combined = np.hstack([report.x.values, report.u.values, report.v.values])
     trajectory_csv = io.StringIO()
     write_trajectory_csv(Trajectory(grid, combined), trajectory_csv, columns)
-    reference = (_reference_trajectory(problem, grid)
-                 if problem.reference is not None else None)
-    final = report.final
+    metrics, final = report.error_metrics, report.final
     summary = {
         "problem": problem.name,
         "status": report.status.value,
         "outer_iterations": len(report.iterations),
         "rho_final": final.rho,
-        "residuals": {
-            "stationarity_l1": final.residuals.stationarity_l1,
-            "complementarity_sup": final.residuals.complementarity_sup,
-            "multiplier_min": final.residuals.multiplier_min,
-        },
+        "residuals": dataclasses.asdict(final.residuals),
         "infeas_measure": final.infeas_measure,
-        "primal_infeasibility": final.residuals.primal_infeasibility,
         "objective": final.objective_quadrature,
         "certificates": _certificates_json(report.certificates),
-        "error_metrics": (report.error_metrics.as_json_obj()
-                          if report.error_metrics is not None else None),
-        "config": {
-            "problem": problem.name, "nodes": opts["nodes"],
-            **{f.name: getattr(cfg, f.name) for f in _ALM_FIELDS},
-            **{f"inner_{f.name}": getattr(cfg.inner, f.name) for f in _INNER_FIELDS},
-            "x0": opts["x0"], "u0": opts["u0"], "v0": opts["v0"],
-        },
+        "error_metrics": metrics.as_json_obj() if metrics is not None else None,
+        # The options of this run as a --config file: the inner ones at the
+        # values used, unset initial data left out.
+        "config": {**{key: value for key, value in opts.items() if value is not None},
+                   **{f"inner_{f.name}": getattr(cfg.inner, f.name)
+                      for f in _INNER_FIELDS}},
     }
     _publish(out_dir, {
         "iterations.csv": "\n".join([ITERATION_CSV_HEADER,
                                      *(r.csv_row() for r in report.iterations)]) + "\n",
         "trajectory.csv": trajectory_csv.getvalue(),
         "summary.json": _json_text(summary),
-        "trajectory.svg": trajectory_svg(report.x, reference,
+        "trajectory.svg": trajectory_svg(report.x, metrics and metrics.reference,
                                          title=f"{problem.name}: solver trajectory"),
         "residuals.svg": residuals_svg(report.iterations,
                                        title=f"{problem.name}: residual history"),

@@ -42,6 +42,8 @@ class ErrorMetrics:
     sup_error: float
     l1_error: float
     masked_nodes: tuple
+    # The reference sampled at the nodes, for plotting; not a metric.
+    reference: Optional[Trajectory] = field(default=None, compare=False, repr=False)
 
     def as_json_obj(self) -> dict:
         return {"sup_error": self.sup_error, "l1_error": self.l1_error,
@@ -112,13 +114,6 @@ def certify(problem: ProblemDefinition, grid: TimeGrid, bundle: EvalBundle,
     return certs
 
 
-def _reference_trajectory(problem: ProblemDefinition, grid: TimeGrid) -> Trajectory:
-    """The reference solution sampled at every node; MissingReferenceError
-    when the problem has none."""
-    return Trajectory(grid, np.array([reference_solution(problem, t)
-                                      for t in grid.nodes]))
-
-
 def solution_error(grid: TimeGrid, x: Trajectory,
                    problem: ProblemDefinition) -> ErrorMetrics:
     """Sup and integrated-l1 distance between x and the reference at the nodes.
@@ -127,13 +122,18 @@ def solution_error(grid: TimeGrid, x: Trajectory,
     `problem.reference_discontinuities` are masked: excluded from the sup and
     zeroed in the quadrature.  Those instants are where the optimal solution
     is not unique (a jump in the reference is one such case), so distance to
-    the reference there says nothing about optimality.
+    the reference there says nothing about optimality.  The sampled reference
+    is kept on the result, for plotting; MissingReferenceError when the
+    problem has none.
     """
-    diffs = np.abs(x.values - _reference_trajectory(problem, grid).values)
+    reference = Trajectory(grid, np.array([reference_solution(problem, t)
+                                           for t in grid.nodes]))
+    diffs = np.abs(x.values - reference.values)
     h = grid.spacing
     masked = np.zeros(grid.num_nodes, dtype=bool)
     for d in problem.reference_discontinuities:
         masked |= np.abs(grid.nodes - d) < h * (1.0 - 1e-9)
     diffs[masked] = 0.0
     return ErrorMetrics(sup_error=float(diffs.max()), l1_error=_l1_quadrature(diffs, h),
-                        masked_nodes=tuple(np.flatnonzero(masked).tolist()))
+                        masked_nodes=tuple(np.flatnonzero(masked).tolist()),
+                        reference=reference)

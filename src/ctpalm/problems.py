@@ -381,6 +381,7 @@ def _ex4() -> ProblemDefinition:
 
 def _akkt_example() -> ProblemDefinition:
     # KKT never holds at the solution (0, 0), but asymptotic multipliers exist.
+    # At t = 0.5, phi = 0 and x1 is free: (0, 0) is one optimum of many.
     return ProblemDefinition(
         name="akkt_example", n=2, p=0, m=2, horizon=1.0,
         eval_phi=lambda x, t: (t - 0.5) * x[..., 0],
@@ -393,6 +394,7 @@ def _akkt_example() -> ProblemDefinition:
             x[..., 0], (-3.0 * (t - 0.5) * _pow(x[..., 0], 2), 1.0), (0.0, -1.0)),
         convexity=Convexity(phi_convex=True, g_convex=(False, True), h_affine=()),
         reference=lambda t: np.array([0.0, 0.0]),
+        reference_discontinuities=(0.5,),
     )
 
 

@@ -557,3 +557,27 @@ def test_certificates_attached_by_status(ex1_run, infeasible1_run):
     assert stalled.certificates["akkt"] is None
     assert (stalled.certificates["infeasibility"].kind
             is c.CertificateKind.INFEASIBLE_BUT_THETA_STATIONARY)
+
+
+# N -> (outer iterations, sufficiency verdict, min pairing sum) of ex4 under
+# the default config from the conftest start.
+_EX4_MESH_RECORD = {
+    85: (95, c.CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY, -7.59e-7),
+    169: (183, c.CertificateKind.HYPOTHESIS_VIOLATED, -3.35e-6),
+    341: (342, c.CertificateKind.HYPOTHESIS_VIOLATED, -2.22e-6),
+}
+
+
+@pytest.mark.parametrize("nodes", _EX4_MESH_RECORD)
+def test_ex4_outer_count_and_certificate_depend_on_the_mesh(nodes, ex4_run):
+    """A record of the mesh dependence of ROADMAP item 11, not a bound: ex4's
+    outer iterations grow with N, and from N = 169 the stop no longer implies
+    the sufficiency test (tolerance 1e-6, ten times tighter than eps_stop).
+    This test is expected to fail, and be rewritten, once item 11 lands."""
+    report = (ex4_run[0] if nodes == 85
+              else run_builtin("ex4", *RUN_STARTS["ex4"], nodes=nodes)[0])
+    outer, verdict, pairing = _EX4_MESH_RECORD[nodes]
+    sufficiency = report.certificates["sufficiency"]
+    assert report.status is SolveStatus.AKKT_CONVERGED
+    assert (len(report.iterations), sufficiency.kind) == (outer, verdict)
+    assert sufficiency.evidence["min_pairing_sum"] == pytest.approx(pairing, rel=1e-2)

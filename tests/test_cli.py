@@ -229,12 +229,11 @@ def test_default_solve_config_is_the_dataclass_defaults(tmp_path, capsys):
     cfg = c.AlmConfig()
     config = json.loads((tmp_path / "summary.json").read_text())["config"]
     assert config == {
-        "problem": "ex1", "nodes": 85, "rho_init": cfg.rho_init,
-        "gamma": cfg.gamma, "tau": cfg.tau, "bound_M": cfg.bound_M,
-        "bound_N": cfg.bound_N, "eps_stop": cfg.eps_stop,
+        "nodes": 85, "rho_init": cfg.rho_init,
+        "gamma": cfg.gamma, "tau": cfg.tau, "bound_m": cfg.bound_M,
+        "bound_n": cfg.bound_N, "eps_stop": cfg.eps_stop,
         "max_outer": cfg.max_outer, "inner_grad_tol": cfg.inner.grad_tol,
         "inner_max_iters": cfg.inner.max_iters,
-        "x0": None, "u0": None, "v0": None,
     }
 
 
@@ -438,7 +437,7 @@ _BAD_INPUTS = {
     "config-gamma-overflow": (65, lambda d: [
         "solve", "--problem", "ex1", "--config",
         _write(d / "run.json", '{"gamma": 1' + "0" * 400 + "}")], "run.json"),
-    # `bound_M` is summary.json's name for --bound-m, not a --config key.
+    # `bound_M` is AlmConfig's name for --bound-m, not a --config key.
     "config-unknown-keys": (65, lambda d: [
         "solve", "--problem", "ex1", "--config",
         _write(d / "run.json", '{"max_outr": 1, "bound_M": 5, "nodes": 5}')], "run.json"),
@@ -572,11 +571,12 @@ def test_check_reproduces_the_solver_stop_test(tmp_path, name, flags, capsys):
     data = json.loads(check.stdout)
     last = (out / "iterations.csv").read_text().splitlines()[-1].split(",")
     summary = json.loads((out / "summary.json").read_text())
+    assert data["residuals"] == summary["residuals"]
     assert data["residuals"]["stationarity_l1"] == float(last[2])
     assert data["residuals"]["complementarity_sup"] == float(last[3])
     feas = data["feasibility"]
     assert (max(feas["max_equality_violation"], feas["max_inequality_violation"])
-            == summary["primal_infeasibility"])
+            == summary["residuals"]["primal_infeasibility"])
     assert data["pass"] is True
 
 
@@ -724,13 +724,11 @@ _NON_DEFAULT = {"rho_init": 2.0, "gamma": 1.5, "tau": 0.5, "bound_m": 1e40,
 
 
 def test_solve_cli_covers_every_config_field(tmp_path, capsys):
-    """Each AlmConfig field but `inner`, and each InnerConfig field as
-    inner_<name>, is a solve flag, a --config key and a summary config key, so
-    no solver setting is reachable only from code."""
-    fields = {f.name.lower(): f.name for f in dataclasses.fields(c.AlmConfig)
-              if f.name != "inner"}
-    fields.update({f"inner_{f.name}": f"inner_{f.name}"
-                   for f in dataclasses.fields(c.InnerConfig)})
+    """Each AlmConfig field but `inner`, lower-cased, and each InnerConfig
+    field as inner_<name>, is a solve flag, a --config key and a summary config
+    key, so no solver setting is reachable only from code."""
+    fields = [f.name.lower() for f in dataclasses.fields(c.AlmConfig) if f.name != "inner"]
+    fields += [f"inner_{f.name}" for f in dataclasses.fields(c.InnerConfig)]
     values = {flag: _NON_DEFAULT[flag] for flag in fields}
     flags = [f"--{flag.replace('_', '-')}={value!r}" for flag, value in values.items()]
     config = _write(tmp_path / "run.json", json.dumps(values))
@@ -739,7 +737,7 @@ def test_solve_cli_covers_every_config_field(tmp_path, capsys):
                          "--out-dir", str(out)])
         assert code in (0, 2), capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())["config"]
-        assert {flag: summary[key] for flag, key in fields.items()} == values
+        assert {flag: summary[flag] for flag in fields} == values
 
 
 def test_config_accepts_every_solve_option(tmp_path, capsys):
@@ -752,8 +750,47 @@ def test_config_accepts_every_solve_option(tmp_path, capsys):
                            _write(tmp_path / "run.json", json.dumps(values)),
                            "--out-dir", str(out)], capsys)
     assert proc.returncode in (0, 2), proc.stderr
-    summary = json.loads((out / "summary.json").read_text())["config"]
-    assert {key.lower(): summary[key] for key in summary if key != "problem"} == values
+    assert json.loads((out / "summary.json").read_text())["config"] == values
+
+
+# Runs whose summary.json config is replayed: (problem, the run's options,
+# the --config object it takes them from instead, or None).  x0.csv is the
+# start of `test_solve_accepts_csv_initial_state`, named relative to the run's
+# directory.
+_REPLAYED = {
+    "ex1-defaults": ("ex1", [], None),
+    "ex1-config": ("ex1", [], {**_NON_DEFAULT, "nodes": 85, "x0": "1,1", "v0": "1,1"}),
+    "ex3-u0": ("ex3", ["--nodes", "9", "--x0", "1,1,0", "--u0", "0.5", "--max-outer", "1"],
+               None),
+    "ex2-csv-x0": ("ex2", ["--nodes", "21", "--x0", "x0.csv", "--v0", "0.25,0.25,0"],
+                   None),
+}
+
+
+@pytest.mark.parametrize("problem,args,config", _REPLAYED.values(), ids=_REPLAYED)
+def test_summary_config_replays_the_run(tmp_path, monkeypatch, capsys, problem, args,
+                                        config):
+    """summary.json's config is a --config file: fed back from the same
+    directory, it reruns the run, with its exit code and five byte-identical
+    files, summary.json included."""
+    monkeypatch.chdir(tmp_path)
+    grid = c.make_uniform_grid(1.0, 21)
+    with open("x0.csv", "w") as fh:
+        write_trajectory_csv(c.Trajectory(grid, np.array([[0.0, t] for t in grid.nodes])),
+                             fh)
+    if config is not None:
+        args = ["--config", _write(tmp_path / "run.json", json.dumps(config))]
+    first = run_in_process(["solve", "--problem", problem, *args, "--out-dir", "first"],
+                           capsys)
+    echo = json.loads((tmp_path / "first" / "summary.json").read_text())["config"]
+    assert set(echo) <= set(cli._SOLVE_DEFAULTS)
+    again = run_in_process(["solve", "--problem", problem, "--config",
+                            _write(tmp_path / "echo.json", json.dumps(echo)),
+                            "--out-dir", "again"], capsys)
+    assert again.returncode == first.returncode, again.stderr
+    for name in cli.OUTPUT_FILES:
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes()), name
 
 
 # Drawn for every numeric flag besides the valid values: zero, negative,

@@ -357,6 +357,46 @@ def test_ex4_declared_instants_are_the_non_unique_optima():
                 assert _ex4_unique_vertex_certificate(prob, t), (nodes, t)
 
 
+# Values of x1 for the akkt_example probes: both signs, tiny to large.
+_X1_PROBES = (-1e3, -2.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.0, 1e3)
+
+
+def _akkt_example_optima(prob, t):
+    """The probes (x1, 0), x1 in _X1_PROBES, that are feasible at t and reach
+    the reference's objective.
+
+    phi = (t - 0.5) x1 does not involve x2, and the constraints read
+    0 <= x2 <= (t - 0.5) x1^3, so x2 = 0 is feasible with every x1 that is
+    feasible at all: the probes meet each feasible x1 they hold at its best.
+    """
+    ref_phi = prob.eval_phi(reference_solution(prob, t), t)
+    probes = [np.array([x1, 0.0]) for x1 in _X1_PROBES]
+    return [x for x in probes
+            if np.max(prob.eval_g(x, t)) <= 0.0 and prob.eval_phi(x, t) <= ref_phi]
+
+
+def test_akkt_example_declared_instant_is_the_non_unique_optimum():
+    prob = builtin("akkt_example")
+    declared = prob.reference_discontinuities
+    assert declared == (0.5,)
+    # At t = 0.5, phi vanishes and x1 is free: every probe is optimal, so
+    # the reference (0, 0) is one selection of many.
+    assert len(_akkt_example_optima(prob, 0.5)) == len(_X1_PROBES)
+    # Elsewhere (t - 0.5) x1 >= 0 wherever x1 is feasible, with equality at
+    # x1 = 0 only; there g = (x2, -x2) at every t, which pins x2 to 0.  So the
+    # reference is the unique optimum.
+    for x2 in (-1e-9, 1e-9):
+        assert np.max(prob.eval_g(np.array([0.0, x2]), 0.25)) > 0.0
+    for nodes in (21, 84, 85, 201):
+        grid = make_uniform_grid(prob.horizon, nodes)
+        for t in grid.nodes:
+            optima = _akkt_example_optima(prob, t)
+            if any(abs(t - d) <= 1e-12 for d in declared):
+                assert len(optima) >= 2, (nodes, t)
+            else:
+                assert np.array_equal(optima, [reference_solution(prob, t)]), (nodes, t)
+
+
 def test_ex3_reference_is_a_kkt_point_not_a_minimizer():
     """(1, 1, 0) is feasible with a vanishing objective gradient, so it is a
     KKT point with zero multipliers.  Feasible points of lower cost approach

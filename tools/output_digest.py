@@ -39,10 +39,9 @@ the last:
     near 1e+-300 and a row whose sum depends on its order.  This line pins
     the bits of the numpy kernels behind the products across numpy versions.
 
-Each solve's digest covers its exit code and the bytes of the five files it
-publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`, which
-round-trips every double), `summary.json` (status, certificates, error
-metrics), and both plots.  The one-node line covers each result's x_star
+Each solve's digest covers its exit code and the bytes of four of the five
+files it publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`,
+which round-trips every double) and both plots.  The one-node line covers each result's x_star
 bytes, gradient norm, iterations and status; the batch line each batch's
 solution bytes, worst status and largest gradient norm; the backtracking line
 the bytes of each batch's solutions, gradient norms, iterations and statuses;
@@ -50,6 +49,10 @@ the kernel line each product's shape and bytes.
 
 Then come the lines of the CLI's text, each covering exit codes and output:
 
+  - `summary:NAME`, per solve: the bytes of that solve's `summary.json`
+    (status, residuals, certificates, error metrics and the config echo), on
+    a line of its own so that a change to the summary's layout leaves the
+    solver's own bytes checkable line by line;
   - `check:NAME`, per solve: `ctpalm check` on that solve's `trajectory.csv`,
     split into a state CSV and a multiplier CSV as `perfbench/workloads.py`
     splits it (exit code and stdout);
@@ -156,7 +159,8 @@ def cli_text(argv) -> bytes:
 
 
 def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> tuple:
-    """(digest of the solve, digest of `ctpalm check` on its trajectory)."""
+    """(digest of the solve, of its summary.json, and of `ctpalm check` on its
+    trajectory)."""
     specs = [",".join(map(repr, values)) if values is not None else None
              for values in (x0, u0, v0)]
     # The solve runs in its output directory, so that the seeded start's
@@ -179,14 +183,16 @@ def digest(problem_name, x0, u0, v0, nodes, half_width, config=None) -> tuple:
             code = ctpalm.cli.main(argv + ["--out-dir", out])
         h = hashlib.sha256(repr(code).encode())
         for name in ctpalm.cli.OUTPUT_FILES:
-            h.update(name.encode() + b"\0")
-            h.update((Path(out) / name).read_bytes())
+            if name != "summary.json":
+                h.update(name.encode() + b"\0")
+                h.update((Path(out) / name).read_bytes())
+        summary = hashlib.sha256((Path(out) / "summary.json").read_bytes())
         texts = split_trajectory((Path(out) / "trajectory.csv").read_text(),
                                  c.builtin(problem_name).n)
         for path, text in zip(("x.csv", "m.csv"), texts):
             Path(path).write_text(text)
         check = hashlib.sha256(cli_text(["check", problem_name, "x.csv", "m.csv"]))
-    return h.hexdigest(), check.hexdigest()
+    return h.hexdigest(), summary.hexdigest(), check.hexdigest()
 
 
 # (problem, x0, v0, instants) of acceptance criterion 10.
@@ -358,16 +364,17 @@ def text_digests() -> list:
 
 
 def main() -> None:
-    checks = []
+    summaries, checks = [], []
     for name, *run in RUNS:
-        solved, checked = digest(*run)
+        solved, summary, checked = digest(*run)
         print(f"{solved}  {name}", flush=True)
+        summaries.append((f"summary:{name}", summary))
         checks.append((f"check:{name}", checked))
     print(f"{node_digest()}  solve_node@criterion10", flush=True)
     print(f"{exit_digest()}  solve_subproblem@stationary-exit", flush=True)
     print(f"{backtracking_digest()}  solve_subproblem@backtracking", flush=True)
     print(f"{kernel_digest()}  kernels", flush=True)
-    for name, value in checks + text_digests():
+    for name, value in summaries + checks + text_digests():
         print(f"{value}  {name}", flush=True)
 
 
