@@ -117,7 +117,7 @@ class SolveReport:
 
 def safeguard_project(u: np.ndarray, v: np.ndarray, bound_M: float, bound_N: float):
     """Clamp equality multipliers into [-M, M] and inequality ones into [0, N]."""
-    if bound_M <= 0 or bound_N <= 0:
+    if not (bound_M > 0 and bound_N > 0):
         raise ValueError("safeguard bounds must be positive")
     # The method skips np.clip's dispatch wrapper and computes the same bits.
     return u.clip(-bound_M, bound_M), v.clip(0.0, bound_N)
@@ -131,7 +131,7 @@ def _in_box(values: np.ndarray, low: float, high: float) -> bool:
 def penalty_update(rho: float, prev_infeas: float, cur_infeas: float,
                    cfg: AlmConfig) -> float:
     """Keep rho when infeasibility improved by factor tau, else grow it."""
-    if prev_infeas < 0:
+    if not prev_infeas >= 0:
         raise ValueError("prev_infeas must be nonnegative")
     if cur_infeas <= cfg.tau * prev_infeas:
         return rho

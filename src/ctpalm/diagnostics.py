@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid, Trajectory, _l1_quadrature
-from .lagrangian import (Residuals, _row_dots, akkt_holds,
+from .lagrangian import (Residuals, _check_bundle_rows, _row_dots, akkt_holds,
                          feasibility_stationarity_residual, violations)
 from .problems import EvalBundle, ProblemDefinition, reference_solution
 
@@ -57,13 +57,10 @@ def sufficiency_certificate(problem: ProblemDefinition, grid: TimeGrid,
     Requires every convexity flag and a nonnegative multiplier/constraint
     pairing sum_i u_i h_i + sum_j v_j g_j >= -SUFFICIENCY_TOL at every node.
     """
+    _check_bundle_rows(grid, bundle)
     if not problem.convexity.all_hold():
-        flags = {
-            "phi_convex": problem.convexity.phi_convex,
-            "g_convex": list(problem.convexity.g_convex),
-            "h_affine": list(problem.convexity.h_affine),
-        }
-        return Certificate(CertificateKind.NOT_APPLICABLE, {"convexity": flags})
+        return Certificate(CertificateKind.NOT_APPLICABLE,
+                           {"convexity": asdict(problem.convexity)})
     pairing = _row_dots(u.values, bundle.h) + _row_dots(v.values, bundle.g)
     worst_node = int(np.argmin(pairing))
     worst = min(0.0, float(pairing[worst_node]))
@@ -83,6 +80,7 @@ def infeasibility_report(grid: TimeGrid, bundle: EvalBundle,
     An infeasible point whose squared-violation gradient vanishes is the
     expected limit of the method on problems with no feasible point at all.
     """
+    _check_bundle_rows(grid, bundle)
     violation = max(violations(bundle))
     if violation <= feas_tol:
         return None

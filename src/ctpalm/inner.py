@@ -51,9 +51,9 @@ from .problems import (EVALUATORS, EvalBundle, ProblemDefinition, _evaluate_fiel
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
-# Armijo sufficient-decrease constant, first trial step, smallest trial step,
-# the box |x_i| <= _ITERATE_BOX outside which an iterate counts as escaping,
-# and the polish iteration budget.
+# Armijo sufficient-decrease constant, the BB fallback step (also descent's
+# first step), the smallest trial step, the box |x_i| <= _ITERATE_BOX outside
+# which an iterate counts as escaping, and the polish iteration budget.
 _ARMIJO_C = 1e-4
 _STEP_INIT = 1.0
 _STEP_MIN = 1e-14
@@ -177,9 +177,10 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     """Pass `it` of a phase: at every row of `w`, one step along -w.gr under a
     monotone Armijo safeguard on the objective with values w.f, gradients w.gr.
 
-    `alpha` is the phase's first step; None takes the BB step.  A row takes
-    the first of alpha, alpha/2, alpha/4, ... at or above _STEP_MIN that
-    `trial` accepts.  The first trial tries each row's alpha, in one call.
+    `alpha` holds each row's step; None takes the BB step from the rows'
+    memory w.prev_x, w.prev_g.  A row takes the first of alpha, alpha/2,
+    alpha/4, ... at or above _STEP_MIN that `trial` accepts.  The first
+    trial tries each row's alpha, in one call.
     A row that rejects it tries its next halvings in blocks, one call per
     block and one trial row per candidate step (block size: `_BLOCK_ROWS`),
     and takes the first candidate that passes; a block of one halving per
@@ -200,7 +201,6 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     d = -w.gr
     gd = _row_dots(w.gr, d)
     if alpha is None:
-        # Every row past its first step has accepted one, so has BB memory.
         alpha = _bb_step(w.x - w.prev_x, w.gr - w.prev_g)
     names = ("x",) + fields
     count = len(w.rows)
@@ -261,21 +261,28 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
         w.keep(accepted)
 
 
-def _stop_test(rows, gn, x, it, iters, status, cfg):
-    """Descent's stop test after `it` steps at batch rows `rows`, with
-    gradient norms gn and states x: a row within cfg.grad_tol converges, any
-    other outside the iterate box diverges.  Records the iterations and status
-    of the rows that stop.  Returns the mask of the rows that go on, or None
-    when no row stops."""
-    converged = gn <= cfg.grad_tol
-    diverged = ~converged & _escaped(x)
+def _stop_test(w, it, iters, status, cfg):
+    """Descent's stop test after `it` steps at every row of `w`: a row within
+    cfg.grad_tol converges, any other outside the iterate box diverges.
+    Records the iterations and status of the rows that stop and drops them
+    from `w`."""
+    converged = w.gn <= cfg.grad_tol
+    diverged = ~converged & _escaped(w.x)
     stop = converged | diverged
-    if not stop.any():
-        return None
-    iters[rows[stop]] = it
-    status[rows[converged]] = _CONVERGED
-    status[rows[diverged]] = _DIVERGED
-    return ~stop
+    if stop.any():
+        iters[w.rows[stop]] = it
+        status[w.rows[converged]] = _CONVERGED
+        status[w.rows[diverged]] = _DIVERGED
+        w.keep(~stop)
+
+
+def _keep_best(best_x, best_gn, j, x, gn) -> None:
+    """Make states x with gradient norms gn the best points of rows j (a
+    selector from `_select`) where gn is at most their best norm so far; a
+    tie goes to the later point."""
+    kept = gn <= best_gn[j]
+    _update(best_x, j, x, kept)
+    _update(best_gn, j, gn, kept)
 
 
 def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
@@ -300,18 +307,13 @@ def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
         # Every row starts stationary and stops at step 0.
         return xs.copy(), gn.copy(), xs, gn, iters, np.full(count, _CONVERGED)
     status = np.full(count, _MAX_ITERS)
-    # Rows with a non-finite start take no step and meet no stop test.
-    go = np.isfinite(gn)
-    on = _stop_test(np.flatnonzero(go), gn[go], xs[go], 0, iters, status, cfg)
-    if on is not None:
-        go[go] = on
-    if not go.any():
-        # No row takes a step: each is its own best and min-penalty point.
-        return xs.copy(), gn.copy(), xs, gn, iters, status
     best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
+    # Each row's BB memory starts at its start, where s.y = 0 is not positive:
+    # its first step is the BB fallback, _STEP_INIT.
     w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, shift_u=shift_u, shift_v=shift_v,
-              x=xs, f=f, pen=pen, gr=gr, gn=gn)
-    w.keep(go)
+              x=xs, f=f, pen=pen, gr=gr, gn=gn, prev_x=xs, prev_g=gr)
+    # Rows with a non-finite start take no step and meet no stop test.
+    w.keep(np.isfinite(gn))
 
     def trial(j, xt, bound):
         ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
@@ -327,20 +329,17 @@ def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
 
         return np.isfinite(ft) & (ft <= bound), complete
 
-    for it in range(1, cfg.max_iters + 1):
-        first = np.full(len(w.rows), _STEP_INIT) if it == 1 else None
-        _armijo_pass(w, first, trial, ("f", "pen", "gr"), iters, it)
-        w.gn = np.abs(w.gr).max(axis=1)
-        j = _select(w.rows, count)
-        better = w.gn <= best_gn[j]
-        _update(best_x, j, w.x, better)
-        _update(best_gn, j, w.gn, better)
-        lower = w.pen < minpen[j]
-        _update(minpen_x, j, w.x, lower)
-        _update(minpen, j, w.pen, lower)
-        on = _stop_test(w.rows, w.gn, w.x, it, iters, status, cfg)
-        if on is not None:
-            w.keep(on)
+    # Pass 0 is the stop test at the start; every later pass takes one step.
+    for it in range(cfg.max_iters + 1):
+        if it:
+            _armijo_pass(w, None, trial, ("f", "pen", "gr"), iters, it)
+            w.gn = np.abs(w.gr).max(axis=1)
+            j = _select(w.rows, count)
+            _keep_best(best_x, best_gn, j, w.x, w.gn)
+            lower = w.pen < minpen[j]
+            _update(minpen_x, j, w.x, lower)
+            _update(minpen, j, w.pen, lower)
+        _stop_test(w, it, iters, status, cfg)
         if not w.rows.size:
             break
     iters[w.rows] = cfg.max_iters
@@ -404,12 +403,8 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
         _armijo_pass(w, first, trial, ("f", "F"), iters, it)
         w.gn = np.abs(w.F).max(axis=1)
         j = _select(w.rows, count)
-        best = best_gn[j]
-        improved = w.gn <= 0.99 * best
-        kept = w.gn <= best
-        _update(best_x, j, w.x, kept)
-        _update(best_gn, j, w.gn, kept)
-        w.since_best = np.where(improved, 0, w.since_best + 1)
+        w.since_best = np.where(w.gn <= 0.99 * best_gn[j], 0, w.since_best + 1)
+        _keep_best(best_x, best_gn, j, w.x, w.gn)
         escaped = _escaped(w.x)
         iters[w.rows[escaped]] = it
         w.keep(~escaped)
@@ -468,10 +463,12 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None, gradient=None):
 
 def _check_rows(problem, ts, xs, us, vs, rho, gradient=None, node=False):
     """The input checks of both entries, on node-row stacks, in this order:
-    one row per time, rows of widths n, p and m (and n for a given start
-    gradient), rho > 0, finite states, then the multipliers.  The one-node
-    entry (`node`) names its own arguments and shows their shapes without the
-    row axis."""
+    at least one time, one row per time, rows of widths n, p and m (and n
+    for a given start gradient), 0 < rho < inf, finite states, then the
+    multipliers.  The one-node entry (`node`) names its own arguments and
+    shows their shapes without the row axis."""
+    if not len(ts):
+        raise ValueError("ts must not be empty")
     if not len(xs) == len(us) == len(vs) == len(ts):
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
@@ -482,7 +479,7 @@ def _check_rows(problem, ts, xs, us, vs, rho, gradient=None, node=False):
         if a is not None and a.shape != (len(ts), k):
             raise ValueError(f"{name} must have shape {(len(ts), k)[node:]}, "
                              f"got {a.shape[node:]}")
-    if rho <= 0:
+    if not 0 < rho < math.inf:
         raise ValueError(f"rho must be positive, got {rho}")
     if not np.isfinite(xs).all():
         raise ValueError(f"{names[0]} must be finite")

@@ -90,7 +90,7 @@ def multiplier_update(bundle, u_tilde: np.ndarray, v_tilde: np.ndarray, rho: flo
     """First-order update at every node: u = u~ + rho h, v = max(v~ + rho g, 0),
     from the values `bundle.h` and `bundle.g` there; the multipliers of absent
     constraints (p or m = 0) are returned as they are."""
-    if rho <= 0:
+    if not 0 < rho < np.inf:
         raise ValueError("rho must be positive")
     u = u_tilde + rho * bundle.h if u_tilde.size else u_tilde
     v = np.maximum(v_tilde + rho * bundle.g, 0.0) if v_tilde.size else v_tilde
@@ -120,13 +120,20 @@ def violations(bundle: EvalBundle) -> tuple:
     return _sup(np.abs(bundle.h)), _sup(np.maximum(bundle.g, 0.0))
 
 
+def _check_bundle_rows(grid: TimeGrid, bundle: EvalBundle) -> None:
+    """Raise ValueError unless `bundle` holds one row per node of `grid`."""
+    if len(bundle.phi) != grid.num_nodes:
+        raise ValueError(f"bundle must have one row per grid node, got "
+                         f"{len(bundle.phi)} for {grid.num_nodes}")
+
+
 def akkt_residuals(grid: TimeGrid, bundle: EvalBundle, u_traj: Trajectory,
                    v_traj: Trajectory) -> Residuals:
     """Residuals of the asymptotic optimality test at the evaluated nodes."""
     if not grid == u_traj.grid == v_traj.grid:
         raise ValueError("trajectories must share the grid")
-    if (bundle.phi.shape[0] != grid.num_nodes or u_traj.dim != bundle.h.shape[1]
-            or v_traj.dim != bundle.g.shape[1]):
+    _check_bundle_rows(grid, bundle)
+    if u_traj.dim != bundle.h.shape[1] or v_traj.dim != bundle.g.shape[1]:
         raise ValueError("trajectory dimensions do not match the problem")
     u, v = u_traj.values, v_traj.values
     _check_multipliers(u, v)
@@ -157,6 +164,7 @@ def akkt_holds(residuals: Residuals, eps_stop: float) -> bool:
 
 def feasibility_factor(grid: TimeGrid, bundle: EvalBundle) -> float:
     """Integral of sum h_i^2 + sum max(g_j, 0)^2 along the trajectory."""
+    _check_bundle_rows(grid, bundle)
     gp = np.maximum(bundle.g, 0.0)
     vals = _row_dots(bundle.h, bundle.h) + _row_dots(gp, gp)
     return _trapezoid_sum(vals, grid.spacing)
@@ -169,6 +177,7 @@ def feasibility_stationarity_residual(grid: TimeGrid, bundle: EvalBundle) -> flo
     a zero residual certifies stationarity for the violation-minimization
     problem (the scale factor is immaterial for that test).
     """
+    _check_bundle_rows(grid, bundle)
     rows = (_transposed_product(bundle.jac_h, 2.0 * bundle.h)
             + _transposed_product(bundle.jac_g, 2.0 * np.maximum(bundle.g, 0.0)))
     return _l1_quadrature(rows, grid.spacing)

@@ -56,7 +56,7 @@ def test_update_is_the_one_of_the_augmented_gradient():
 
 
 def test_update_rejects_nonpositive_rho():
-    for rho in (0.0, -1.0):
+    for rho in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^rho must be positive$"):
             multiplier_update(bundle_with(h=[0.5]), np.array([[1.0]]),
                               np.zeros((1, 0)), rho)
@@ -80,7 +80,8 @@ def test_projection_clamps_negative_inequality():
 
 
 def test_projection_rejects_nonpositive_bounds():
-    for bound_M, bound_N in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+    for bound_M, bound_N in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (np.nan, 1.0),
+                             (1.0, np.nan)):
         with pytest.raises(ValueError, match="^safeguard bounds must be positive$"):
             safeguard_project(np.zeros(0), np.zeros(0), bound_M, bound_N)
 
@@ -110,8 +111,9 @@ def test_penalty_rule(cur, prev, expect_growth):
 
 
 def test_penalty_rule_rejects_negative_previous_infeasibility():
-    with pytest.raises(ValueError, match="^prev_infeas must be nonnegative$"):
-        penalty_update(2.0, -1.0, 0.1, c.AlmConfig())
+    for prev in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="^prev_infeas must be nonnegative$"):
+            penalty_update(2.0, prev, 0.1, c.AlmConfig())
 
 
 @pytest.mark.parametrize("u0,v0,message", [

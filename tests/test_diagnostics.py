@@ -1,6 +1,7 @@
 """Certificates, infeasibility verdicts, and reference-error metrics."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ def test_nonconvex_problem_not_applicable(ex1_run):
     direct = sufficiency_certificate(prob, report.grid, bundle_of(prob, report.x),
                                      report.u, report.v)
     assert direct.kind is CertificateKind.NOT_APPLICABLE
+
+
+def test_not_applicable_evidence_is_the_convexity_flags():
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(prob.horizon, 5)
+    x = const(grid, [0.5, 0.5])
+    cert = sufficiency_certificate(prob, grid, bundle_of(prob, x), empty(grid),
+                                   const(grid, [1.0, 1.0]))
+    assert cert.kind is CertificateKind.NOT_APPLICABLE
+    assert cert.evidence == {"convexity": dataclasses.asdict(prob.convexity)}
+    # JSON writes the flag tuples as lists.
+    assert json.dumps(cert.as_json_obj()["evidence"]) == json.dumps({"convexity": {
+        "phi_convex": prob.convexity.phi_convex,
+        "g_convex": list(prob.convexity.g_convex),
+        "h_affine": list(prob.convexity.h_affine)}})
 
 
 def test_constructed_violation_detected():
@@ -102,6 +118,19 @@ def test_report_never_theta_stationary_for_feasible_points():
             assert cert is None
         else:
             assert cert is not None
+
+
+@pytest.mark.parametrize("diagnostic", ["sufficiency", "infeasibility"])
+def test_diagnostics_reject_a_bundle_of_other_nodes(diagnostic):
+    prob = c.builtin("ex4")
+    grid = c.make_uniform_grid(prob.horizon, 5)
+    bundle = c.evaluate_all(prob, np.ones((3, prob.n)), grid.nodes[:3])
+    with pytest.raises(ValueError, match="^bundle must have one row per grid node, "
+                                         "got 3 for 5$"):
+        if diagnostic == "sufficiency":
+            sufficiency_certificate(prob, grid, bundle, empty(grid), const(grid, [1.0, 1.0]))
+        else:
+            infeasibility_report(grid, bundle, 1e-5)
 
 
 # -- solution error ------------------------------------------------------------

@@ -137,6 +137,8 @@ def test_subproblem_rejects_bad_inputs():
     cfg = c.InnerConfig()
     for x, u, v, rho, message in [
             (xs, us, vs, -1.0, r"rho must be positive, got -1\.0"),
+            (xs, us, vs, np.nan, "rho must be positive, got nan"),
+            (xs, us, vs, np.inf, "rho must be positive, got inf"),
             (nan_start, us, vs, 1.0, "xs must be finite"),
             (xs, us, -vs, 1.0, "inequality multipliers must be nonnegative"),
             (xs, us, np.full((4, 2), np.inf), 1.0, "multipliers must be finite")]:
@@ -145,12 +147,21 @@ def test_subproblem_rejects_bad_inputs():
     # The one-node entry names its own argument.
     with pytest.raises(ValueError, match="^x_init must be finite$"):
         c.solve_node(prob, ts[2], nan_start[2], MultiplierSet(v=vs[2]), 1.0, cfg)
+    with pytest.raises(ValueError, match="^rho must be positive, got nan$"):
+        c.solve_node(prob, ts[2], xs[2], MultiplierSet(v=vs[2]), np.nan, cfg)
     # Row counts other than one per time.
     for x, u, v in [(xs, np.zeros((5, 0)), vs), (xs, us, np.ones((5, 2))),
                     (xs, np.zeros((3, 0)), vs), (np.ones((5, 2)), us, vs)]:
         with pytest.raises(ValueError, match="one row per time"):
             c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
     c.solve_subproblem(prob, ts, xs, us, vs, 1.0, cfg)
+
+
+def test_subproblem_rejects_a_batch_of_no_rows():
+    prob = c.builtin("ex1")
+    with pytest.raises(ValueError, match="^ts must not be empty$"):
+        c.solve_subproblem(prob, np.zeros(0), np.zeros((0, 2)), np.zeros((0, 0)),
+                           np.zeros((0, 2)), 1.0, c.InnerConfig())
 
 
 def test_entries_reject_rows_of_the_wrong_width():

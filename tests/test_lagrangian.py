@@ -212,9 +212,20 @@ def test_residuals_reject_other_grids_and_dimensions():
         with pytest.raises(ValueError, match=wrong):
             akkt_residuals(grid, bundle, *args)
     grid6 = make_uniform_grid(1.0, 6)
-    with pytest.raises(ValueError, match=wrong):
+    with pytest.raises(ValueError, match="^bundle must have one row per grid node, "
+                                         "got 5 for 6$"):
         akkt_residuals(grid6, bundle, Trajectory(grid6, np.zeros((6, 0))),
                        const_traj(grid6, [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("diagnostic", [feasibility_factor,
+                                        feasibility_stationarity_residual])
+def test_feasibility_diagnostics_reject_a_bundle_of_other_nodes(diagnostic):
+    prob, grid = builtin("ex4"), make_uniform_grid(1.0, 5)
+    bundle = evaluate_all(prob, np.ones((3, prob.n)), grid.nodes[:3])
+    with pytest.raises(ValueError, match="^bundle must have one row per grid node, "
+                                         "got 3 for 5$"):
+        diagnostic(grid, bundle)
 
 
 def test_residuals_invariant_under_constraint_reordering():

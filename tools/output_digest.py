@@ -24,7 +24,9 @@ the last:
   - three `solve_subproblem` batches of infeasible1 on 9 nodes, each given
     its start's evaluation, on one line: every row at x = 0 (all stationary,
     the whole-batch exit), then row 4 moved to 1e5 under rho = 1e300 (a
-    non-finite start) and to 2e6 (outside the iterate box);
+    non-finite start) and to 2e6 (outside the iterate box): in these two
+    batches no row takes a descent step, since every row stops at descent's
+    stop test at the start or has a non-finite start;
   - three batches of node problems through the lockstep solver's row
     solve (`ctpalm.inner._solve_rows`, the body of `solve_subproblem`), on
     one line: ex3 on 17 nodes from seeded states, u and v at rho = 1 and
@@ -217,7 +219,8 @@ def node_digest() -> str:
 
 
 # (row 4's state, rho) of the infeasible1 batches on 9 nodes whose other rows
-# sit at the stationary point x = 0.
+# sit at the stationary point x = 0.  In the last two no row takes a descent
+# step.
 EXIT_BATCHES = ((0.0, 1.0), (1e5, 1e300), (2e6, 1.0))
 
 
