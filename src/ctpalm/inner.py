@@ -285,6 +285,18 @@ def _keep_best(best_x, best_gn, j, x, gn) -> None:
     _update(best_gn, j, gn, kept)
 
 
+def _at_start(start, gr, us, vs, rho):
+    """Descent's quantities at start points whose evaluator outputs are
+    `start` and whose augmented gradient rows are gr: the multiplier shifts
+    us / rho and vs / rho, the penalty and objective values, and the
+    gradient norms, inf where the objective is not finite.  The outer loop
+    takes the norms to skip a subproblem whose rows all start stationary."""
+    shift_u, shift_v = us / rho, vs / rho
+    pen = _penalty_value(start, shift_u, shift_v, rho)
+    f = start.phi + pen
+    return shift_u, shift_v, pen, f, np.where(np.isfinite(f), _grad_norms(gr), np.inf)
+
+
 def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
     """Phase 1 at every row: BB descent on the augmented objective, from
     states xs whose evaluator outputs are `start` and whose augmented
@@ -293,19 +305,13 @@ def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
     entry per row: best_* track the smallest gradient norm seen and minpen_x
     the first iterate with strictly smallest penalty value; status holds
-    `_BY_SEVERITY` indices.  When every row starts within cfg.grad_tol, one
-    whole-batch comparison returns them all Converged after 0 iterations, at
-    a copy of xs, without an evaluator call or a gather of rows.
+    `_BY_SEVERITY` indices.  Pass 0 is the stop test at the start, so a
+    batch whose rows all start within cfg.grad_tol returns them Converged
+    after 0 iterations, at a copy of xs, without an evaluator call.
     """
     count = len(ts)
-    shift_u, shift_v = us / rho, vs / rho
-    pen = _penalty_value(start, shift_u, shift_v, rho)
-    f = start.phi + pen
-    gn = np.where(np.isfinite(f), _grad_norms(gr), np.inf)
+    shift_u, shift_v, pen, f, gn = _at_start(start, gr, us, vs, rho)
     iters = np.zeros(count, dtype=int)
-    if (gn <= cfg.grad_tol).all():
-        # Every row starts stationary and stops at step 0.
-        return xs.copy(), gn.copy(), xs, gn, iters, np.full(count, _CONVERGED)
     status = np.full(count, _MAX_ITERS)
     best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
     # Each row's BB memory starts at its start, where s.y = 0 is not positive:
@@ -509,10 +515,11 @@ def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
     the outer loop already holds both.  The first descent pass takes the
     objective from `start` and the gradient from `gradient` instead of
     calling the evaluators and computing it; each is computed here when it
-    is not given.  When every row's start gradient norm is within
-    cfg.grad_tol, the solve ends after one whole-batch comparison: the rows
-    are Converged at a copy of xs, with no evaluator call.  Returns (node
-    solutions (N, n), worst status, max grad norm).
+    is not given.  Rows whose start gradient norm is within cfg.grad_tol
+    stop at descent's first stop test: a batch of only such rows returns
+    a copy of xs, Converged, with no evaluator call.  The outer loop does
+    not call this for such a batch; it keeps the warm start itself.
+    Returns (node solutions (N, n), worst status, max grad norm).
     """
     _check_rows(problem, ts, xs, us, vs, rho, gradient)
     x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start, gradient)

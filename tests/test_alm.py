@@ -318,11 +318,15 @@ def test_inner_failure_after_persistent_divergence():
                for r in report.iterations)
 
 
-# Evaluator calls of the ex4 and infeasible1 runs of tests/conftest.py.  Each
-# count holds the outer loop's evaluations, 96 (ex4) and 5 (infeasible1): one
-# of x0 and one of each iterate that the subproblem changed.  Beyond those,
-# phi and g are called once per descent trial block: the first trial of each
-# Armijo pass (523 and 11) and each block of halvings after it (246 and 15).
+# Subproblem calls and evaluator calls of the ex4 and infeasible1 runs of
+# tests/conftest.py.  ex4 calls the subproblem in each of its 95 outer
+# iterations, infeasible1 in 4 of its 1,000: in the others every node starts
+# within grad_tol, and the loop keeps its warm start without the call.  Each
+# evaluator count holds the outer loop's evaluations, 96 (ex4) and 5
+# (infeasible1): one of x0 and one of each iterate that the subproblem
+# changed.  Beyond those, phi and g are called once per descent trial block:
+# the first trial of each Armijo pass (523 and 11) and each block of halvings
+# after it (246 and 15).
 # A block holds 128 // R halvings of each of the R rows still backtracking,
 # so infeasible1, whose 85 identical rows backtrack together, tries one
 # halving per call.  grad_phi and jac_g are called once per trial block that
@@ -331,10 +335,11 @@ def test_inner_failure_after_persistent_divergence():
 # picked points, or each halving of ex4 in a call of its own, would raise
 # them (ex4 phi: 1,061).
 @pytest.mark.parametrize("name,expected", [
-    ("ex4", {"phi": 865, "grad_phi": 773, "g": 865, "jac_g": 773}),
-    ("infeasible1", {"phi": 31, "grad_phi": 16, "g": 31, "jac_g": 16}),
+    ("ex4", (95, {"phi": 865, "grad_phi": 773, "g": 865, "jac_g": 773})),
+    ("infeasible1", (4, {"phi": 31, "grad_phi": 16, "g": 31, "jac_g": 16})),
 ])
 def test_each_point_is_evaluated_once(name, expected, monkeypatch):
+    subproblems, evaluations = expected
     problem, calls = counting(c.builtin(name))
     # Evaluator calls each subproblem makes before its first descent step,
     # or in all when it takes none.
@@ -357,10 +362,9 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
 
     monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
     monkeypatch.setattr(inner_mod, "_armijo_pass", step)
-    report, _, _ = run_builtin(problem, *RUN_STARTS[name])
-    assert len(before_first_step) == len(report.iterations)
-    assert [calls for _, calls in before_first_step] == [0] * len(report.iterations)
-    assert dict(calls) == expected
+    run_builtin(problem, *RUN_STARTS[name])
+    assert [calls for _, calls in before_first_step] == [0] * subproblems
+    assert dict(calls) == evaluations
 
 
 # Evaluator calls of ex3 at 17 nodes from its conftest start, where every node
@@ -382,19 +386,27 @@ def test_ex3_backtracks_in_blocks_of_halvings():
 
 
 def record_update_passes(monkeypatch):
-    """Wrap the outer loop's calls: the lists of the iterates the subproblem
-    returned, whether each differs from its warm start, the subproblem's
-    multipliers and rho, what each iteration's residuals were computed from
-    (bundle, gradient rows and v), and the arguments of each evaluate_all
-    call."""
-    solve_subproblem, residuals = alm_mod.solve_subproblem, alm_mod._residuals
+    """Wrap the outer loop's calls, one entry per outer iteration: the lists
+    of the iterates each iteration ends at (the subproblem's solution, or the
+    warm start of an iteration that does not call it), whether each differs
+    from its warm start, each iteration's multipliers and rho, and what its
+    residuals were computed from (bundle, gradient rows and v); and the list
+    of the arguments of each evaluate_all call, x0's first."""
+    solve_subproblem, at_start = alm_mod.solve_subproblem, alm_mod._at_start
+    residuals = alm_mod._residuals
     returned, moved, inputs, kept, evaluations = [], [], [], [], []
 
-    def subproblem(problem, ts, xs, us, vs, rho, *rest):
-        out = solve_subproblem(problem, ts, xs, us, vs, rho, *rest)
-        returned.append(out[0])
-        moved.append(out[0].tobytes() != xs.tobytes())
+    def started(bundle, gradient, us, vs, rho):
+        returned.append(returned[-1] if returned else evaluations[0][1])
+        moved.append(False)
         inputs.append((us, vs, rho))
+        return at_start(bundle, gradient, us, vs, rho)
+
+    def subproblem(problem, ts, xs, us, vs, rho, *rest):
+        assert xs is returned[-1] and us is inputs[-1][0] and vs is inputs[-1][1]
+        assert rho == inputs[-1][2]
+        out = solve_subproblem(problem, ts, xs, us, vs, rho, *rest)
+        returned[-1], moved[-1] = out[0], out[0].tobytes() != xs.tobytes()
         return out
 
     def recorded(spacing, bundle, gradient, v, *rest):
@@ -405,6 +417,7 @@ def record_update_passes(monkeypatch):
         evaluations.append(args)
         return evaluate_all(*args)
 
+    monkeypatch.setattr(alm_mod, "_at_start", started)
     monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
     monkeypatch.setattr(alm_mod, "_residuals", recorded)
     monkeypatch.setattr(alm_mod, "evaluate_all", evaluated)
@@ -441,10 +454,12 @@ def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
         projected = safeguard_project(u, v, cfg.bound_M, cfg.bound_N)
         assert_same_bits(us, projected[0], "next u~")
         assert_same_bits(vs, projected[1], "next v~")
+    assert_same_bits(report.x.values, returned[-1], "returned x")
     assert_same_bits(report.u.values, updates[-1][0], "returned u")
     assert_same_bits(report.v.values, updates[-1][1], "returned v")
-    # x0, then each iterate the subproblem changed; an unchanged one reuses
-    # the bundle of its warm start.
+    # x0, then each iterate the subproblem changed; an unchanged one, and the
+    # warm start of an iteration that does not call the subproblem, reuse the
+    # bundle of their warm start.
     assert sum(moved) == moves
     assert len(evaluations) == 1 + moves
 
@@ -490,6 +505,87 @@ def test_logged_objective_and_violation_are_those_of_each_iterate(name, monkeypa
                 == max(violations(fresh)).hex())
 
 
+# Outer iterations of each run that do not call the subproblem: the conftest
+# runs, and infeasible1 from the seeded start of tools/output_digest.py
+# (seed 11, half-width 0.5).
+@pytest.mark.parametrize("name,seed,skipped", [
+    ("ex1", None, 0), ("ex2", None, 0), ("ex3", None, 0), ("ex4", None, 0),
+    ("infeasible1", None, 996), ("infeasible1", 11, 955),
+])
+def test_a_stalled_iteration_does_no_subproblem_work(name, seed, skipped, monkeypatch):
+    """An outer iteration calls the subproblem unless every node starts
+    within grad_tol, and one that does not calls no evaluator either: it
+    keeps its warm start, which a solve of its batch returns Converged after 0
+    iterations at every row, with the logged worst status and gradient norm.
+    Each iteration's warm start, multipliers, rho and gradient pass the
+    subproblem's input checks, so skipping the checks hides no error."""
+    base = c.builtin(name)
+    problem, calls = counting(base)
+    x0, u0, v0 = RUN_STARTS[name]
+    grid = c.make_uniform_grid(problem.horizon, 85)
+    xs0 = np.tile(np.asarray(x0, dtype=float), (85, 1))
+    if seed is not None:
+        xs0 += np.random.default_rng(seed).uniform(-0.5, 0.5, size=xs0.shape)
+    x0_traj = c.Trajectory(grid, xs0)
+    at_start, solve_subproblem = alm_mod._at_start, alm_mod.solve_subproblem
+    residuals, solve_rows = alm_mod._residuals, inner_mod._solve_rows
+    # Per outer iteration: the loop's subproblem inputs, its evaluator calls
+    # from the start's gradient norms to the residuals, and the rows of the
+    # subproblem's solve when it calls one.
+    iterations, current = [], [x0_traj.values]
+
+    def started(bundle, gradient, us, vs, rho):
+        iterations.append({"inputs": (current[0], us, vs, rho, bundle, gradient),
+                           "calls": sum(calls.values()), "rows": None})
+        return at_start(bundle, gradient, us, vs, rho)
+
+    def subproblem(problem, ts, xs, us, vs, rho, cfg, start, gradient):
+        assert all(a is b for a, b in zip((xs, us, vs, rho, start, gradient),
+                                          iterations[-1]["inputs"]))
+        out = solve_subproblem(problem, ts, xs, us, vs, rho, cfg, start, gradient)
+        current[0] = out[0]
+        return out
+
+    def rows(*args):
+        out = solve_rows(*args)
+        iterations[-1]["rows"] = out
+        return out
+
+    def recorded(*args):
+        iterations[-1]["calls"] = sum(calls.values()) - iterations[-1]["calls"]
+        return residuals(*args)
+
+    monkeypatch.setattr(alm_mod, "_at_start", started)
+    monkeypatch.setattr(alm_mod, "solve_subproblem", subproblem)
+    monkeypatch.setattr(inner_mod, "_solve_rows", rows)
+    monkeypatch.setattr(alm_mod, "_residuals", recorded)
+    cfg = c.AlmConfig()
+    report = c.solve(problem, cfg, x0_traj,
+                     *(None if a is None else c.Trajectory.constant(grid, a)
+                       for a in (u0, v0)))
+    monkeypatch.undo()
+    assert len(iterations) == len(report.iterations)
+    assert_same_bits(report.x.values, current[0], "returned x")
+    stalled = 0
+    for it, record in zip(iterations, report.iterations):
+        xs, us, vs, rho, bundle, gradient = it["inputs"]
+        inner_mod._check_rows(base, grid.nodes, xs, us, vs, rho, gradient)
+        if it["rows"] is None:
+            stalled += 1
+            assert it["calls"] == 0, record.k
+            x, grad, iters, status = solve_rows(base, grid.nodes, xs, us, vs, rho,
+                                                cfg.inner, bundle, gradient)
+            assert_same_bits(x, xs, record.k)
+        else:
+            x, grad, iters, status = it["rows"]
+        ends_at_start = not (iters.any() or status.any())  # _CONVERGED is 0
+        assert ends_at_start == (it["rows"] is None), record.k
+        if ends_at_start:
+            assert record.inner_worst_status is InnerStatus.CONVERGED
+            assert record.inner_max_grad.hex() == max(0.0, float(grad.max())).hex()
+    assert stalled == skipped
+
+
 @pytest.mark.parametrize("run", ["ex1_run", "ex2_run", "ex3_run", "ex4_run",
                                  "infeasible1_run"])
 def test_final_residuals_equal_those_of_check(run, request):
@@ -506,28 +602,32 @@ def test_final_residuals_equal_those_of_check(run, request):
 
 def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(
         monkeypatch):
-    """-0.0 == 0.0, yet phi = copysign(1, x) tells them apart: the outer loop
-    must compare iterates bit for bit before it reuses an evaluation."""
+    """-0.0 == 0.0, yet phi = copysign(1, x) + x tells them apart: the outer
+    loop must compare iterates bit for bit before it reuses an evaluation.
+    The gradient is 1 everywhere, so no start is stationary and the loop calls
+    the subproblem."""
     prob = c.pointwise(c.ProblemDefinition(
         name="signed", n=1, p=0, m=0, horizon=1.0,
-        eval_phi=lambda x, t: np.copysign(1.0, x[0]),
-        eval_grad_phi=lambda x, t: np.zeros(1),
+        eval_phi=lambda x, t: np.copysign(1.0, x[0]) + x[0],
+        eval_grad_phi=lambda x, t: np.ones(1),
         eval_h=lambda x, t: np.zeros(0),
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.zeros(0),
         eval_jac_g=lambda x, t: np.zeros((0, 1)),
         convexity=c.Convexity(False, (), ())))
     _, _, _, kept, evaluations = record_update_passes(monkeypatch)
+    flips = []
 
     def flipped(problem, ts, xs, *rest):
         out = xs.copy()
         out[1, 0] = -0.0
+        flips.append(out)
         return out, InnerStatus.CONVERGED, 0.0
 
     monkeypatch.setattr(alm_mod, "solve_subproblem", flipped)
     grid = c.make_uniform_grid(1.0, 3)
     report = c.solve(prob, c.AlmConfig(max_outer=1), c.Trajectory.constant(grid, [0.0]))
-    assert len(evaluations) == 2
+    assert len(flips) == 1 and len(evaluations) == 2
     assert len(kept) == 1 and np.array_equal(kept[0][0].phi, [1.0, -1.0, 1.0])
     assert np.signbit(report.x.values[:, 0]).tolist() == [False, True, False]
     # The objective is the trapezoid of phi = (1, -1, 1); the bundle of x0

@@ -430,18 +430,11 @@ def test_lockstep_ex3_batch_mixes_every_outcome():
     assert any(r.iterations == cfg.max_iters + reference.POLISH_ITERS for r in solo)
 
 
-def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
+def test_lockstep_rows_that_start_stationary_equal_the_node_solver():
     """infeasible1 at x = 0 is stationary for any v >= 0: a batch of such rows
-    matches the reference without a descent step and builds no row state; one
-    row started at x = 0.5 makes the batch run the descent loop again."""
-    built = []
-
-    class Rows(inner_mod._Rows):
-        def __init__(self, **arrays):
-            built.append(arrays)
-            super().__init__(**arrays)
-
-    monkeypatch.setattr(inner_mod, "_Rows", Rows)
+    matches the reference without a descent step, and solve_subproblem given
+    the start's evaluation returns the states Converged; one row started at
+    x = 0.5 descends, in the batch as in the reference."""
     grid = c.make_uniform_grid(1.0, 9)
     prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
     xs, us = np.zeros((9, 1)), np.zeros((9, 0))
@@ -451,20 +444,21 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver(monkeypatch):
                                            handed=True)
         assert all(r.iterations == 0 and r.status is InnerStatus.CONVERGED
                    and r.grad_inf_norm == 0.0 for r in solo)
-        built.clear()
         start = evaluate_all(prob, xs, grid.nodes)
-        c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg, start)
-        assert built == []
+        x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg,
+                                                start)
+        assert x.tobytes() == xs.tobytes()
+        assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
     mixed = xs.copy()
     mixed[4] = 0.5
     solo = assert_rows_match_reference("infeasible1", grid, mixed, us, vs, 1.0, cfg,
                                        handed=True)
     assert [r.iterations > 0 for r in solo] == [i == 4 for i in range(9)]
     assert solo[4].status is InnerStatus.CONVERGED
-    built.clear()
-    c.solve_subproblem(prob, grid.nodes, mixed, us, vs, 1.0, cfg,
-                       evaluate_all(prob, mixed, grid.nodes))
-    assert built
+    x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, mixed, us, vs, 1.0, cfg,
+                                            evaluate_all(prob, mixed, grid.nodes))
+    assert x.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
+    assert (worst, max_grad) == (InnerStatus.CONVERGED, solo[4].grad_inf_norm)
 
 
 def stationary_batch():
@@ -474,16 +468,15 @@ def stationary_batch():
     return np.zeros((9, 1)), np.zeros((9, 0)), np.linspace(0.0, 2.0, 9)[:, None], grid
 
 
-def test_batch_that_starts_stationary_takes_the_whole_batch_exit(monkeypatch):
+def test_batch_that_starts_stationary_takes_the_whole_batch_exit():
     """Given the start's evaluation, with or without its gradient, a batch
-    whose rows all start within grad_tol returns a copy of its states, each
-    row Converged after 0 iterations, without an evaluator call or a stop
-    test."""
+    whose rows all start within grad_tol stops as a whole at descent's first
+    stop test: it returns a copy of its states, each row Converged after 0
+    iterations, without an evaluator call.  The outer loop does not call the
+    subproblem on such a batch (tests/test_alm.py)."""
     prob = c.builtin("infeasible1")
     counted, calls = counting(prob)
     xs, us, vs, grid = stationary_batch()
-    stop_tests = []
-    monkeypatch.setattr(inner_mod, "_stop_test", lambda *args: stop_tests.append(args))
     cfg = c.AlmConfig().inner
     for rho in (1.0, 30.0):
         start, gradient = start_of(prob, grid.nodes, xs, us, vs, rho)
@@ -497,7 +490,39 @@ def test_batch_that_starts_stationary_takes_the_whole_batch_exit(monkeypatch):
                                                     rho, cfg, *given)
             assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
             assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
-    assert calls == {} and stop_tests == []
+    assert calls == {}
+
+
+def test_best_point_tie_goes_to_the_later_point():
+    """A point whose gradient norm equals its row's best so far becomes the
+    row's best point, through either kind of row selector."""
+    for j, x, gn in ((slice(None), [[3.0], [4.0]], [0.5, 0.75]),
+                     (np.array([0]), [[3.0]], [0.5])):
+        best_x, best_gn = np.array([[1.0], [2.0]]), np.array([0.5, 0.5])
+        inner_mod._keep_best(best_x, best_gn, j, np.array(x), np.array(gn))
+        assert best_x.tolist() == [[3.0], [2.0]] and best_gn.tolist() == [0.5, 0.5]
+
+
+def test_descent_tie_sends_the_later_point_to_the_polish():
+    """phi = x^3/3 + x^2/2 - x, with one inactive constraint so that the polish
+    runs, from x = 0 with a budget of one descent step: the step, of length 1,
+    lands on x = 1, where |phi'| = 1 as at the start.  The polish starts from
+    the later point, in the lockstep solver as in the node solver, and lands
+    after 6 steps; from x = 0 it would take 5 and land on other bits."""
+    scalar = c.ProblemDefinition(
+        name="tie", n=1, p=0, m=1, horizon=1.0,
+        eval_phi=lambda x, t: x[0] ** 3 / 3.0 + x[0] ** 2 / 2.0 - x[0],
+        eval_grad_phi=lambda x, t: np.array([x[0] ** 2 + x[0] - 1.0]),
+        eval_h=lambda x, t: np.zeros(0),
+        eval_jac_h=lambda x, t: np.zeros((0, 1)),
+        eval_g=lambda x, t: np.array([-1.0]),
+        eval_jac_g=lambda x, t: np.zeros((1, 1)),
+        convexity=c.Convexity(False, (), (True,)))
+    assert [abs(scalar.eval_grad_phi([x], 0.0)[0]) for x in (0.0, 1.0)] == [1.0, 1.0]
+    grid = c.make_uniform_grid(1.0, 2)
+    solo = assert_rows_match_reference(scalar, grid, np.zeros((2, 1)), np.zeros((2, 0)),
+                                       np.zeros((2, 1)), 1.0, c.InnerConfig(max_iters=1))
+    assert [(r.iterations, r.status) for r in solo] == [(7, InnerStatus.CONVERGED)] * 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

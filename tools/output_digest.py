@@ -23,10 +23,11 @@ the last:
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line;
   - three `solve_subproblem` batches of infeasible1 on 9 nodes, each given
     its start's evaluation, on one line: every row at x = 0 (all stationary,
-    the whole-batch exit), then row 4 moved to 1e5 under rho = 1e300 (a
-    non-finite start) and to 2e6 (outside the iterate box): in these two
-    batches no row takes a descent step, since every row stops at descent's
-    stop test at the start or has a non-finite start;
+    stopped at descent's first stop test; the outer loop keeps such a batch
+    without calling the subproblem), then row 4 moved to 1e5 under
+    rho = 1e300 (a non-finite start) and to 2e6 (outside the iterate box):
+    in these two batches no row takes a descent step, since every row stops
+    at descent's stop test at the start or has a non-finite start;
   - three batches of node problems through the lockstep solver's row
     solve (`ctpalm.inner._solve_rows`, the body of `solve_subproblem`), on
     one line: ex3 on 17 nodes from seeded states, u and v at rho = 1 and
