@@ -1,10 +1,12 @@
 """Outer safeguarded augmented-Lagrangian loop.
 
-Each outer iteration solves the node-wise penalized subproblems warm-started
-from the previous iterate (or keeps that iterate when every node already
-starts within the inner tolerance), applies the first-order multiplier update, checks
-the asymptotic optimality test on the updated pair, and then runs the
-infeasibility-progress test that decides whether the penalty parameter grows.
+Each outer iteration builds the subproblem's start once, at the previous
+iterate (`inner._at_start`), and solves the node-wise penalized subproblems
+from it (or keeps that iterate when every node already starts within the
+inner tolerance).  It evaluates every iterate the subproblem returns, applies
+the first-order multiplier update, checks the asymptotic optimality test on
+the updated pair, and then runs the infeasibility-progress test that decides
+whether the penalty parameter grows.
 Multiplier estimates are projected back into fixed safeguard boxes before they
 enter the next subproblem.
 
@@ -195,32 +197,25 @@ def solve(problem: ProblemDefinition, cfg: AlmConfig, x0: Trajectory,
                 raise OverflowError(
                     f"outer iteration {k}: the penalty parameter overflowed")
             # The update and the Lagrangian gradient at the warm start; the
-            # gradient is the subproblem's augmented gradient there.
+            # gradient is the subproblem's augmented gradient there, and the
+            # subproblem starts from the record built of them.
             u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
             gradient = _weighted_gradient(bundle, u_rows, v_rows)
+            start = _at_start(bundle, gradient, u_tilde, v_tilde, rho)
             # A subproblem whose nodes all start within grad_tol stops each at
             # descent's first stop test and returns its warm start Converged:
             # the loop keeps the warm start without the call.
-            grad_norms = _at_start(bundle, gradient, u_tilde, v_tilde, rho)[-1]
-            if (grad_norms <= cfg.inner.grad_tol).all():
-                inner_worst = InnerStatus.CONVERGED
-                inner_max_grad = max(0.0, float(grad_norms.max()))
+            if (start.gn <= cfg.inner.grad_tol).all():
+                inner_worst, inner_max_grad = InnerStatus.CONVERGED, _sup(start.gn)
             else:
-                warm_start = xs
                 xs, inner_worst, inner_max_grad = solve_subproblem(
-                    problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, bundle,
-                    gradient)
+                    problem, grid.nodes, xs, u_tilde, v_tilde, rho, cfg.inner, start)
                 # The evaluation of the subproblem's solution, its objective,
                 # its violation, the update and the gradient feed the
-                # residuals, the log and the next subproblem's start.  A
-                # solution equal to its warm start bit for bit (so -0.0
-                # differs from 0.0) has them already: evaluators are pure and
-                # row-wise, the bundle was checked finite, and the update and
-                # gradient depend on nothing else that changed.
-                if xs.tobytes() != warm_start.tobytes():
-                    bundle, objective, violation = _evaluation(problem, grid, xs)
-                    u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
-                    gradient = _weighted_gradient(bundle, u_rows, v_rows)
+                # residuals, the log and the next subproblem's start.
+                bundle, objective, violation = _evaluation(problem, grid, xs)
+                u_rows, v_rows = multiplier_update(bundle, u_tilde, v_tilde, rho)
+                gradient = _weighted_gradient(bundle, u_rows, v_rows)
             if not (np.isfinite(u_rows).all() and np.isfinite(v_rows).all()):
                 raise OverflowError(f"outer iteration {k}: the multiplier update "
                                     f"overflowed (rho = {rho:g})")

@@ -45,9 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lagrangian import MultiplierSet, _aug_gradient, _check_multipliers, _penalty_value
-from .problems import (EVALUATORS, EvalBundle, ProblemDefinition, _evaluate_fields,
-                       _row_dots)
+from .lagrangian import (MultiplierSet, _aug_gradient, _check_multipliers, _penalty_value,
+                         _sup)
+from .problems import EVALUATORS, ProblemDefinition, _evaluate_fields, _row_dots
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
@@ -160,8 +160,11 @@ def _escaped(x: np.ndarray) -> np.ndarray:
 
 
 def _grad_norms(gr: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each row; inf for rows with a non-finite entry."""
-    return np.where(np.isfinite(gr).all(axis=1), np.abs(gr).max(axis=1), np.inf)
+    """Largest |entry| of each row; inf for rows with a non-finite entry (a
+    NaN entry makes the row's max NaN, an infinite one makes it inf)."""
+    m = np.abs(gr).max(axis=1)
+    m[np.isnan(m)] = np.inf
+    return m
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -285,41 +288,43 @@ def _keep_best(best_x, best_gn, j, x, gn) -> None:
     _update(best_gn, j, gn, kept)
 
 
-def _at_start(start, gr, us, vs, rho):
-    """Descent's quantities at start points whose evaluator outputs are
-    `start` and whose augmented gradient rows are gr: the multiplier shifts
-    us / rho and vs / rho, the penalty and objective values, and the
-    gradient norms, inf where the objective is not finite.  The outer loop
-    takes the norms to skip a subproblem whose rows all start stationary."""
+def _at_start(ev, gr, us, vs, rho):
+    """Descent's start, as a `_Rows` record, at points whose evaluator outputs
+    are `ev` and whose augmented gradient rows are gr: the multiplier shifts
+    shift_u = us / rho and shift_v = vs / rho, the penalty and objective
+    values pen and f, gr, and the gradient norms gn, inf where the objective
+    is not finite.  The outer loop builds it once per iteration, tests gn to
+    skip a subproblem whose rows all start stationary, and hands it over."""
     shift_u, shift_v = us / rho, vs / rho
-    pen = _penalty_value(start, shift_u, shift_v, rho)
-    f = start.phi + pen
-    return shift_u, shift_v, pen, f, np.where(np.isfinite(f), _grad_norms(gr), np.inf)
+    pen = _penalty_value(ev, shift_u, shift_v, rho)
+    f = ev.phi + pen
+    return _Rows(shift_u=shift_u, shift_v=shift_v, pen=pen, f=f, gr=gr,
+                 gn=np.where(np.isfinite(f), _grad_norms(gr), np.inf))
 
 
-def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
+def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     """Phase 1 at every row: BB descent on the augmented objective, from
-    states xs whose evaluator outputs are `start` and whose augmented
-    gradient rows are gr, `_aug_gradient(start, us, vs, rho)`.
+    states xs whose start record is `start`, `_at_start` there with
+    multipliers us, vs and rho.  The record is read, never written.
 
-    Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) with one
-    entry per row: best_* track the smallest gradient norm seen and minpen_x
-    the first iterate with strictly smallest penalty value; status holds
+    Returns (best_x, best_gn, minpen_x, iters, status) with one entry per
+    row: best_* track the smallest gradient norm seen and minpen_x the first
+    iterate with strictly smallest penalty value; status holds
     `_BY_SEVERITY` indices.  Pass 0 is the stop test at the start, so a
     batch whose rows all start within cfg.grad_tol returns them Converged
     after 0 iterations, at a copy of xs, without an evaluator call.
     """
     count = len(ts)
-    shift_u, shift_v, pen, f, gn = _at_start(start, gr, us, vs, rho)
     iters = np.zeros(count, dtype=int)
     status = np.full(count, _MAX_ITERS)
-    best_x, best_gn, minpen_x, minpen = xs.copy(), gn.copy(), xs.copy(), pen
+    best_x, best_gn, minpen_x = xs.copy(), start.gn.copy(), xs.copy()
+    minpen = start.pen.copy()
     # Each row's BB memory starts at its start, where s.y = 0 is not positive:
     # its first step is the BB fallback, _STEP_INIT.
-    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, shift_u=shift_u, shift_v=shift_v,
-              x=xs, f=f, pen=pen, gr=gr, gn=gn, prev_x=xs, prev_g=gr)
+    w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, prev_x=xs,
+              prev_g=start.gr, **vars(start))
     # Rows with a non-finite start take no step and meet no stop test.
-    w.keep(np.isfinite(gn))
+    w.keep(np.isfinite(start.gn))
 
     def trial(j, xt, bound):
         ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
@@ -349,7 +354,7 @@ def _descend(problem, ts, xs, start, gr, us, vs, rho, cfg):
         if not w.rows.size:
             break
     iters[w.rows] = cfg.max_iters
-    return best_x, best_gn, minpen_x, gn, iters, status
+    return best_x, best_gn, minpen_x, iters, status
 
 
 def _psi_gradient(problem, w, rho):
@@ -421,24 +426,23 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
     return best_x, best_gn, iters
 
 
-def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None, gradient=None):
+def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
     """Solve the node problem of every row: states xs (N, n) at times ts (N,)
     with multipliers us (N, p), vs (N, m).
 
-    `start` holds the evaluator outputs at xs (an EvalBundle), and `gradient`
-    the augmented gradient rows there; each is computed here when it is None.
-    Returns (x_star, grad_inf_norm, iterations, status) with one entry per
-    row, status as `_BY_SEVERITY` indices.
+    `start` is descent's start record at xs, `_at_start` there; it is built
+    here, from one call of every evaluator, when it is None.  Returns
+    (x_star, grad_inf_norm, iterations, status) with one entry per row,
+    status as `_BY_SEVERITY` indices.
     """
     # Overflow in a trial point shows up as a non-finite value, which the
     # phases reject.
     with np.errstate(over="ignore", invalid="ignore"):
         if start is None:
-            start = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
-        if gradient is None:
-            gradient = _aug_gradient(start, us, vs, rho)
-        x_star, grad, minpen_x, initial_gn, iters, status = _descend(
-            problem, ts, xs, start, gradient, us, vs, rho, cfg)
+            ev = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
+            start = _at_start(ev, _aug_gradient(ev, us, vs, rho), us, vs, rho)
+        x_star, grad, minpen_x, iters, status = _descend(problem, ts, xs, start, us,
+                                                         vs, rho, cfg)
         if not status.any():
             # Every row converged (_CONVERGED is 0): nothing to polish or
             # fall back from.
@@ -450,7 +454,7 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None, gradient=None):
         # better stationarity candidate.
         polish = status != _CONVERGED
         if not problem.p + problem.m:
-            polish &= grad < initial_gn
+            polish &= grad < start.gn
         if polish.any():
             j = np.flatnonzero(polish)
             px, pgn, extra = _polish(problem, ts[j], x_star[j], us[j], vs[j], rho, cfg)
@@ -467,19 +471,20 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None, gradient=None):
     return x_star, grad, iters, status
 
 
-def _check_rows(problem, ts, xs, us, vs, rho, gradient=None, node=False):
+def _check_rows(problem, ts, xs, us, vs, rho, start=None, node=False):
     """The input checks of both entries, on node-row stacks, in this order:
     at least one time, one row per time, rows of widths n, p and m (and n
-    for a given start gradient), 0 < rho < inf, finite states, then the
-    multipliers.  The one-node entry (`node`) names its own arguments and
-    shows their shapes without the row axis."""
+    for the gradient rows of a given start record), 0 < rho < inf, finite
+    states, then the multipliers.  The one-node entry (`node`) names its own
+    arguments and shows their shapes without the row axis."""
     if not len(ts):
         raise ValueError("ts must not be empty")
     if not len(xs) == len(us) == len(vs) == len(ts):
         raise ValueError(f"xs, us and vs must have one row per time, got "
                          f"{len(xs)}, {len(us)} and {len(vs)} for {len(ts)}")
     names = (("x_init", "safeguarded.u", "safeguarded.v") if node
-             else ("xs", "us", "vs", "gradient"))
+             else ("xs", "us", "vs", "start.gr"))
+    gradient = None if start is None else start.gr
     for name, a, k in zip(names, (xs, us, vs, gradient),
                           (problem.n, problem.p, problem.m, problem.n)):
         if a is not None and a.shape != (len(ts), k):
@@ -504,23 +509,21 @@ def solve_node(problem: ProblemDefinition, t: float, x_init: np.ndarray,
 
 def solve_subproblem(problem: ProblemDefinition, ts: np.ndarray, xs: np.ndarray,
                      us: np.ndarray, vs: np.ndarray, rho: float, cfg: InnerConfig,
-                     start: Optional[EvalBundle] = None,
-                     gradient: Optional[np.ndarray] = None):
+                     start: Optional[_Rows] = None):
     """Solve the node problem of every row in lockstep: warm starts xs (N, n)
     at times ts (N,) with safeguarded multipliers us (N, p), vs (N, m).
 
-    `start` is the evaluation of the warm starts, `evaluate_all(problem, xs,
-    ts)`, and `gradient` (N, n) the augmented gradient rows there,
-    `_weighted_gradient(start, *multiplier_update(start, us, vs, rho))`;
-    the outer loop already holds both.  The first descent pass takes the
-    objective from `start` and the gradient from `gradient` instead of
-    calling the evaluators and computing it; each is computed here when it
-    is not given.  Rows whose start gradient norm is within cfg.grad_tol
-    stop at descent's first stop test: a batch of only such rows returns
-    a copy of xs, Converged, with no evaluator call.  The outer loop does
-    not call this for such a batch; it keeps the warm start itself.
+    `start` is descent's start record at the warm starts, `_at_start` of
+    their evaluation and augmented gradient rows (N, n) with us, vs and rho,
+    which the outer loop builds once per iteration; descent starts from it
+    without calling the evaluators, and does not modify it.  It is built
+    here when it is not given.  Rows whose start gradient norm is within
+    cfg.grad_tol stop at descent's first stop test: a batch of only such
+    rows returns a copy of xs, Converged, with no evaluator call after the
+    start's.  The outer loop does not call this for such a batch; it keeps
+    the warm start itself.
     Returns (node solutions (N, n), worst status, max grad norm).
     """
-    _check_rows(problem, ts, xs, us, vs, rho, gradient)
-    x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start, gradient)
-    return x, _BY_SEVERITY[status.max()], max(0.0, float(grad.max()))
+    _check_rows(problem, ts, xs, us, vs, rho, start)
+    x, grad, _, status = _solve_rows(problem, ts, xs, us, vs, rho, cfg, start)
+    return x, _BY_SEVERITY[status.max()], _sup(grad)

@@ -323,17 +323,17 @@ def test_inner_failure_after_persistent_divergence():
 # iterations, infeasible1 in 4 of its 1,000: in the others every node starts
 # within grad_tol, and the loop keeps its warm start without the call.  Each
 # evaluator count holds the outer loop's evaluations, 96 (ex4) and 5
-# (infeasible1): one of x0 and one of each iterate that the subproblem
-# changed.  Beyond those, phi and g are called once per descent trial block:
+# (infeasible1): one of x0 and one of each iterate a subproblem returned.
+# Beyond those, phi and g are called once per descent trial block:
 # the first trial of each Armijo pass (523 and 11) and each block of halvings
 # after it (246 and 15).
 # A block holds 128 // R halvings of each of the R rows still backtracking,
 # so infeasible1, whose 85 identical rows backtrack together, tries one
 # halving per call.  grad_phi and jac_g are called once per trial block that
 # picks a point (677 and 11); neither run polishes.  Evaluating the warm
-# starts again, an unchanged iterate again, h and g again for the gradient at
-# picked points, or each halving of ex4 in a call of its own, would raise
-# them (ex4 phi: 1,061).
+# starts again, the kept warm start of a stalled iteration again, h and g
+# again for the gradient at picked points, or each halving of ex4 in a call
+# of its own, would raise them (ex4 phi: 1,061).
 @pytest.mark.parametrize("name,expected", [
     ("ex4", (95, {"phi": 865, "grad_phi": 773, "g": 865, "jac_g": 773})),
     ("infeasible1", (4, {"phi": 31, "grad_phi": 16, "g": 31, "jac_g": 16})),
@@ -389,9 +389,10 @@ def record_update_passes(monkeypatch):
     """Wrap the outer loop's calls, one entry per outer iteration: the lists
     of the iterates each iteration ends at (the subproblem's solution, or the
     warm start of an iteration that does not call it), whether each differs
-    from its warm start, each iteration's multipliers and rho, and what its
-    residuals were computed from (bundle, gradient rows and v); and the list
-    of the arguments of each evaluate_all call, x0's first."""
+    from its warm start bit for bit (the loop evaluates a solution either
+    way), each iteration's multipliers and rho, and what its residuals were
+    computed from (bundle, gradient rows and v); and the list of the
+    arguments of each evaluate_all call, x0's first."""
     solve_subproblem, at_start = alm_mod.solve_subproblem, alm_mod._at_start
     residuals = alm_mod._residuals
     returned, moved, inputs, kept, evaluations = [], [], [], [], []
@@ -457,21 +458,22 @@ def test_update_pass_uses_the_evaluation_of_the_returned_iterate(name, moves,
     assert_same_bits(report.x.values, returned[-1], "returned x")
     assert_same_bits(report.u.values, updates[-1][0], "returned u")
     assert_same_bits(report.v.values, updates[-1][1], "returned v")
-    # x0, then each iterate the subproblem changed; an unchanged one, and the
-    # warm start of an iteration that does not call the subproblem, reuse the
-    # bundle of their warm start.
+    # x0, then each iterate a subproblem returned, changed or not (every one
+    # on these runs changed); the warm start of an iteration that does not
+    # call the subproblem reuses the bundle it holds.
     assert sum(moved) == moves
     assert len(evaluations) == 1 + moves
 
 
 # Calls of the multiplier update and of the Lagrangian gradient in the ex4 and
 # infeasible1 runs of tests/conftest.py.  The outer loop computes both at each
-# warm start, hands the gradient to the subproblem, and computes them again
-# only at an iterate that the subproblem changed (95 and 4 of them); each
-# other call is a descent trial block that picks a point (677 and 11).
-# Computing them again at an unchanged iterate, or in the subproblem at its
-# start, would raise them (infeasible1: 2,011 each), and so would a gradient
-# per halving that accepts a point (ex4: 917).
+# warm start, hands the gradient to the subproblem in its start record, and
+# computes them again at each iterate a subproblem returns (95 and 4 of
+# them); each other call is a descent trial block that picks a point (677
+# and 11).  Computing them again at the kept warm start of a stalled
+# iteration would raise them (infeasible1: 2,011 each), and so would
+# computing them in the subproblem at its start, or a gradient per halving
+# that accepts a point (ex4: 917).
 @pytest.mark.parametrize("name,expected", [("ex4", 867), ("infeasible1", 1015)])
 def test_update_and_gradient_are_computed_once_per_iterate(name, expected, monkeypatch):
     calls = collections.Counter()
@@ -518,7 +520,8 @@ def test_a_stalled_iteration_does_no_subproblem_work(name, seed, skipped, monkey
     keeps its warm start, which a solve of its batch returns Converged after 0
     iterations at every row, with the logged worst status and gradient norm.
     Each iteration's warm start, multipliers, rho and gradient pass the
-    subproblem's input checks, so skipping the checks hides no error."""
+    subproblem's input checks with its start record, so skipping the checks
+    hides no error."""
     base = c.builtin(name)
     problem, calls = counting(base)
     x0, u0, v0 = RUN_STARTS[name]
@@ -530,19 +533,20 @@ def test_a_stalled_iteration_does_no_subproblem_work(name, seed, skipped, monkey
     at_start, solve_subproblem = alm_mod._at_start, alm_mod.solve_subproblem
     residuals, solve_rows = alm_mod._residuals, inner_mod._solve_rows
     # Per outer iteration: the loop's subproblem inputs, its evaluator calls
-    # from the start's gradient norms to the residuals, and the rows of the
+    # from the start record to the residuals, and the rows of the
     # subproblem's solve when it calls one.
     iterations, current = [], [x0_traj.values]
 
     def started(bundle, gradient, us, vs, rho):
-        iterations.append({"inputs": (current[0], us, vs, rho, bundle, gradient),
+        start = at_start(bundle, gradient, us, vs, rho)
+        iterations.append({"inputs": (current[0], us, vs, rho, start),
                            "calls": sum(calls.values()), "rows": None})
-        return at_start(bundle, gradient, us, vs, rho)
+        return start
 
-    def subproblem(problem, ts, xs, us, vs, rho, cfg, start, gradient):
-        assert all(a is b for a, b in zip((xs, us, vs, rho, start, gradient),
+    def subproblem(problem, ts, xs, us, vs, rho, cfg, start):
+        assert all(a is b for a, b in zip((xs, us, vs, rho, start),
                                           iterations[-1]["inputs"]))
-        out = solve_subproblem(problem, ts, xs, us, vs, rho, cfg, start, gradient)
+        out = solve_subproblem(problem, ts, xs, us, vs, rho, cfg, start)
         current[0] = out[0]
         return out
 
@@ -568,13 +572,13 @@ def test_a_stalled_iteration_does_no_subproblem_work(name, seed, skipped, monkey
     assert_same_bits(report.x.values, current[0], "returned x")
     stalled = 0
     for it, record in zip(iterations, report.iterations):
-        xs, us, vs, rho, bundle, gradient = it["inputs"]
-        inner_mod._check_rows(base, grid.nodes, xs, us, vs, rho, gradient)
+        xs, us, vs, rho, start = it["inputs"]
+        inner_mod._check_rows(base, grid.nodes, xs, us, vs, rho, start)
         if it["rows"] is None:
             stalled += 1
             assert it["calls"] == 0, record.k
             x, grad, iters, status = solve_rows(base, grid.nodes, xs, us, vs, rho,
-                                                cfg.inner, bundle, gradient)
+                                                cfg.inner, start)
             assert_same_bits(x, xs, record.k)
         else:
             x, grad, iters, status = it["rows"]
@@ -584,6 +588,49 @@ def test_a_stalled_iteration_does_no_subproblem_work(name, seed, skipped, monkey
             assert record.inner_worst_status is InnerStatus.CONVERGED
             assert record.inner_max_grad.hex() == max(0.0, float(grad.max())).hex()
     assert stalled == skipped
+
+
+# Outer iterations of the ex4 and infeasible1 runs of tests/conftest.py.
+@pytest.mark.parametrize("name,outer", [("ex4", 95), ("infeasible1", 1000)])
+def test_the_start_is_built_once_per_outer_iteration(name, outer, monkeypatch):
+    """The outer loop builds each iteration's start record once and hands it
+    to the subproblem, whose descent starts from it: `_at_start` runs once
+    per outer iteration, also in the iterations that call the subproblem."""
+    at_start, built = inner_mod._at_start, []
+
+    def counted(*args):
+        built.append(args)
+        return at_start(*args)
+
+    for module in (inner_mod, alm_mod):
+        monkeypatch.setattr(module, "_at_start", counted)
+    report, _, _ = run_builtin(name, *RUN_STARTS[name])
+    assert len(report.iterations) == outer
+    assert len(built) == outer
+
+
+def test_every_iterate_a_subproblem_returns_is_evaluated(monkeypatch):
+    """ex3 on 9 nodes from x0 = (1, 1, 0), u0 = 0.5 diverges in every
+    subproblem and stops after 53 outer iterations on InnerFailure.  In 47 of
+    them the subproblem returns its warm start bit for bit; the loop
+    evaluates that iterate as it evaluates the others, and each record's
+    residuals are those of the iterate's own evaluation."""
+    returned, moved, inputs, kept, evaluations = record_update_passes(monkeypatch)
+    report, problem, _ = run_builtin("ex3", [1.0, 1.0, 0.0], [0.5], nodes=9)
+    assert report.status is SolveStatus.INNER_FAILURE
+    assert len(report.iterations) == len(returned) == 53
+    assert len(moved) - sum(moved) == 47
+    assert len(evaluations) == 1 + 53
+    for xs, (_, xs_evaluated, _), (bundle, gradient, v), (us, vs, rho) in zip(
+            returned, evaluations[1:], kept, inputs):
+        assert xs_evaluated is xs
+        fresh = evaluate_all(problem, xs, report.grid.nodes)
+        for f in dataclasses.fields(EvalBundle):
+            assert_same_bits(getattr(bundle, f.name), getattr(fresh, f.name), f.name)
+        u_fresh, v_fresh = multiplier_update(fresh, us, vs, rho)
+        assert_same_bits(v, v_fresh, "v")
+        assert_same_bits(gradient, lagrangian._weighted_gradient(fresh, u_fresh, v_fresh),
+                         "gradient")
 
 
 @pytest.mark.parametrize("run", ["ex1_run", "ex2_run", "ex3_run", "ex4_run",
@@ -603,9 +650,9 @@ def test_final_residuals_equal_those_of_check(run, request):
 def test_update_pass_evaluates_an_iterate_that_differs_only_in_a_zero_sign(
         monkeypatch):
     """-0.0 == 0.0, yet phi = copysign(1, x) + x tells them apart: the outer
-    loop must compare iterates bit for bit before it reuses an evaluation.
-    The gradient is 1 everywhere, so no start is stationary and the loop calls
-    the subproblem."""
+    loop evaluates the iterate the subproblem returns, not one it compares
+    equal to.  The gradient is 1 everywhere, so no start is stationary and
+    the loop calls the subproblem."""
     prob = c.pointwise(c.ProblemDefinition(
         name="signed", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: np.copysign(1.0, x[0]) + x[0],

@@ -180,15 +180,16 @@ def test_entries_reject_rows_of_the_wrong_width():
              r"xs must have shape \(4, 3\), got \(4, 4\)")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             c.solve_subproblem(prob, ts, x, u, v, 1.0, cfg)
-    # A start gradient, when given, has one row of width n per time.
+    # A start record, when given, has gradient rows of width n, one per time.
     xs, us, vs = np.ones((4, 2)), np.zeros((4, 0)), np.ones((4, 2))
-    start = evaluate_all(ex1, xs, ts)
+    start = start_of(ex1, ts, xs, us, vs, 1.0)
     for gradient, message in [(np.zeros((4, 3)), r"\(4, 3\)"),
                               (np.zeros((3, 2)), r"\(3, 2\)"),
                               (np.zeros(4), r"\(4,\)")]:
         with pytest.raises(ValueError,
-                           match=rf"^gradient must have shape \(4, 2\), got {message}$"):
-            c.solve_subproblem(ex1, ts, xs, us, vs, 1.0, cfg, start, gradient)
+                           match=rf"^start.gr must have shape \(4, 2\), got {message}$"):
+            c.solve_subproblem(ex1, ts, xs, us, vs, 1.0, cfg,
+                               inner_mod._Rows(**{**vars(start), "gr": gradient}))
     for prob, x, mult, message in [
             (ex1, np.ones(2), MultiplierSet(v=[1.0]),
              r"safeguarded.v must have shape \(2,\), got \(1,\)"),
@@ -323,19 +324,26 @@ CONFTEST_STARTS = {
 
 
 def start_of(prob, ts, xs, us, vs, rho):
-    """The start's evaluation and its augmented gradient rows, as the outer
-    loop hands them to the subproblem."""
-    start = evaluate_all(prob, xs, ts)
+    """Descent's start record at xs, built as the outer loop builds it: from
+    the evaluation there and the Lagrangian gradient at the multiplier
+    update."""
+    ev = evaluate_all(prob, xs, ts)
     with np.errstate(over="ignore", invalid="ignore"):
-        return start, _weighted_gradient(start, *multiplier_update(start, us, vs, rho))
+        gradient = _weighted_gradient(ev, *multiplier_update(ev, us, vs, rho))
+        return inner_mod._at_start(ev, gradient, us, vs, rho)
+
+
+def snapshot(start):
+    """The shape and bytes of each array of a start record."""
+    return {k: (a.shape, a.tobytes()) for k, a in vars(start).items()}
 
 
 def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg, handed=False):
     """Every row of the lockstep solve of built-in `name` (or of a problem
     with scalar evaluators) equals the reference solve of its node alone, and
     solve_subproblem reduces those rows as the node loop did.  With `handed`,
-    so does the solve given the start's evaluation and gradient, as the outer
-    loop gives them."""
+    so does the solve given the start record, as the outer loop gives it,
+    and neither solve modifies the record."""
     if isinstance(name, str):
         prob, scalar = c.builtin(name), reference.scalar_builtin(name)
     else:
@@ -343,7 +351,8 @@ def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg, handed=False):
     solo = [reference.solve_node(scalar, t, xs[i], MultiplierSet(us[i], vs[i]), rho, cfg)
             for i, t in enumerate(grid.nodes)]
     handed = (start_of(prob, grid.nodes, xs, us, vs, rho),) if handed else ()
-    for given in ((),) + handed:
+    before = [snapshot(start) for start in handed]
+    for given in ((),) + tuple((start,) for start in handed):
         x, grad, iters, status = _solve_rows(prob, grid.nodes, xs, us, vs, rho, cfg,
                                              *given)
         for i, r in enumerate(solo):
@@ -356,6 +365,7 @@ def assert_rows_match_reference(name, grid, xs, us, vs, rho, cfg, handed=False):
         assert xs_out.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
         assert worst is max((r.status for r in solo), key=_BY_SEVERITY.index)
         assert max_grad == max([0.0] + [r.grad_inf_norm for r in solo])
+    assert [snapshot(start) for start in handed] == before
     return solo
 
 
@@ -433,7 +443,7 @@ def test_lockstep_ex3_batch_mixes_every_outcome():
 def test_lockstep_rows_that_start_stationary_equal_the_node_solver():
     """infeasible1 at x = 0 is stationary for any v >= 0: a batch of such rows
     matches the reference without a descent step, and solve_subproblem given
-    the start's evaluation returns the states Converged; one row started at
+    the start record returns the states Converged; one row started at
     x = 0.5 descends, in the batch as in the reference."""
     grid = c.make_uniform_grid(1.0, 9)
     prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
@@ -444,7 +454,7 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver():
                                            handed=True)
         assert all(r.iterations == 0 and r.status is InnerStatus.CONVERGED
                    and r.grad_inf_norm == 0.0 for r in solo)
-        start = evaluate_all(prob, xs, grid.nodes)
+        start = start_of(prob, grid.nodes, xs, us, vs, rho)
         x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg,
                                                 start)
         assert x.tobytes() == xs.tobytes()
@@ -456,7 +466,7 @@ def test_lockstep_rows_that_start_stationary_equal_the_node_solver():
     assert [r.iterations > 0 for r in solo] == [i == 4 for i in range(9)]
     assert solo[4].status is InnerStatus.CONVERGED
     x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, mixed, us, vs, 1.0, cfg,
-                                            evaluate_all(prob, mixed, grid.nodes))
+                                            start_of(prob, grid.nodes, mixed, us, vs, 1.0))
     assert x.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
     assert (worst, max_grad) == (InnerStatus.CONVERGED, solo[4].grad_inf_norm)
 
@@ -469,28 +479,40 @@ def stationary_batch():
 
 
 def test_batch_that_starts_stationary_takes_the_whole_batch_exit():
-    """Given the start's evaluation, with or without its gradient, a batch
-    whose rows all start within grad_tol stops as a whole at descent's first
-    stop test: it returns a copy of its states, each row Converged after 0
-    iterations, without an evaluator call.  The outer loop does not call the
-    subproblem on such a batch (tests/test_alm.py)."""
+    """Given the start record, a batch whose rows all start within grad_tol
+    stops as a whole at descent's first stop test: it returns a copy of its
+    states, each row Converged after 0 iterations, without an evaluator call.
+    The outer loop does not call the subproblem on such a batch
+    (tests/test_alm.py)."""
     prob = c.builtin("infeasible1")
     counted, calls = counting(prob)
     xs, us, vs, grid = stationary_batch()
     cfg = c.AlmConfig().inner
     for rho in (1.0, 30.0):
-        start, gradient = start_of(prob, grid.nodes, xs, us, vs, rho)
-        for given in ((start,), (start, gradient)):
-            x, grad, iters, status = _solve_rows(counted, grid.nodes, xs, us, vs, rho,
-                                                 cfg, *given)
-            assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
-            assert grad.tolist() == [0.0] * 9 and iters.tolist() == [0] * 9
-            assert [_BY_SEVERITY[s] for s in status] == [InnerStatus.CONVERGED] * 9
-            x, worst, max_grad = c.solve_subproblem(counted, grid.nodes, xs, us, vs,
-                                                    rho, cfg, *given)
-            assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
-            assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
+        start = start_of(prob, grid.nodes, xs, us, vs, rho)
+        x, grad, iters, status = _solve_rows(counted, grid.nodes, xs, us, vs, rho, cfg,
+                                             start)
+        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+        assert grad.tolist() == [0.0] * 9 and iters.tolist() == [0] * 9
+        assert [_BY_SEVERITY[s] for s in status] == [InnerStatus.CONVERGED] * 9
+        x, worst, max_grad = c.solve_subproblem(counted, grid.nodes, xs, us, vs, rho,
+                                                cfg, start)
+        assert x.tobytes() == xs.tobytes() and not np.shares_memory(x, xs)
+        assert (worst, max_grad) == (InnerStatus.CONVERGED, 0.0)
     assert calls == {}
+
+
+def test_grad_norms_have_the_bits_of_the_finite_masked_max():
+    """Each row's largest |entry|, inf where an entry is NaN or infinite: the
+    bits of np.where(np.isfinite(gr).all(axis=1), np.abs(gr).max(axis=1),
+    np.inf), on rows holding NaN, +-inf and -0.0."""
+    gr = np.array([[-0.0, 0.0], [-0.0, -0.0], [np.nan, 1.0], [-np.inf, 2.0],
+                   [np.inf, np.nan], [-np.inf, -0.0], [np.nan, np.nan], [3.0, -4.0],
+                   [-0.0, -5e-324], [-1e300, 1e-300]])
+    masked = np.where(np.isfinite(gr).all(axis=1), np.abs(gr).max(axis=1), np.inf)
+    norms = inner_mod._grad_norms(gr)
+    assert norms.tobytes() == masked.tobytes()
+    assert norms.tolist() == [0.0, 0.0] + [np.inf] * 5 + [4.0, 5e-324, 1e300]
 
 
 def test_best_point_tie_goes_to_the_later_point():
@@ -533,8 +555,8 @@ def test_descent_tie_sends_the_later_point_to_the_polish():
     (2e6, 1.0, (1, InnerStatus.DIVERGED)),
 ])
 def test_one_row_not_stationary_keeps_the_batch_off_the_exit(x4, rho, outcome):
-    """The stationary batch with row 4 moved, given the start's evaluation or
-    not, equals the node solver at every row."""
+    """The stationary batch with row 4 moved, given the start record or not,
+    equals the node solver at every row."""
     prob, cfg = c.builtin("infeasible1"), c.AlmConfig().inner
     xs, us, vs, grid = stationary_batch()
     xs[4] = x4
@@ -543,7 +565,7 @@ def test_one_row_not_stationary_keeps_the_batch_off_the_exit(x4, rho, outcome):
     assert [(r.iterations, r.status) for r in solo] == (
         [(0, InnerStatus.CONVERGED)] * 4 + [outcome] + [(0, InnerStatus.CONVERGED)] * 4)
     x, worst, max_grad = c.solve_subproblem(prob, grid.nodes, xs, us, vs, rho, cfg,
-                                            evaluate_all(prob, xs, grid.nodes))
+                                            start_of(prob, grid.nodes, xs, us, vs, rho))
     assert x.tobytes() == np.vstack([r.x_star for r in solo]).tobytes()
     assert (worst, max_grad) == (outcome[1], solo[4].grad_inf_norm)
 

@@ -7,7 +7,7 @@ Usage, from the root of a source checkout:
 
 imports `ctpalm` from CHECKOUT/src (default: the checkout holding this
 script) and solves, each through `ctpalm solve` with the default config but
-the last:
+the `--config` run:
 
   - the five runs of `tests/conftest.py` (`RUN_STARTS`, 85 nodes);
   - ex3 from its conftest start at 17 nodes;
@@ -19,10 +19,13 @@ the last:
     trajectory CSV;
   - ex1 from the conftest start at 85 nodes with every option taken from a
     `--config` file, at the non-default values of `tests/test_cli.py`;
+  - ex3 from x0 = (1, 1, 0), u0 = 0.5 at 9 nodes, which exits 3
+    (InnerFailure) after 53 outer iterations; in 47 of them the subproblem
+    returns its warm start unchanged;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line;
-  - three `solve_subproblem` batches of infeasible1 on 9 nodes, each given
-    its start's evaluation, on one line: every row at x = 0 (all stationary,
+  - three `solve_subproblem` batches of infeasible1 on 9 nodes, each
+    building its own start, on one line: every row at x = 0 (all stationary,
     stopped at descent's first stop test; the outer loop keeps such a batch
     without calling the subproblem), then row 4 moved to 1e5 under
     rho = 1e300 (a non-finite start) and to 2e6 (outside the iterate box):
@@ -122,6 +125,7 @@ RUNS = (
     (f"ex4@seed{SEED}", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85, 0.1),
     (f"infeasible1@seed{SEED}", "infeasible1", [5.0], None, None, 85, 0.5),
     ("ex1@config", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85, 0.0, CONFIG_OPTIONS),
+    ("ex3@9-inner-failure", "ex3", [1.0, 1.0, 0.0], [0.5], None, 9, 0.0),
 )
 
 
@@ -233,9 +237,8 @@ def exit_digest() -> str:
     for x4, rho in EXIT_BATCHES:
         xs = np.zeros((9, 1))
         xs[4] = x4
-        x, worst, max_grad = c.solve_subproblem(
-            problem, grid.nodes, xs, us, vs, rho, c.AlmConfig().inner,
-            c.evaluate_all(problem, xs, grid.nodes))
+        x, worst, max_grad = c.solve_subproblem(problem, grid.nodes, xs, us, vs, rho,
+                                                c.AlmConfig().inner)
         h.update(x.tobytes())
         h.update(repr((worst.value, max_grad)).encode())
     return h.hexdigest()
