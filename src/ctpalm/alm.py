@@ -28,10 +28,10 @@ import numpy as np
 
 from . import diagnostics
 from .grid import TimeGrid, Trajectory, _trapezoid_sum
-from .inner import InnerConfig, InnerStatus, _at_start, _count, solve_subproblem
+from .inner import InnerConfig, InnerStatus, _at_start, solve_subproblem
 from .lagrangian import (Residuals, _residuals, _sup, _weighted_gradient, akkt_holds,
                          multiplier_update, violations)
-from .problems import EvaluationError, ProblemDefinition, evaluate_all
+from .problems import EvaluationError, ProblemDefinition, _count, evaluate_all
 
 ITERATION_CSV_HEADER = ("k,rho,stationarity_l1,complementarity_sup,"
                         "infeas_measure,objective,inner_status,inner_max_grad")

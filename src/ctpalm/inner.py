@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +46,7 @@ import numpy as np
 
 from .lagrangian import (MultiplierSet, _aug_gradient, _check_multipliers, _penalty_value,
                          _sup)
-from .problems import EVALUATORS, ProblemDefinition, _evaluate_fields, _row_dots
+from .problems import EVALUATORS, ProblemDefinition, _count, _evaluate_fields, _row_dots
 
 # Relative step for the directional curvature difference used by the polish.
 _POLISH_FD_STEP = 1e-7
@@ -86,15 +85,6 @@ class InnerStatus(enum.Enum):
 # Statuses by severity; the solver carries each row's status as an index here.
 _BY_SEVERITY = (InnerStatus.CONVERGED, InnerStatus.MAX_ITERS, InnerStatus.DIVERGED)
 _CONVERGED, _MAX_ITERS, _DIVERGED = range(3)
-
-
-def _count(value):
-    """`value` as an integer, numpy integers included; NaN, which fails every
-    range test, for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return math.nan
 
 
 @dataclass(frozen=True)

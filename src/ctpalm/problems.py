@@ -10,7 +10,9 @@ not through a text format, and `pointwise` adapts callables of one (x, t).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,11 +37,20 @@ class MissingReferenceError(ValueError):
     """Problem has no closed-form reference solution attached."""
 
 
+def _count(value):
+    """`value` as an integer, numpy integers included; NaN, which fails every
+    range test, for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class Convexity:
     """Structure flags used by the global-optimality certificate.
 
-    Trusted metadata: nothing verifies these numerically.
+    Trusted metadata: `ProblemDefinition` checks their counts, not values.
     """
 
     phi_convex: bool
@@ -64,7 +75,11 @@ class ProblemDefinition:
     several rows of one node, the same t at different x (the halvings of a
     backtracking step).  Evaluators must not write into x or t: the solver
     passes its own arrays, the grid's nodes and the iterates it goes on with.
-    Wrap callables of one state x (n,) at one time with `pointwise`.
+    Wrap callables of one state x (n,) at one time with `pointwise`.  Absent
+    constraints (p or m = 0) take no evaluators; one given is never called.
+    Construction raises ValueError unless n >= 1, p >= 0 and m >= 0 are
+    integers, m and p convexity flags are given, and each evaluator the
+    solver calls is callable.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise
@@ -81,26 +96,34 @@ class ProblemDefinition:
     horizon: float
     eval_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eval_grad_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_jac_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_jac_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    _: KW_ONLY
+    eval_h: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eval_jac_h: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eval_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eval_jac_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     convexity: Convexity
     reference: Optional[Callable[[float], np.ndarray]] = None
     reference_discontinuities: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 0 or self.m < 0:
+        n, p, m = (_count(d) for d in (self.n, self.p, self.m))
+        if not (n >= 1 and p >= 0 and m >= 0):
             raise ValueError("dimensions must satisfy n >= 1, p >= 0, m >= 0")
-        n, p, m = self.n, self.p, self.m
+        flags = len(self.convexity.g_convex), len(self.convexity.h_affine)
+        if flags != (m, p):
+            raise ValueError(f"convexity has {flags[0]} g_convex and {flags[1]} h_affine "
+                             f"flags, expected m = {m} and p = {p}")
         shapes = {"phi": (), "grad_phi": (n,), "h": (p,), "jac_h": (p, n),
                   "g": (m,), "jac_g": (m, n)}
         # Built once (`dataclasses.replace` builds it anew): every evaluator
         # call takes the callable here and checks its output against the
         # shape; the evaluators of absent constraints are never called.
-        object.__setattr__(self, "_evaluators", {
-            name: (getattr(self, "eval_" + name), shape, 0 in shape)
-            for name, shape in shapes.items()})
+        table = {name: (getattr(self, "eval_" + name), shape, 0 in shape)
+                 for name, shape in shapes.items()}
+        for name, (fn, _, absent) in table.items():
+            if not (absent or callable(fn)):
+                raise ValueError(f"eval_{name} must be callable")
+        object.__setattr__(self, "_evaluators", table)
 
     def row_shape(self, name: str) -> tuple:
         """Shape of one node's value of evaluator `name` ("phi", "jac_g", ...)."""
@@ -199,6 +222,7 @@ def pointwise(problem: ProblemDefinition) -> ProblemDefinition:
     Each of `problem`'s evaluators takes one state x (n,) and one time t; the
     wrapper calls it once per row, in ascending row order, and raises
     ValueError when a row's value does not have exactly the per-node shape.
+    Those of absent constraints stay as given.
     """
     def stacked(name):
         fn = getattr(problem, "eval_" + name)
@@ -215,8 +239,9 @@ def pointwise(problem: ProblemDefinition) -> ProblemDefinition:
             return out
         return evaluator
 
-    return dataclasses.replace(
-        problem, **{"eval_" + name: stacked(name) for name in EVALUATORS})
+    return dataclasses.replace(problem, **{
+        "eval_" + name: stacked(name) for name, (_, _, absent)
+        in problem._evaluators.items() if not absent})
 
 
 def reference_solution(problem: ProblemDefinition, t: float) -> np.ndarray:
@@ -257,22 +282,12 @@ def _matrix(like, *rows):
     return out
 
 
-def _no_rows(x, t):
-    return np.zeros(np.shape(x)[:-1] + (0,))
-
-
-def _no_jacobian(x, t):
-    return np.zeros(np.shape(x)[:-1] + (0, np.shape(x)[-1]))
-
-
 def _ex1() -> ProblemDefinition:
     # minimize  int x1^2 + x2  s.t.  -x2 <= 0,  -x1^2 - x2 <= 0   on [0, 1]
     return ProblemDefinition(
         name="ex1", n=2, p=0, m=2, horizon=1.0,
         eval_phi=lambda x, t: _pow(x[..., 0], 2) + x[..., 1],
         eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0], 1.0),
-        eval_h=_no_rows,
-        eval_jac_h=_no_jacobian,
         eval_g=lambda x, t: _vector(x[..., 0], -x[..., 1],
                                     -_pow(x[..., 0], 2) - x[..., 1]),
         eval_jac_g=lambda x, t: _matrix(x[..., 0], (0.0, -1.0),
@@ -299,8 +314,6 @@ def _ex2() -> ProblemDefinition:
         name="ex2", n=2, p=0, m=3, horizon=1.0,
         eval_phi=lambda x, t: x[..., 0].copy(),
         eval_grad_phi=lambda x, t: _vector(x[..., 0], 1.0, 0.0),
-        eval_h=_no_rows,
-        eval_jac_h=_no_jacobian,
         eval_g=g,
         eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=True, g_convex=(True, True, False), h_affine=()),
@@ -369,8 +382,6 @@ def _ex4() -> ProblemDefinition:
         name="ex4", n=2, p=0, m=5, horizon=2.0,
         eval_phi=lambda x, t: _row_dots(_ex4_c(t), x),
         eval_grad_phi=lambda x, t: _ex4_c(t),
-        eval_h=_no_rows,
-        eval_jac_h=_no_jacobian,
         eval_g=lambda x, t: _matvec(_ex4_A(t), x) - _ex4_b(t),
         eval_jac_g=lambda x, t: _ex4_A(t),
         convexity=Convexity(phi_convex=True, g_convex=(True,) * 5, h_affine=()),
@@ -386,8 +397,6 @@ def _akkt_example() -> ProblemDefinition:
         name="akkt_example", n=2, p=0, m=2, horizon=1.0,
         eval_phi=lambda x, t: (t - 0.5) * x[..., 0],
         eval_grad_phi=lambda x, t: _vector(x[..., 0], t - 0.5, 0.0),
-        eval_h=_no_rows,
-        eval_jac_h=_no_jacobian,
         eval_g=lambda x, t: _vector(
             x[..., 0], -(t - 0.5) * _pow(x[..., 0], 3) + x[..., 1], -x[..., 1]),
         eval_jac_g=lambda x, t: _matrix(
@@ -405,8 +414,6 @@ def _infeasible1() -> ProblemDefinition:
         name="infeasible1", n=1, p=0, m=1, horizon=1.0,
         eval_phi=lambda x, t: _pow(x[..., 0], 2),
         eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0]),
-        eval_h=_no_rows,
-        eval_jac_h=_no_jacobian,
         eval_g=lambda x, t: _vector(x[..., 0], _pow(x[..., 0], 2) + 1.0),
         eval_jac_g=lambda x, t: _matrix(x[..., 0], (2.0 * x[..., 0],)),
         convexity=Convexity(phi_convex=True, g_convex=(True,), h_affine=()),

@@ -23,10 +23,6 @@ def unconstrained_quadratic():
         name="quad", n=1, p=0, m=0, horizon=1.0,
         eval_phi=lambda x, t: x[0] ** 2,
         eval_grad_phi=lambda x, t: np.array([2.0 * x[0]]),
-        eval_h=lambda x, t: np.zeros(0),
-        eval_jac_h=lambda x, t: np.zeros((0, 1)),
-        eval_g=lambda x, t: np.zeros(0),
-        eval_jac_g=lambda x, t: np.zeros((0, 1)),
         convexity=c.Convexity(True, (), ())))
 
 

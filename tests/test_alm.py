@@ -299,6 +299,34 @@ def test_deterministic_records():
     assert rows_a == rows_b
 
 
+def test_placeholders_for_absent_constraints_change_no_byte(ex1_run, ex4_run):
+    """ex1 and ex4 (p = 0), given the empty-row evaluators of h the built-ins
+    once carried, solve to the same bytes as built, and the placeholders
+    are never called."""
+    calls = []
+
+    def no_rows(x, t):
+        calls.append("h")
+        return np.zeros(np.shape(x)[:-1] + (0,))
+
+    def no_jacobian(x, t):
+        calls.append("jac_h")
+        return np.zeros(np.shape(x)[:-1] + (0, np.shape(x)[-1]))
+
+    for name, (built, _, _) in (("ex1", ex1_run), ("ex4", ex4_run)):
+        problem = dataclasses.replace(c.builtin(name), eval_h=no_rows,
+                                      eval_jac_h=no_jacobian)
+        report, _, _ = run_builtin(problem, *RUN_STARTS[name])
+        assert report.status == built.status
+        assert len(report.iterations) == len(built.iterations)
+        assert ([r.csv_row() for r in report.iterations]
+                == [r.csv_row() for r in built.iterations])
+        for traj in ("x", "u", "v"):
+            assert (getattr(report, traj).values.tobytes()
+                    == getattr(built, traj).values.tobytes()), (name, traj)
+    assert calls == []
+
+
 def test_inner_failure_after_persistent_divergence():
     prob = c.pointwise(c.ProblemDefinition(
         name="runaway", n=1, p=0, m=0, horizon=1.0,

@@ -539,7 +539,7 @@ def test_descent_tie_sends_the_later_point_to_the_polish():
         eval_jac_h=lambda x, t: np.zeros((0, 1)),
         eval_g=lambda x, t: np.array([-1.0]),
         eval_jac_g=lambda x, t: np.zeros((1, 1)),
-        convexity=c.Convexity(False, (), (True,)))
+        convexity=c.Convexity(False, (True,), ()))
     assert [abs(scalar.eval_grad_phi([x], 0.0)[0]) for x in (0.0, 1.0)] == [1.0, 1.0]
     grid = c.make_uniform_grid(1.0, 2)
     solo = assert_rows_match_reference(scalar, grid, np.zeros((2, 1)), np.zeros((2, 0)),

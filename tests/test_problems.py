@@ -144,10 +144,11 @@ def stacked_matrix(like, *rows):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_matrix_builder_gives_the_stacked_builders_bytes(name, monkeypatch):
-    """Every evaluator of the built-in gives the same shapes and bytes with
+    """Every evaluator the built-in has gives the same shapes and bytes with
     the one-block `_matrix` as with the stacked one, on stacks of 1 to 300
     seeded states and on one state at a time (ex4's kink t = 1 included)."""
     prob = builtin(name)
+    present = [k for k in EVALUATORS if 0 not in prob.row_shape(k)]
     rng = np.random.default_rng(29)
     calls = []
     for rows in (1, 2, 3, 17, 85, 300):
@@ -159,7 +160,7 @@ def test_matrix_builder_gives_the_stacked_builders_bytes(name, monkeypatch):
 
     def outputs():
         return [np.asarray(getattr(prob, "eval_" + k)(x, t))
-                for x, t in calls for k in EVALUATORS]
+                for x, t in calls for k in present]
 
     block = outputs()
     monkeypatch.setattr(problems, "_matrix", stacked_matrix)
@@ -191,11 +192,67 @@ def test_evaluate_all_rejects_states_of_the_wrong_shape():
             evaluate_all(prob, xs, [0.0, 0.5, 1.0])
 
 
-@pytest.mark.parametrize("dims", [dict(n=0), dict(p=-1), dict(m=-1)])
+@pytest.mark.parametrize("dims", [
+    dict(n=0), dict(p=-1), dict(m=-1),
+    # Not integers: a float n or m once passed here and raised numpy's
+    # TypeError in the solve.
+    dict(n=2.0), dict(p=0.0), dict(m=2.0), dict(n="2"), dict(m=None)])
 def test_problem_definition_rejects_bad_dimensions(dims):
     with pytest.raises(ValueError,
                        match="^dimensions must satisfy n >= 1, p >= 0, m >= 0$"):
         dataclasses.replace(builtin("ex1"), **dims)
+
+
+def test_problem_definition_takes_numpy_integer_dimensions():
+    prob = dataclasses.replace(builtin("ex1"), n=np.int64(2), m=np.int32(2))
+    assert prob.row_shape("jac_g") == (2, 2)
+
+
+@pytest.mark.parametrize("name,flags", [
+    # One g flag short: all_hold was vacuously true for the missing one, and
+    # ex1 from x0 = (1, 1), v0 = (1, 1) got GlobalOptimalByConvexity.
+    ("ex1", Convexity(True, (True,), ())),
+    ("ex3", Convexity(False, (False, True), ())),
+    ("ex3", Convexity(False, (False, True), (False, False))),
+    # The flags of a one-inequality problem given as an equality's.
+    ("infeasible1", Convexity(True, (), (True,))),
+])
+def test_problem_definition_rejects_convexity_flags_of_the_wrong_count(name, flags):
+    prob = builtin(name)
+    message = (f"convexity has {len(flags.g_convex)} g_convex and "
+               f"{len(flags.h_affine)} h_affine flags, expected m = {prob.m} and p = {prob.p}")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(prob, convexity=flags)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("value", [None, 1.0])
+def test_problem_definition_rejects_a_present_evaluator_that_is_not_callable(name, value):
+    # ex3 has p = 1 and m = 2: each of its six evaluators is called.
+    with pytest.raises(ValueError, match=f"^eval_{name} must be callable$"):
+        dataclasses.replace(builtin("ex3"), **{"eval_" + name: value})
+
+
+def test_problem_definition_checks_dimensions_then_flags_then_evaluators():
+    prob = builtin("ex3")
+    with pytest.raises(ValueError, match="^dimensions must satisfy"):
+        dataclasses.replace(prob, n=3.0, convexity=Convexity(False, (), ()), eval_g=None)
+    with pytest.raises(ValueError, match="^convexity has 0 g_convex"):
+        dataclasses.replace(prob, convexity=Convexity(False, (), ()), eval_g=None)
+
+
+def test_absent_constraints_take_no_evaluators():
+    """An absent constraint's evaluators default to None; one given anyway
+    is accepted and never called, and `pointwise` leaves it as given."""
+    prob = builtin("ex1")
+    assert (prob.eval_h, prob.eval_jac_h) == (None, None)
+    xs, ts = np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([0.0, 1.0])
+    given = dataclasses.replace(prob, eval_h="never called", eval_jac_h=0)
+    for problem in (given, pointwise(given)):
+        assert (problem.eval_h, problem.eval_jac_h) == ("never called", 0)
+        bundle = evaluate_all(problem, xs, ts)
+        assert bundle.h.shape == (2, 0) and bundle.jac_h.shape == (2, 0, 2)
+    assert (pointwise(prob).eval_h, pointwise(prob).eval_jac_h) == (None, None)
 
 
 # -- stacked products --------------------------------------------------------
