@@ -118,7 +118,7 @@ class _Rows:
 
     def keep(self, mask: np.ndarray) -> None:
         if not mask.all():
-            self.__dict__.update({k: a[mask] for k, a in vars(self).items()})
+            self.__dict__.update({k: a.compress(mask, axis=0) for k, a in vars(self).items()})
 
 
 def _select(rows: np.ndarray, count: int):
@@ -128,13 +128,19 @@ def _select(rows: np.ndarray, count: int):
     return slice(None) if len(rows) == count else rows
 
 
+def _take(a: np.ndarray, j) -> np.ndarray:
+    """a[j] for a selector j from `_select`: the view for the slice, else a
+    `take` along the row axis, which costs less than fancy indexing."""
+    return a[j] if isinstance(j, slice) else a.take(j, axis=0)
+
+
 def _update(dest, j, values, mask) -> None:
-    """dest[j][mask] = values[mask] for a selector j from `_select`; over the
-    whole batch, one masked copy."""
+    """dest[j][mask] = values[mask] for a selector j from `_select` and dest
+    of one or two axes; over the whole batch, one masked copy."""
     if isinstance(j, slice):
-        np.copyto(dest, values, where=mask.reshape(mask.shape + (1,) * (dest.ndim - 1)))
+        np.copyto(dest, values, where=mask if dest.ndim == 1 else mask[:, None])
     else:
-        dest[j[mask]] = values[mask]
+        dest[j.compress(mask)] = values.compress(mask, axis=0)
 
 
 def _gradient_at(problem, xs, ts, us, vs, rho):
@@ -159,11 +165,11 @@ def _grad_norms(gr: np.ndarray) -> np.ndarray:
 
 def _bb_step(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Barzilai-Borwein step s.s / s.y of each row; _STEP_INIT where s.y or
-    the step is not positive and finite."""
-    sy = _row_dots(s, y)
-    usable = (sy > 0.0) & np.isfinite(sy)
-    alpha = _row_dots(s, s) / np.where(usable, sy, 1.0)
-    return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha, _STEP_INIT)
+    the step is not positive and finite.  s.s is never negative, so an s.y
+    that is not positive and finite (0, negative, NaN or +inf) gives a
+    quotient that is not either: one test of the quotient covers both."""
+    alpha = _row_dots(s, s) / _row_dots(s, y)
+    return np.where((alpha > 0.0) & (alpha < np.inf), alpha, _STEP_INIT)
 
 
 def _armijo_pass(w, alpha, trial, fields, iters, it):
@@ -199,21 +205,21 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
     count = len(w.rows)
     new = None
     accepted = np.zeros(count, dtype=bool)
-    rows = np.flatnonzero(alpha >= _STEP_MIN)
+    rows = (alpha >= _STEP_MIN).nonzero()[0]
     block = 1
     while rows.size:
         if block == 1:
             j = _select(rows, count)
-            step = alpha[j]
+            step = _take(alpha, j)
         else:
             steps = alpha[rows, None] * _HALVINGS[:block]
             alpha[rows] = steps[:, -1]
             j, step = rows.repeat(block), steps.reshape(-1)
-        xt = w.x[j] + step[:, None] * d[j]
-        ok, complete = trial(j, xt, w.f[j] + _ARMIJO_C * step * gd[j])
+        xt = _take(w.x, j) + step[:, None] * _take(d, j)
+        ok, complete = trial(j, xt, _take(w.f, j) + _ARMIJO_C * step * _take(gd, j))
         if block > 1:
             ok &= step >= _STEP_MIN
-        k = np.flatnonzero(ok)
+        k = ok.nonzero()[0]
         if k.size:
             if isinstance(j, slice):
                 r = k
@@ -231,14 +237,15 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
             good, values = complete(kj, rj)
             if isinstance(rj, slice) and good.all():
                 # Every row accepts, and none has before.
-                new, accepted = (xt[kj],) + values, good
+                new, accepted = (_take(xt, kj),) + values, good
                 break
             if not good.all():
                 alpha[r[~good]] = step[k[~good]]
-                k, r, values = k[good], r[good], tuple(a[good] for a in values)
+                k, r = k.compress(good), r.compress(good)
+                values = tuple(a.compress(good, axis=0) for a in values)
             if new is None:
                 new = [np.empty_like(getattr(w, name)) for name in names]
-            for a, value in zip(new, (xt[k],) + values):
+            for a, value in zip(new, (xt.take(k, axis=0),) + values):
                 a[r] = value
             accepted[r] = True
             rows = rows[~accepted[rows]]
@@ -260,12 +267,11 @@ def _stop_test(w, it, iters, status, cfg):
     Records the iterations and status of the rows that stop and drops them
     from `w`."""
     converged = w.gn <= cfg.grad_tol
-    diverged = ~converged & _escaped(w.x)
-    stop = converged | diverged
+    stop = converged | _escaped(w.x)
     if stop.any():
         iters[w.rows[stop]] = it
+        status[w.rows[stop & ~converged]] = _DIVERGED
         status[w.rows[converged]] = _CONVERGED
-        status[w.rows[diverged]] = _DIVERGED
         w.keep(~stop)
 
 
@@ -273,7 +279,7 @@ def _keep_best(best_x, best_gn, j, x, gn) -> None:
     """Make states x with gradient norms gn the best points of rows j (a
     selector from `_select`) where gn is at most their best norm so far; a
     tie goes to the later point."""
-    kept = gn <= best_gn[j]
+    kept = gn <= _take(best_gn, j)
     _update(best_x, j, x, kept)
     _update(best_gn, j, gn, kept)
 
@@ -317,27 +323,29 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     w.keep(np.isfinite(start.gn))
 
     def trial(j, xt, bound):
-        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, w.t[j]))
-        pt = _penalty_value(ev, w.shift_u[j], w.shift_v[j], rho)
+        ev = _Rows(**_evaluate_fields(problem, _VALUE_FIELDS, xt, _take(w.t, j)))
+        pt = _penalty_value(ev, _take(w.shift_u, j), _take(w.shift_v, j), rho)
         ft = ev.phi + pt
 
         def complete(k, r):
             # The gradient is evaluated only at picked points, and takes h and
-            # g from the value's evaluation; a non-finite one refuses the pick.
-            grad = _evaluate_fields(problem, _GRADIENT_FIELDS, xt[k], w.t[r])
-            gt = _aug_gradient(_Rows(h=ev.h[k], g=ev.g[k], **grad), w.u[r], w.v[r], rho)
-            return np.isfinite(gt).all(axis=1), (ft[k], pt[k], gt)
+            # g from the value's evaluation.  A non-finite one refuses the
+            # pick: its norm is NaN or inf, since NaN propagates through max.
+            grad = _evaluate_fields(problem, _GRADIENT_FIELDS, _take(xt, k), _take(w.t, r))
+            gt = _aug_gradient(_Rows(h=_take(ev.h, k), g=_take(ev.g, k), **grad),
+                               _take(w.u, r), _take(w.v, r), rho)
+            gn = np.abs(gt).max(axis=1)
+            return gn < np.inf, (_take(ft, k), _take(pt, k), gt, gn)
 
         return np.isfinite(ft) & (ft <= bound), complete
 
     # Pass 0 is the stop test at the start; every later pass takes one step.
     for it in range(cfg.max_iters + 1):
         if it:
-            _armijo_pass(w, None, trial, ("f", "pen", "gr"), iters, it)
-            w.gn = np.abs(w.gr).max(axis=1)
+            _armijo_pass(w, None, trial, ("f", "pen", "gr", "gn"), iters, it)
             j = _select(w.rows, count)
             _keep_best(best_x, best_gn, j, w.x, w.gn)
-            lower = w.pen < minpen[j]
+            lower = w.pen < _take(minpen, j)
             _update(minpen_x, j, w.x, lower)
             _update(minpen, j, w.pen, lower)
         _stop_test(w, it, iters, status, cfg)
@@ -353,14 +361,16 @@ def _psi_gradient(problem, w, rho):
     needs no second derivatives from the problem; zero where F = 0."""
     norm = np.sqrt(_row_dots(w.F, w.F))
     out = np.zeros_like(w.x)
-    j = np.flatnonzero(norm != 0.0)
+    j = (norm != 0.0).nonzero()[0]
     if j.size:
         j = _select(j, len(norm))
-        scale = norm[j, None]
-        step = _POLISH_FD_STEP * (w.F[j] / scale)
-        u, v, t = w.u[j], w.v[j], w.t[j]
-        plus = _gradient_at(problem, w.x[j] + step, t, u, v, rho)
-        minus = _gradient_at(problem, w.x[j] - step, t, u, v, rho)
+        scale = _take(norm, j)[:, None]
+        step = _POLISH_FD_STEP * (_take(w.F, j) / scale)
+        x = _take(w.x, j)
+        # Both sides in one call of twice the rows; evaluators act row by row.
+        t, u, v = (np.concatenate((_take(a, j),) * 2) for a in (w.t, w.u, w.v))
+        both = _gradient_at(problem, np.concatenate((x + step, x - step)), t, u, v, rho)
+        plus, minus = both[:len(x)], both[len(x):]
         out[j] = (plus - minus) / (2.0 * _POLISH_FD_STEP) * scale
     return out
 
@@ -384,10 +394,10 @@ def _polish(problem, ts, xs, us, vs, rho, cfg):
 
     def trial(j, xt, bound):
         # psi's value needs F, so the completion only gathers it.
-        Ft = _gradient_at(problem, xt, w.t[j], w.u[j], w.v[j], rho)
+        Ft = _gradient_at(problem, xt, _take(w.t, j), _take(w.u, j), _take(w.v, j), rho)
         psit = np.where(np.isfinite(Ft).all(axis=1), 0.5 * _row_dots(Ft, Ft), np.inf)
         ok = np.isfinite(psit) & (psit <= bound)
-        return ok, lambda k, r: (ok[k], (psit[k], Ft[k]))
+        return ok, lambda k, r: (_take(ok, k), (_take(psit, k), _take(Ft, k)))
 
     for it in range(1, _POLISH_ITERS + 1):
         landed = (w.gn <= cfg.grad_tol) | ~np.isfinite(w.gr).all(axis=1)
@@ -426,8 +436,8 @@ def _solve_rows(problem, ts, xs, us, vs, rho, cfg, start=None):
     status as `_BY_SEVERITY` indices.
     """
     # Overflow in a trial point shows up as a non-finite value, which the
-    # phases reject.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # phases reject; a BB quotient over s.y = 0 is refused by its own test.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if start is None:
             ev = _Rows(**_evaluate_fields(problem, EVALUATORS, xs, ts))
             start = _at_start(ev, _aug_gradient(ev, us, vs, rho), us, vs, rho)

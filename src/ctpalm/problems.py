@@ -39,7 +39,9 @@ class MissingReferenceError(ValueError):
 
 def _count(value):
     """`value` as an integer, numpy integers included; NaN, which fails every
-    range test, for anything else."""
+    range test, for a bool or anything else."""
+    if isinstance(value, bool):
+        return math.nan
     try:
         return operator.index(value)
     except TypeError:
@@ -78,8 +80,9 @@ class ProblemDefinition:
     Wrap callables of one state x (n,) at one time with `pointwise`.  Absent
     constraints (p or m = 0) take no evaluators; one given is never called.
     Construction raises ValueError unless n >= 1, p >= 0 and m >= 0 are
-    integers, m and p convexity flags are given, and each evaluator the
-    solver calls is callable.
+    integers (a bool is not one), `convexity` is a `Convexity` whose
+    g_convex and h_affine are sequences of m and p flags, and each evaluator
+    the solver calls is callable.
 
     `reference` returns one optimal state per instant.  Because the problem
     separates pointwise, that is an optimal trajectory wherever the pointwise
@@ -109,7 +112,12 @@ class ProblemDefinition:
         n, p, m = (_count(d) for d in (self.n, self.p, self.m))
         if not (n >= 1 and p >= 0 and m >= 0):
             raise ValueError("dimensions must satisfy n >= 1, p >= 0, m >= 0")
-        flags = len(self.convexity.g_convex), len(self.convexity.h_affine)
+        convexity = self.convexity
+        if not (isinstance(convexity, Convexity) and hasattr(convexity.g_convex, "__len__")
+                and hasattr(convexity.h_affine, "__len__")):
+            raise ValueError("convexity must be a Convexity whose g_convex and h_affine "
+                             "are sequences of flags")
+        flags = len(convexity.g_convex), len(convexity.h_affine)
         if flags != (m, p):
             raise ValueError(f"convexity has {flags[0]} g_convex and {flags[1]} h_affine "
                              f"flags, expected m = {m} and p = {p}")
@@ -265,8 +273,10 @@ _pow = np.float_power
 
 
 def _vector(like, *entries):
-    """Entries stacked on a new last axis; each broadcasts to `like`'s shape."""
-    out = np.empty(np.shape(like) + (len(entries),))
+    """Entries stacked on a new last axis; each broadcasts to `like`'s shape.
+    `like` is an array or a scalar, whose shape is read without `np.shape`'s
+    Python-level dispatch."""
+    out = np.empty(getattr(like, "shape", ()) + (len(entries),))
     for i, entry in enumerate(entries):
         out[..., i] = entry
     return out
@@ -275,7 +285,7 @@ def _vector(like, *entries):
 def _matrix(like, *rows):
     """Rows of entries in one block of shape `like`'s + (rows, entries); each
     entry broadcasts to `like`'s shape."""
-    out = np.empty(np.shape(like) + (len(rows), len(rows[0])))
+    out = np.empty(getattr(like, "shape", ()) + (len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             out[..., i, j] = entry

@@ -185,7 +185,8 @@ def test_solve_rejects_a_start_on_another_horizon():
         c.solve(c.builtin("ex4"), c.AlmConfig(), c.Trajectory.constant(grid, [1.0, 1.0]))
 
 
-@pytest.mark.parametrize("max_outer", [2.5, 3.0, "3", None])
+# A bool passes operator.index: max_outer=True was a one-iteration budget.
+@pytest.mark.parametrize("max_outer", [2.5, 3.0, "3", None, True])
 def test_config_rejects_a_non_integer_outer_budget(max_outer):
     with pytest.raises(ValueError, match="^max_outer must be >= 1$"):
         c.AlmConfig(max_outer=max_outer)
@@ -401,16 +402,18 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
 # per descent trial block: 4,494 Armijo passes make 6,273 trial calls.
 # grad_phi and jac_h are called once per descent block that picks a point
 # (4,494), and once per augmented gradient of the polish and the fallback
-# (1,095: 9 polish starts, 642 for the central differences of the psi
-# gradient, 442 polish trial blocks and 2 fallbacks); h and g once per descent
-# trial block and once per such gradient.  A trial call per halving made
-# 11,706 phi and 13,189 h and g calls, and 5,987 gradient calls.
+# (774: 9 polish starts, 321 for the central differences of the psi gradient,
+# one call for both sides of each, 442 polish trial blocks and 2 fallbacks);
+# h and g once per descent trial block and once per such gradient.  A trial
+# call per halving made 11,706 phi and 13,189 h and g calls, and 5,987
+# gradient calls; a call per side of the central differences made 5,599
+# gradient and 7,378 h and g calls.
 def test_ex3_backtracks_in_blocks_of_halvings():
     problem, calls = counting(c.builtin("ex3"))
     report, _, _ = run_builtin(problem, *RUN_STARTS["ex3"], nodes=17)
     assert report.status is SolveStatus.AKKT_CONVERGED
-    assert dict(calls) == {"phi": 6283, "grad_phi": 5599, "h": 7378, "jac_h": 5599,
-                           "g": 7378, "jac_g": 5599}
+    assert dict(calls) == {"phi": 6283, "grad_phi": 5278, "h": 7057, "jac_h": 5278,
+                           "g": 7057, "jac_g": 5278}
 
 
 def record_update_passes(monkeypatch):

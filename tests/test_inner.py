@@ -3,6 +3,8 @@ checks, node independence, and bit equality of the lockstep solver with the
 per-node reference solver.  Agreement with the brute-force lattice oracle is
 acceptance criterion 10 (tests/test_acceptance.py)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ import ctpalm.inner as inner_mod
 import node_solver_reference as reference
 from ctpalm.inner import _BY_SEVERITY, InnerStatus, _solve_rows
 from ctpalm.lagrangian import MultiplierSet, _weighted_gradient, multiplier_update
-from ctpalm.problems import evaluate_all
+from ctpalm.problems import _row_dots, evaluate_all
 from conftest import counting, unconstrained_quadratic
 from testkit import FdConfig, aug_lagrangian_value, fd_gradient
 
@@ -66,7 +68,8 @@ def test_node_reports_divergence_on_unbounded_objective():
     assert result.status is InnerStatus.DIVERGED
 
 
-@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3", None])
+# A bool passes operator.index: max_iters=True was a one-step budget.
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3", None, True])
 def test_config_rejects_a_non_integer_descent_budget(max_iters):
     with pytest.raises(ValueError, match=r"^max_iters must lie in \[1, "):
         c.InnerConfig(max_iters=max_iters)
@@ -515,6 +518,90 @@ def test_grad_norms_have_the_bits_of_the_finite_masked_max():
     assert norms.tolist() == [0.0, 0.0] + [np.inf] * 5 + [4.0, 5e-324, 1e300]
 
 
+def three_mask_bb_step(s, y):
+    """The BB step that the one-division `_bb_step` replaced, which divided
+    only by a usable s.y: its bit-for-bit reference."""
+    sy = _row_dots(s, y)
+    usable = (sy > 0.0) & np.isfinite(sy)
+    alpha = _row_dots(s, s) / np.where(usable, sy, 1.0)
+    return np.where(usable & np.isfinite(alpha) & (alpha > 0.0), alpha,
+                    inner_mod._STEP_INIT)
+
+
+def test_bb_step_has_the_bits_of_the_three_mask_step():
+    """One row per case, (s, y) with n = 1: s.y = +0, -0, negative, NaN,
+    +inf and subnormal (with a finite and with an overflowing quotient),
+    s.s = 0 (with s.y = 0 and s.y = 1), s.s = +inf, an infinite s, a NaN s
+    and a quotient that overflows; then a usable step with n = 2.  Each row
+    alone and the n = 1 rows in one stack give the old step's bits."""
+    tiny = 2.0 ** -537  # tiny * tiny is the smallest subnormal
+    cases = [(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (1.0, -2.0), (1.0, np.nan),
+             (1.0, np.inf), (2.0 * tiny, tiny), (1.0, 5e-324), (0.0, 0.0), (0.0, 1.0),
+             (1e200, 1e-100), (np.inf, 1.0), (np.nan, 1.0), (1e150, 1e-200)]
+    s, y = np.array(cases).T[:, :, None]
+    rows = [(s[i:i + 1], y[i:i + 1]) for i in range(len(cases))]
+    rows += [(s, y), (np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))]
+    with np.errstate(all="ignore"):
+        for s, y in rows:
+            assert inner_mod._bb_step(s, y).tobytes() == three_mask_bb_step(s, y).tobytes()
+        alphas = inner_mod._bb_step(*rows[-2]).tolist() + inner_mod._bb_step(*rows[-1]).tolist()
+    # Only the subnormal s.y with a finite quotient and the last row are
+    # usable; every other row takes _STEP_INIT.
+    assert alphas == [1.0] * 6 + [2.0] + [1.0] * 7 + [5.0 / 11.0]
+
+
+def test_descent_over_a_zero_curvature_pair_raises_no_warning():
+    """phi = c.x, linear: every gradient is c, so every BB pair has y = 0 and
+    s.y = 0, whose quotient the step refuses.  Descent from three starts
+    runs to the iterate box with no warning, as the node solver does."""
+    coeff = np.array([1e4, -2e4])
+    scalar = c.ProblemDefinition(
+        name="linear", n=2, p=0, m=0, horizon=1.0,
+        eval_phi=lambda x, t: float(coeff @ x), eval_grad_phi=lambda x, t: coeff.copy(),
+        convexity=c.Convexity(True, (), ()))
+    grid = c.make_uniform_grid(1.0, 3)
+    xs, empty = np.array([[0.0, 0.0], [1.0, -1.0], [-5e5, 5e5]]), np.zeros((3, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solo = assert_rows_match_reference(scalar, grid, xs, empty, empty, 1.0,
+                                           c.InnerConfig())
+    assert [r.status for r in solo] == [InnerStatus.DIVERGED] * 3
+
+
+# -- row selection -------------------------------------------------------------
+
+ROW_ARRAYS = {"(R,)": np.arange(5.0) - 2.5, "(R, 0)": np.empty((5, 0)),
+              "(R, n)": np.arange(15.0).reshape(5, 3) * -1.5}
+ROW_MASKS = {"empty": [False] * 5, "one": [False, False, True, False, False],
+             "all-but-one": [True, True, True, False, True], "all": [True] * 5}
+
+
+@pytest.mark.parametrize("mask", list(ROW_MASKS.values()), ids=list(ROW_MASKS))
+def test_row_gathers_equal_plain_indexing(mask):
+    """`_Rows.keep`, `_take` and `_update` give the shapes and bytes of plain
+    indexing, on arrays of shapes (R,), (R, 0) and (R, n), through both
+    kinds of selector."""
+    mask = np.array(mask)
+    w = inner_mod._Rows(**{k: a.copy() for k, a in ROW_ARRAYS.items()})
+    w.keep(mask)
+    for k, a in ROW_ARRAYS.items():
+        assert vars(w)[k].shape == a[mask].shape and vars(w)[k].tobytes() == a[mask].tobytes()
+    rows = mask.nonzero()[0]
+    j = inner_mod._select(rows, len(mask))
+    assert isinstance(j, slice) == mask.all()
+    for a in ROW_ARRAYS.values():
+        taken = inner_mod._take(a, j)
+        assert taken.shape == a[rows].shape and taken.tobytes() == a[rows].tobytes()
+        # values of the selected rows, updated where `kept`: each row but the
+        # second of the selection.
+        values = -100.0 - a[rows]
+        kept = np.arange(len(rows)) != 1
+        dest, expected = a.copy(), a.copy()
+        expected[rows[kept]] = values[kept]
+        inner_mod._update(dest, j, values, kept)
+        assert dest.tobytes() == expected.tobytes()
+
+
 def test_best_point_tie_goes_to_the_later_point():
     """A point whose gradient norm equals its row's best so far becomes the
     row's best point, through either kind of row selector."""
@@ -724,6 +811,31 @@ def test_stacked_backtracking_in_descent_equals_the_node_solver(monkeypatch):
         1.0, 2.0 ** -20, None, 0.25]
     assert [r.status for r in solo] == [InnerStatus.CONVERGED, InnerStatus.CONVERGED,
                                         InnerStatus.MAX_ITERS, InnerStatus.CONVERGED]
+
+
+def test_descent_refuses_a_pick_with_an_infinite_gradient_as_a_nan_one(monkeypatch):
+    """phi = 3/4 x^2 from x = 1, on three rows whose gradient at x <= 0 is
+    +inf, -inf and NaN.  Each row's first trial step, 1, passes the Armijo
+    test at x = -1/2, where the gradient refuses the pick; each goes on at
+    1/2, to x = 1/4.  The three rows end alike, as the node solver ends."""
+    def row(t):
+        return (np.inf, -np.inf, np.nan)[round(2 * t)]
+
+    scalar = c.ProblemDefinition(
+        name="edge", n=1, p=0, m=1, horizon=1.0,
+        eval_phi=lambda x, t: 0.75 * x[0] ** 2,
+        eval_grad_phi=lambda x, t: np.array([1.5 * x[0] if x[0] > 0.0 else row(t)]),
+        eval_g=lambda x, t: np.array([-x[0] - 10.0]),
+        eval_jac_g=lambda x, t: np.array([[-1.0]]),
+        convexity=c.Convexity(True, (True,), ()))
+    passes = record_trial_rows(monkeypatch)
+    grid = c.make_uniform_grid(1.0, 3)
+    xs, us, vs, cfg = np.ones((3, 1)), np.zeros((3, 0)), np.zeros((3, 1)), c.InnerConfig()
+    solo = assert_rows_match_reference(scalar, grid, xs, us, vs, 1.0, cfg)
+    assert passes[0] == ("descent", [3, 48])
+    assert first_steps(scalar, grid.nodes, xs, us, vs, 1.0, cfg, "descent") == [0.5] * 3
+    assert len({(r.x_star.tobytes(), r.grad_inf_norm, r.iterations, r.status)
+                for r in solo}) == 1
 
 
 def test_stacked_backtracking_in_the_polish_equals_the_node_solver(monkeypatch):

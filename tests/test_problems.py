@@ -196,7 +196,9 @@ def test_evaluate_all_rejects_states_of_the_wrong_shape():
     dict(n=0), dict(p=-1), dict(m=-1),
     # Not integers: a float n or m once passed here and raised numpy's
     # TypeError in the solve.
-    dict(n=2.0), dict(p=0.0), dict(m=2.0), dict(n="2"), dict(m=None)])
+    dict(n=2.0), dict(p=0.0), dict(m=2.0), dict(n="2"), dict(m=None),
+    # A bool passes operator.index: n=True built a problem of one state.
+    dict(n=True)])
 def test_problem_definition_rejects_bad_dimensions(dims):
     with pytest.raises(ValueError,
                        match="^dimensions must satisfy n >= 1, p >= 0, m >= 0$"):
@@ -223,6 +225,26 @@ def test_problem_definition_rejects_convexity_flags_of_the_wrong_count(name, fla
                f"{len(flags.h_affine)} h_affine flags, expected m = {prob.m} and p = {prob.p}")
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         dataclasses.replace(prob, convexity=flags)
+
+
+@pytest.mark.parametrize("convexity", [
+    None,  # raised AttributeError
+    Convexity(True, None, ()),  # raised TypeError
+    Convexity(True, (True, False), 0),
+    ((True, False), ()),  # the flags without their Convexity
+])
+def test_problem_definition_rejects_convexity_that_is_not_a_convexity_of_sequences(
+        convexity):
+    message = ("convexity must be a Convexity whose g_convex and h_affine are "
+               "sequences of flags")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(builtin("ex1"), convexity=convexity)
+    # It is checked where the flag counts are: after the dimensions, before
+    # the evaluators.
+    with pytest.raises(ValueError, match="^dimensions must satisfy"):
+        dataclasses.replace(builtin("ex1"), n=2.0, convexity=convexity)
+    with pytest.raises(ValueError, match="^convexity must be a Convexity"):
+        dataclasses.replace(builtin("ex1"), convexity=convexity, eval_g=None)
 
 
 @pytest.mark.parametrize("name", EVALUATORS)
