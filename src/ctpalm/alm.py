@@ -77,6 +77,8 @@ class AlmConfig:
             raise ValueError("eps_stop must be positive and finite")
         if not _count(self.max_outer) >= 1:
             raise ValueError("max_outer must be >= 1")
+        if not (self.inner is None or isinstance(self.inner, InnerConfig)):
+            raise ValueError("inner must be None or an InnerConfig")
         if self.inner is None:
             # Inner solves one order tighter than the outer stopping test,
             # floored so the inner tolerance never chases rounding noise.

@@ -122,8 +122,10 @@ def solution_error(grid: TimeGrid, x: Trajectory,
     is not unique (a jump in the reference is one such case), so distance to
     the reference there says nothing about optimality.  The sampled reference
     is kept on the result, for plotting; MissingReferenceError when the
-    problem has none.
+    problem has none, ValueError when x's dim is not the problem's n.
     """
+    if x.dim != problem.n:
+        raise ValueError(f"x has dim {x.dim}, problem expects n={problem.n}")
     reference = Trajectory(grid, np.array([reference_solution(problem, t)
                                            for t in grid.nodes]))
     diffs = np.abs(x.values - reference.values)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .problems import _count
 
 # Relative slack allowed on node spacing before a grid is rejected as non-uniform.
 _UNIFORMITY_RTOL = 1e-15
@@ -32,7 +33,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not 2 <= operator.index(self.num_nodes) <= MAX_NODES:
+        if not 2 <= _count(self.num_nodes) <= MAX_NODES:
             raise ValueError(f"num_nodes must lie in [2, {MAX_NODES}], got {self.num_nodes}")
         nodes = np.arange(self.num_nodes) * self.horizon / (self.num_nodes - 1)
         # Guard against rounding at the right endpoint.

@@ -264,7 +264,11 @@ def reference_solution(problem: ProblemDefinition, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The built-in evaluators take one state (n,) at one time, or a stack (N, n)
-# at times (N,), and index components with x[..., i].
+# at times (N,).  On the solver's small stacks each numpy call costs about the
+# same whatever its size, so each output is built in a few calls, not one per
+# entry: its constant entries are copied from a read-only template below in
+# one assignment, and its varying entries are computed a whole row at a time
+# where that gives each entry's bits, else one entry at a time (`_vector`).
 
 # libm's pow, the function a scalar `x ** k` calls.  Array `**` takes numpy's
 # own kernels (x * x for squares, SIMD pow otherwise), which can differ from it
@@ -282,26 +286,51 @@ def _vector(like, *entries):
     return out
 
 
-def _matrix(like, *rows):
-    """Rows of entries in one block of shape `like`'s + (rows, entries); each
-    entry broadcasts to `like`'s shape."""
-    out = np.empty(getattr(like, "shape", ()) + (len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
-    return out
+# Templates of constant entries, NaN where an entry varies and is written
+# over, and the operands of whole-row steps.  A shift subtracts 0.0 from an
+# entry that takes no such step, which keeps every bit, signed zeros and NaN
+# included.
+_EX1_JAC_G = np.array([[0.0, -1.0], [math.nan, -1.0]])
+_EX2_GRAD_PHI = np.array([1.0, 0.0])
+_EX2_JAC_G = np.array([[math.nan, 1.0], [math.nan, -1.0], [math.nan, 1.0]])
+# Column 0 of ex2's jac_g is x1 * scale + offset, x1 * 2.0 + -2.0 being 2.0 * x1 - 2.0.
+_EX2_JAC_G_SCALE = np.array([2.0, 2.0, -2.0])
+_EX2_JAC_G_OFFSET = np.array([-2.0, -2.0, 0.5])
+_EX3_SHIFT = np.array([1.0, 1.0, 0.0])
+_EX3_GRAD_PHI_SCALE = np.array([2.0, 2.0, -2.0])
+_EX3_JAC_G = np.array([[math.nan, math.nan, -1.0], [-1.0, 0.0, -0.5]])
+_EX3_JAC_G_SHIFT = np.array([0.0, 4.0])
+_EX4_A = np.array([[0.0, -1.0], [-1.0, 0.0], [math.nan, math.nan], [1.0, 1.0], [0.0, 1.0]])
+_EX4_B = np.array([0.0, 0.0, 0.0, 3.0, math.nan])
+_AKKT_GRAD_PHI = np.array([math.nan, 0.0])
+_AKKT_JAC_G = np.array([[math.nan, 1.0], [0.0, -1.0]])
+for _template in (_EX1_JAC_G, _EX2_GRAD_PHI, _EX2_JAC_G, _EX2_JAC_G_SCALE, _EX2_JAC_G_OFFSET,
+                  _EX3_SHIFT, _EX3_GRAD_PHI_SCALE, _EX3_JAC_G, _EX3_JAC_G_SHIFT, _EX4_A,
+                  _EX4_B, _AKKT_GRAD_PHI, _AKKT_JAC_G):
+    _template.setflags(write=False)
+del _template
 
 
 def _ex1() -> ProblemDefinition:
     # minimize  int x1^2 + x2  s.t.  -x2 <= 0,  -x1^2 - x2 <= 0   on [0, 1]
+    def grad_phi(x, t):
+        out = 2.0 * x
+        out[..., 1] = 1.0
+        return out
+
+    def jac_g(x, t):
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[...] = _EX1_JAC_G
+        out[..., 1, 0] = -2.0 * x[..., 0]
+        return out
+
     return ProblemDefinition(
         name="ex1", n=2, p=0, m=2, horizon=1.0,
         eval_phi=lambda x, t: _pow(x[..., 0], 2) + x[..., 1],
-        eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0], 1.0),
+        eval_grad_phi=grad_phi,
         eval_g=lambda x, t: _vector(x[..., 0], -x[..., 1],
                                     -_pow(x[..., 0], 2) - x[..., 1]),
-        eval_jac_g=lambda x, t: _matrix(x[..., 0], (0.0, -1.0),
-                                        (-2.0 * x[..., 0], -1.0)),
+        eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=True, g_convex=(True, False), h_affine=()),
         reference=lambda t: np.array([0.0, 0.0]),
     )
@@ -309,21 +338,27 @@ def _ex1() -> ProblemDefinition:
 
 def _ex2() -> ProblemDefinition:
     # minimize  int x1  subject to three parabolic constraints pinching x at (0, t)
+    def grad_phi(x, t):
+        out = np.empty(x.shape[:-1] + (2,))
+        out[...] = _EX2_GRAD_PHI
+        return out
+
     def g(x, t):
         x1, x2 = x[..., 0], x[..., 1]
         sq = _pow(x1, 2)
-        return _vector(x1, sq - 2.0 * x1 + x2 - t, sq - 2.0 * x1 - x2 + t,
-                       -sq + 0.5 * x1 + x2 - t)
+        lead = sq - 2.0 * x1
+        return _vector(x1, lead + x2 - t, lead - x2 + t, -sq + 0.5 * x1 + x2 - t)
 
     def jac_g(x, t):
-        x1 = x[..., 0]
-        return _matrix(x1, (2.0 * x1 - 2.0, 1.0), (2.0 * x1 - 2.0, -1.0),
-                       (-2.0 * x1 + 0.5, 1.0))
+        out = np.empty(x.shape[:-1] + (3, 2))
+        out[...] = _EX2_JAC_G
+        out[..., 0] = x[..., :1] * _EX2_JAC_G_SCALE + _EX2_JAC_G_OFFSET
+        return out
 
     return ProblemDefinition(
         name="ex2", n=2, p=0, m=3, horizon=1.0,
         eval_phi=lambda x, t: x[..., 0].copy(),
-        eval_grad_phi=lambda x, t: _vector(x[..., 0], 1.0, 0.0),
+        eval_grad_phi=grad_phi,
         eval_g=g,
         eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=True, g_convex=(True, True, False), h_affine=()),
@@ -338,27 +373,38 @@ def _ex3() -> ProblemDefinition:
     # x = (s, s, 2s^2 - 2), s >= 1, and phi = -3s^2 + O(s^3) < 0 on the
     # feasible curve (1 + s, 1, 2s + s^2) leaving it.
     def phi(x, t):
-        return (_pow(x[..., 0] - 1.0, 2) + _pow(x[..., 1] - 1.0, 2)
-                - _pow(x[..., 2], 2))
+        # Rows of the transpose are numpy scalars on one state, as the
+        # per-entry terms were, so a sum of two NaNs keeps the same one.
+        sq = _pow(x - _EX3_SHIFT, 2).T
+        return sq[0] + sq[1] - sq[2]
+
+    def h(x, t):
+        return (_pow(x[..., 0], 2) + _pow(x[..., 1], 2) - x[..., 2] - 2.0)[..., None]
+
+    def jac_h(x, t):
+        out = 2.0 * x
+        out[..., 2] = -1.0
+        return out[..., None, :]
 
     def g(x, t):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
         return _vector(x1, 2.0 * x1 * x2 - 4.0 * x2 - x3 + 2.0,
                        -x1 - 0.5 * x3 + 1.0)
 
+    def jac_g(x, t):
+        out = np.empty(x.shape[:-1] + (2, 3))
+        out[...] = _EX3_JAC_G
+        out[..., 0, :2] = 2.0 * x[..., 1::-1] - _EX3_JAC_G_SHIFT
+        return out
+
     return ProblemDefinition(
         name="ex3", n=3, p=1, m=2, horizon=1.0,
         eval_phi=phi,
-        eval_grad_phi=lambda x, t: _vector(
-            x[..., 0], 2.0 * (x[..., 0] - 1.0), 2.0 * (x[..., 1] - 1.0), -2.0 * x[..., 2]),
-        eval_h=lambda x, t: _vector(
-            x[..., 0], _pow(x[..., 0], 2) + _pow(x[..., 1], 2) - x[..., 2] - 2.0),
-        eval_jac_h=lambda x, t: _matrix(
-            x[..., 0], (2.0 * x[..., 0], 2.0 * x[..., 1], -1.0)),
+        eval_grad_phi=lambda x, t: (x - _EX3_SHIFT) * _EX3_GRAD_PHI_SCALE,
+        eval_h=h,
+        eval_jac_h=jac_h,
         eval_g=g,
-        eval_jac_g=lambda x, t: _matrix(
-            x[..., 0], (2.0 * x[..., 1], 2.0 * x[..., 0] - 4.0, -1.0),
-            (-1.0, 0.0, -0.5)),
+        eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=False, g_convex=(False, True), h_affine=(False,)),
         reference=lambda t: np.array([1.0, 1.0, 0.0]),
     )
@@ -366,12 +412,18 @@ def _ex3() -> ProblemDefinition:
 
 def _ex4_A(t) -> np.ndarray:
     # sign(0) = 0, so at the kink t = 1 the third row degenerates to (0, 0).
-    return _matrix(t, (0.0, -1.0), (-1.0, 0.0),
-                   (np.sign(t - 1.0), np.sign(1.0 - t)), (1.0, 1.0), (0.0, 1.0))
+    out = np.empty(getattr(t, "shape", ()) + (5, 2))
+    out[...] = _EX4_A
+    out[..., 2, 0] = np.sign(t - 1.0)
+    out[..., 2, 1] = np.sign(1.0 - t)
+    return out
 
 
 def _ex4_b(t) -> np.ndarray:
-    return _vector(t, 0.0, 0.0, 0.0, 3.0, 0.25 + 0.625 * t)
+    out = np.empty(getattr(t, "shape", ()) + (5,))
+    out[...] = _EX4_B
+    out[..., 4] = 0.25 + 0.625 * t
+    return out
 
 
 def _ex4_c(t) -> np.ndarray:
@@ -403,14 +455,25 @@ def _ex4() -> ProblemDefinition:
 def _akkt_example() -> ProblemDefinition:
     # KKT never holds at the solution (0, 0), but asymptotic multipliers exist.
     # At t = 0.5, phi = 0 and x1 is free: (0, 0) is one optimum of many.
+    def grad_phi(x, t):
+        out = np.empty(x.shape[:-1] + (2,))
+        out[...] = _AKKT_GRAD_PHI
+        out[..., 0] = t - 0.5
+        return out
+
+    def jac_g(x, t):
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[...] = _AKKT_JAC_G
+        out[..., 0, 0] = -3.0 * (t - 0.5) * _pow(x[..., 0], 2)
+        return out
+
     return ProblemDefinition(
         name="akkt_example", n=2, p=0, m=2, horizon=1.0,
         eval_phi=lambda x, t: (t - 0.5) * x[..., 0],
-        eval_grad_phi=lambda x, t: _vector(x[..., 0], t - 0.5, 0.0),
+        eval_grad_phi=grad_phi,
         eval_g=lambda x, t: _vector(
             x[..., 0], -(t - 0.5) * _pow(x[..., 0], 3) + x[..., 1], -x[..., 1]),
-        eval_jac_g=lambda x, t: _matrix(
-            x[..., 0], (-3.0 * (t - 0.5) * _pow(x[..., 0], 2), 1.0), (0.0, -1.0)),
+        eval_jac_g=jac_g,
         convexity=Convexity(phi_convex=True, g_convex=(False, True), h_affine=()),
         reference=lambda t: np.array([0.0, 0.0]),
         reference_discontinuities=(0.5,),
@@ -419,13 +482,14 @@ def _akkt_example() -> ProblemDefinition:
 
 def _infeasible1() -> ProblemDefinition:
     # Empty feasible set: x^2 + 1 <= 0 never holds.  The squared-violation
-    # integral has its unique stationary point at x = 0.
+    # integral has its unique stationary point at x = 0.  With n = m = 1 every
+    # output is x's one entry worked whole-row.
     return ProblemDefinition(
         name="infeasible1", n=1, p=0, m=1, horizon=1.0,
         eval_phi=lambda x, t: _pow(x[..., 0], 2),
-        eval_grad_phi=lambda x, t: _vector(x[..., 0], 2.0 * x[..., 0]),
-        eval_g=lambda x, t: _vector(x[..., 0], _pow(x[..., 0], 2) + 1.0),
-        eval_jac_g=lambda x, t: _matrix(x[..., 0], (2.0 * x[..., 0],)),
+        eval_grad_phi=lambda x, t: 2.0 * x,
+        eval_g=lambda x, t: _pow(x, 2) + 1.0,
+        eval_jac_g=lambda x, t: (2.0 * x)[..., None],
         convexity=Convexity(phi_convex=True, g_convex=(True,), h_affine=()),
     )
 

@@ -193,6 +193,15 @@ def test_config_rejects_a_non_integer_outer_budget(max_outer):
     assert c.AlmConfig(max_outer=np.int64(3)).max_outer == 3
 
 
+# inner=5 once built, and the solve died on `5.grad_tol` (AttributeError).
+@pytest.mark.parametrize("inner", [5, {"grad_tol": 1e-8}, c.AlmConfig()])
+def test_config_rejects_an_inner_that_is_not_an_inner_config(inner):
+    with pytest.raises(ValueError, match="^inner must be None or an InnerConfig$"):
+        c.AlmConfig(inner=inner)
+    cfg = c.InnerConfig(grad_tol=1e-7)
+    assert c.AlmConfig(inner=cfg).inner is cfg
+
+
 @pytest.mark.parametrize("cfg_kwargs,x0,message", [
     ({"rho_init": 1e300}, [0.0, -1e10], "multiplier update overflowed"),
     ({"gamma": 1e300}, [0.0, 0.0], "penalty parameter overflowed"),

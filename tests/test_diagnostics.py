@@ -173,6 +173,14 @@ def test_error_requires_reference():
         solution_error(grid, const(grid, [0.0]), prob)
 
 
+def test_error_rejects_a_trajectory_of_another_dim():
+    # A 3-column trajectory of ex1 (n = 2) once failed in numpy's broadcast.
+    prob = c.builtin("ex1")
+    grid = c.make_uniform_grid(1.0, 5)
+    with pytest.raises(ValueError, match=r"^x has dim 3, problem expects n=2$"):
+        solution_error(grid, const(grid, [0.0, 0.0, 0.0]), prob)
+
+
 def test_error_symmetric_in_samples():
     prob = c.builtin("ex2")
     grid = c.make_uniform_grid(1.0, 21)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,10 +88,15 @@ def test_grid_rejects_bad_arguments(horizon, nodes):
         make_uniform_grid(horizon, nodes)
 
 
-@pytest.mark.parametrize("nodes", [5.0, 5.5])
+# A float count once raised TypeError from operator.index; every count now
+# takes the one rule of `problems._count` (a bool is refused too).
+@pytest.mark.parametrize("nodes", [5.0, 5.5, 85.0, np.float64(3), "3", True])
 def test_grid_node_count_must_be_an_integer(nodes):
-    with pytest.raises(TypeError):
-        make_uniform_grid(1.0, nodes)
+    message = "^" + re.escape(f"num_nodes must lie in [2, {MAX_NODES}], got {nodes}") + "$"
+    for make in (make_uniform_grid, TimeGrid):
+        with pytest.raises(ValueError, match=message):
+            make(1.0, nodes)
+    assert TimeGrid(1.0, np.int64(3)).nodes.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_grid_nodes_equal_the_list_comprehension_bit_for_bit():

@@ -14,6 +14,7 @@ from ctpalm.problems import (EVALUATORS, Convexity, EvaluationError,
                              MissingReferenceError, ProblemDefinition,
                              UnknownProblemError, builtin, builtin_names,
                              evaluate_all, pointwise, reference_solution)
+import builtin_evaluators_reference as builtin_reference
 import node_solver_reference as reference
 from conftest import unconstrained_quadratic
 from testkit import FdConfig, akkt_example_sequence, fd_gradient
@@ -136,19 +137,15 @@ def test_pointwise_builtin_gives_identical_bundles(name):
             assert getattr(stacked, k).tobytes() == getattr(looped, k).tobytes(), k
 
 
-def stacked_matrix(like, *rows):
-    """The `_matrix` that stacked one `_vector` per row, which the one-block
-    builder replaced: its bit-for-bit reference."""
-    return np.stack([problems._vector(like, *row) for row in rows], axis=-2)
+# Entries of the edge stacks: every combination of them over (x, t).  NaN
+# comes with both signs, since a whole-row step must carry a NaN's sign bit
+# as the entry's own step did.
+EDGE_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300, 5e-324)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_matrix_builder_gives_the_stacked_builders_bytes(name, monkeypatch):
-    """Every evaluator the built-in has gives the same shapes and bytes with
-    the one-block `_matrix` as with the stacked one, on stacks of 1 to 300
-    seeded states and on one state at a time (ex4's kink t = 1 included)."""
-    prob = builtin(name)
-    present = [k for k in EVALUATORS if 0 not in prob.row_shape(k)]
+def seeded_calls(prob) -> list:
+    """(x, t) of stacks of 1 to 300 seeded states and of the first states of
+    each stack one at a time, t a Python float (ex4's kink t = 1 included)."""
     rng = np.random.default_rng(29)
     calls = []
     for rows in (1, 2, 3, 17, 85, 300):
@@ -156,17 +153,45 @@ def test_matrix_builder_gives_the_stacked_builders_bytes(name, monkeypatch):
         ts[0] = 1.0
         xs = rng.normal(size=(rows, prob.n)) * 10.0 ** rng.uniform(-3, 3, (rows, prob.n))
         calls.append((xs, ts))
-        calls += [(xs[i], ts[i]) for i in range(min(rows, 3))]
+        calls += [(xs[i], float(ts[i])) for i in range(min(rows, 3))]
+    return calls
 
-    def outputs():
-        return [np.asarray(getattr(prob, "eval_" + k)(x, t))
-                for x, t in calls for k in present]
 
-    block = outputs()
-    monkeypatch.setattr(problems, "_matrix", stacked_matrix)
-    for new, old in zip(block, outputs(), strict=True):
-        assert new.shape == old.shape and new.dtype == old.dtype
-        assert new.tobytes() == old.tobytes()
+def edge_calls(prob) -> list:
+    """(x, t) of one stack holding every combination of EDGE_ENTRIES over the
+    n states and t, and of each of its states one at a time."""
+    grid = np.array(np.meshgrid(*[EDGE_ENTRIES] * (prob.n + 1), indexing="ij"))
+    rows = grid.reshape(prob.n + 1, -1).T
+    xs, ts = rows[:, :-1].copy(), rows[:, -1].copy()
+    return [(xs, ts)] + [(xs[i], ts[i]) for i in range(len(xs))]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_builtin_evaluators_give_the_reference_bytes(name):
+    """Every evaluator the built-in has gives the shape, dtype and bytes of
+    its per-entry reference, on seeded stacks, on one state at a time and on
+    stacks of signed zeros, infinities, NaN, +-1e300 and a subnormal.
+    Writing into an output changes neither x, t nor a template."""
+    prob = builtin(name)
+    references = builtin_reference.evaluators(name)
+    assert sorted(references) == [k for k in sorted(EVALUATORS)
+                                  if 0 not in prob.row_shape(k)]
+    templates = {k: (v, v.copy()) for k, v in vars(problems).items()
+                 if isinstance(v, np.ndarray)}
+    assert templates and not any(v.flags.writeable for v, _ in templates.values())
+    with np.errstate(all="ignore"):
+        for x, t in seeded_calls(prob) + edge_calls(prob):
+            x_bytes, t_bytes = x.tobytes(), np.asarray(t).tobytes()
+            for k, reference in references.items():
+                new = getattr(prob, "eval_" + k)(x, t)
+                old = np.asarray(reference(x, t))
+                assert (np.shape(new), new.dtype) == (old.shape, old.dtype), k
+                assert np.asarray(new).tobytes() == old.tobytes(), k
+                if isinstance(new, np.ndarray):
+                    new[...] = 7.0
+                assert x.tobytes() == x_bytes and np.asarray(t).tobytes() == t_bytes, k
+    for k, (template, frozen) in templates.items():
+        assert template.tobytes() == frozen.tobytes(), k
 
 
 def test_evaluate_rejects_a_transposed_jacobian():

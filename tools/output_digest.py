@@ -43,7 +43,13 @@ the `--config` run:
     9, on seeded stacks and on one state without a node axis, the entries
     spread over 16 decades with signed zeros, infinities, NaN, magnitudes
     near 1e+-300 and a row whose sum depends on its order.  This line pins
-    the bits of the numpy kernels behind the products across numpy versions.
+    the bits of the numpy kernels behind the products across numpy versions;
+  - every evaluator of every built-in problem on one line, on seeded stacks
+    of 1 to 300 states, on the first states of each one at a time (t a
+    Python float), and on one stack holding every combination over (x, t)
+    of signed zeros, infinities, NaN of both signs, +-1e300 and 5e-324.
+    This line pins the bits of the built-in evaluators across checkouts and
+    numpy versions.
 
 Each solve's digest covers its exit code and the bytes of four of the five
 files it publishes: `iterations.csv`, `trajectory.csv` (x, u and v in `.17g`,
@@ -51,7 +57,8 @@ which round-trips every double) and both plots.  The one-node line covers each r
 bytes, gradient norm, iterations and status; the batch line each batch's
 solution bytes, worst status and largest gradient norm; the backtracking line
 the bytes of each batch's solutions, gradient norms, iterations and statuses;
-the kernel line each product's shape and bytes.
+the kernel line each product's shape and bytes; the built-ins line each
+output's shape, dtype and bytes.
 
 Then come the lines of the CLI's text, each covering exit codes and output:
 
@@ -100,7 +107,7 @@ import ctpalm as c  # noqa: E402
 import ctpalm.cli  # noqa: E402
 from ctpalm.inner import _solve_rows  # noqa: E402
 from ctpalm.lagrangian import _transposed_product  # noqa: E402
-from ctpalm.problems import _matvec, _row_dots  # noqa: E402
+from ctpalm.problems import EVALUATORS, _matvec, _row_dots  # noqa: E402
 
 # Seed of the seeded starts.
 SEED = 11
@@ -299,6 +306,37 @@ def kernel_digest() -> str:
     return h.hexdigest()
 
 
+# Entries of the built-ins' edge stack, every combination of them over (x, t).
+EDGE_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300, 5e-324)
+
+
+def builtin_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(SEED)
+    with np.errstate(all="ignore"):
+        for name in c.builtin_names():
+            problem = c.builtin(name)
+            calls = []
+            for rows in (1, 2, 3, 17, 85, 300):
+                ts = rng.uniform(0.0, problem.horizon, rows)
+                ts[0] = 1.0
+                xs = rng.normal(size=(rows, problem.n)) * 10.0 ** rng.uniform(
+                    -3, 3, (rows, problem.n))
+                calls += [(xs, ts)] + [(xs[i], float(ts[i])) for i in range(min(rows, 3))]
+            grid = np.meshgrid(*[EDGE_ENTRIES] * (problem.n + 1), indexing="ij")
+            rows = np.array(grid).reshape(problem.n + 1, -1).T
+            calls.append((rows[:, :-1].copy(), rows[:, -1].copy()))
+            for field in EVALUATORS:
+                if 0 in problem.row_shape(field):
+                    continue
+                fn = getattr(problem, "eval_" + field)
+                for x, t in calls:
+                    out = np.asarray(fn(x, t))
+                    h.update(repr((name, field, out.shape, out.dtype.str)).encode())
+                    h.update(out.tobytes())
+    return h.hexdigest()
+
+
 # Malformed state CSVs for `ctpalm check ex1`: one error each.
 BAD_CSVS = (
     b"x,c0,c1\n0,0,0\n1,0,0\n",
@@ -381,6 +419,7 @@ def main() -> None:
     print(f"{exit_digest()}  solve_subproblem@stationary-exit", flush=True)
     print(f"{backtracking_digest()}  solve_subproblem@backtracking", flush=True)
     print(f"{kernel_digest()}  kernels", flush=True)
+    print(f"{builtin_digest()}  builtins", flush=True)
     for name, value in summaries + checks + text_digests():
         print(f"{value}  {name}", flush=True)
 
