@@ -21,13 +21,19 @@ must not write into.
    stacked: a row that rejects its first trial step evaluates its next
    halvings in blocks, several trial rows of one evaluator call when few rows
    backtrack, and takes the first that passes, the step that halving one
-   trial at a time would reach.
-2. Rows where descent stops short (budget exhausted or iterates escaping the
-   guard box) go on to a stationary-point polish, which minimizes half the
-   squared gradient norm from the best point seen.  Penalized subproblems can
-   be unbounded below while still owning the stationary point the outer
-   iteration needs, and a pure descent method cannot terminate at a
-   stationary point that is not a local minimum; the polish can.
+   trial at a time would reach.  With constraints, a row whose objective
+   has fallen far below its start (`_RUNAWAY_DROP` times 1 + |f_start|)
+   leaves descent as a runaway, with status MaxIters, instead of spending
+   the rest of its budget running down an unbounded subproblem.  Without
+   constraints the objective is the plain one, and such a row descends on
+   until it escapes the guard box and diverges, which the outer loop counts.
+2. Rows where descent stops short (budget exhausted, a runaway, or iterates
+   escaping the guard box) go on to a stationary-point polish, which
+   minimizes half the squared gradient norm from the best point seen.
+   Penalized subproblems can be unbounded below while still owning the
+   stationary point the outer iteration needs, and a pure descent method
+   cannot terminate at a stationary point that is not a local minimum; the
+   polish can.
 3. Rows where both phases fail return the iterate with the smallest penalty
    (shifted-violation) value seen during descent rather than the one with the
    smallest gradient.  On an unbounded subproblem, descent progress is
@@ -58,6 +64,9 @@ _STEP_INIT = 1.0
 _STEP_MIN = 1e-14
 _ITERATE_BOX = 1e6
 _POLISH_ITERS = 200
+# A constrained problem's row leaves descent once its augmented objective has
+# fallen below f_start - _RUNAWAY_DROP * (1 + |f_start|): a runaway row.
+_RUNAWAY_DROP = 10.0
 # Backtracking blocks: a block tries the next _BLOCK_ROWS // R halvings of
 # each of the R rows still backtracking, at most _BLOCK_HALVINGS.  Each trial
 # row costs evaluator work, and a row often passes at its next halving, so
@@ -263,14 +272,16 @@ def _armijo_pass(w, alpha, trial, fields, iters, it):
 
 def _stop_test(w, it, iters, status, cfg):
     """Descent's stop test after `it` steps at every row of `w`: a row within
-    cfg.grad_tol converges, any other outside the iterate box diverges.
-    Records the iterations and status of the rows that stop and drops them
-    from `w`."""
+    cfg.grad_tol converges, any other outside the iterate box diverges, and
+    any other whose objective is below its floor w.floor runs away and keeps
+    its MaxIters status.  Records the iterations and status of the rows that
+    stop and drops them from `w`."""
     converged = w.gn <= cfg.grad_tol
-    stop = converged | _escaped(w.x)
+    escaped = _escaped(w.x)
+    stop = converged | escaped | (w.f < w.floor)
     if stop.any():
         iters[w.rows[stop]] = it
-        status[w.rows[stop & ~converged]] = _DIVERGED
+        status[w.rows[escaped & ~converged]] = _DIVERGED
         status[w.rows[converged]] = _CONVERGED
         w.keep(~stop)
 
@@ -309,16 +320,28 @@ def _descend(problem, ts, xs, start, us, vs, rho, cfg):
     `_BY_SEVERITY` indices.  Pass 0 is the stop test at the start, so a
     batch whose rows all start within cfg.grad_tol returns them Converged
     after 0 iterations, at a copy of xs, without an evaluator call.
+
+    With constraints (p + m > 0), a row that neither converges nor escapes
+    stops as a runaway once its objective f falls below its floor
+    f_start - _RUNAWAY_DROP * (1 + |f_start|): it leaves with status
+    MaxIters after its passes so far, as if its budget were spent, and goes
+    to the polish.  A penalized subproblem can be unbounded below and still
+    own the stationary point the outer loop needs, which descent cannot
+    stop at; further descent steps only move the row further out.  Without
+    constraints the objective is the plain one, and a row running down it
+    goes on until it escapes and diverges, which the outer loop counts.
     """
     count = len(ts)
     iters = np.zeros(count, dtype=int)
     status = np.full(count, _MAX_ITERS)
     best_x, best_gn, minpen_x = xs.copy(), start.gn.copy(), xs.copy()
     minpen = start.pen.copy()
+    floor = (start.f - _RUNAWAY_DROP * (1.0 + np.abs(start.f)) if problem.p + problem.m
+             else np.full(count, -np.inf))
     # Each row's BB memory starts at its start, where s.y = 0 is not positive:
     # its first step is the BB fallback, _STEP_INIT.
     w = _Rows(rows=np.arange(count), t=ts, u=us, v=vs, x=xs, prev_x=xs,
-              prev_g=start.gr, **vars(start))
+              prev_g=start.gr, floor=floor, **vars(start))
     # Rows with a non-finite start take no step and meet no stop test.
     w.keep(np.isfinite(start.gn))
 

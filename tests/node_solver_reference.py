@@ -25,6 +25,7 @@ STEP_INIT = 1.0
 STEP_MIN = 1e-14
 ITERATE_BOX = 1e6
 POLISH_ITERS = 200
+RUNAWAY_DROP = 10.0
 
 
 def _penalty_value(problem: ProblemDefinition, x: np.ndarray,
@@ -57,18 +58,24 @@ def _value_and_penalty(problem, x, u, v, rho, t):
     return float(problem.eval_phi(x, t)) + pen, pen
 
 
-def _stopped(gn, x, cfg):
-    """Descent's stop test: the status of an iterate that stops, else None."""
+def _stopped(gn, x, f, floor, cfg):
+    """Descent's stop test: the status of an iterate that stops, else None.
+    An iterate whose objective f is below the row's floor is a runaway and
+    stops as MaxIters."""
     if gn <= cfg.grad_tol:
         return InnerStatus.CONVERGED
     if float(np.abs(x).max()) > ITERATE_BOX:
         return InnerStatus.DIVERGED
+    if f < floor:
+        return InnerStatus.MAX_ITERS
     return None
 
 
 def _descend(problem, t, x_init, u, v, rho, cfg, trace):
     """Phase 1: BB descent.
 
+    With constraints, the iterate stops as a runaway (MaxIters) once its
+    objective falls below f_start - RUNAWAY_DROP * (1 + |f_start|).
     Returns (best_x, best_gn, minpen_x, initial_gn, iters, status) where
     best_* track the smallest gradient norm seen and minpen_x the first
     iterate with strictly smallest penalty value.
@@ -80,11 +87,12 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
         return x, float("inf"), x.copy(), float("inf"), 0, InnerStatus.MAX_ITERS
     gn = float(np.abs(gr).max())
     gn0 = gn
+    floor = f - RUNAWAY_DROP * (1.0 + abs(f)) if problem.p + problem.m else -np.inf
     best_x, best_gn = x.copy(), gn
     minpen_x, minpen = x.copy(), pen
     prev_x = prev_g = None
     for it in range(1, cfg.max_iters + 1):
-        status = _stopped(gn, x, cfg)
+        status = _stopped(gn, x, f, floor, cfg)
         if status is not None:
             return best_x, best_gn, minpen_x, gn0, it - 1, status
         d = -gr
@@ -121,7 +129,7 @@ def _descend(problem, t, x_init, u, v, rho, cfg, trace):
         if pen < minpen:
             minpen_x, minpen = x.copy(), pen
     # The last step's point meets the stop test too.
-    status = _stopped(gn, x, cfg) or InnerStatus.MAX_ITERS
+    status = _stopped(gn, x, f, floor, cfg) or InnerStatus.MAX_ITERS
     return best_x, best_gn, minpen_x, gn0, cfg.max_iters, status
 
 

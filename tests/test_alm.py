@@ -16,7 +16,7 @@ from ctpalm.alm import (SolveStatus, StartEvaluationError, multiplier_update,
                         penalty_update, safeguard_project)
 from ctpalm.grid import _trapezoid_sum
 from ctpalm.inner import InnerStatus
-from ctpalm.lagrangian import violations
+from ctpalm.lagrangian import MultiplierSet, violations
 from ctpalm.problems import EvalBundle, EvaluationError, evaluate_all
 from conftest import RUN_STARTS, counting, run_builtin, unconstrained_quadratic
 
@@ -160,6 +160,53 @@ def test_ex3_converges_near_reference(ex3_run):
     report, prob, _ = ex3_run
     assert report.status is SolveStatus.AKKT_CONVERGED
     assert report.error_metrics.sup_error <= 1e-2
+
+
+@pytest.mark.parametrize("x0,u0", [([1.0, 1.0, 0.0], [0.5]), ([1.0, 1.0, 0.0], [2.0]),
+                                   ([0.0, 0.0, 0.0], [0.5])],
+                         ids=["reference-u0.5", "reference-u2", "zero-u0.5"])
+def test_ex3_converges_from_other_starts(x0, u0):
+    """ex3 at 9 nodes, whose objective is unbounded below on the feasible
+    set, from its reference point (1, 1, 0) with u0 = 0.5 and 2 and from
+    x0 = 0 with u0 = 0.5: each run converges near the reference.  A start
+    from which it still fails ends within 100 outer iterations
+    (test_every_iterate_a_subproblem_returns_is_evaluated)."""
+    report, _, _ = run_builtin("ex3", x0, u0, nodes=9)
+    assert report.status is SolveStatus.AKKT_CONVERGED
+    assert report.error_metrics.sup_error <= 1e-2
+
+
+def test_deep_convex_problem_is_solved_through_the_polish():
+    """phi = (x1^2 + 4 x2^2) / 2 - a (x1 + x2) with x1 + x2 <= 1.5 a, a = 1e4,
+    from x = 0 on 5 nodes: convex, with its minimizer (a, a / 4) inside the
+    constraint.  Descent's first step falls far below the start's objective,
+    so each row leaves descent as a runaway after it and the polish lands
+    it: the node solve equals the one with a budget of one descent step.
+    The run converges in one outer iteration with the convexity certificate."""
+    a = 1e4
+    prob = c.pointwise(c.ProblemDefinition(
+        name="deep", n=2, p=0, m=1, horizon=1.0,
+        eval_phi=lambda x, t: 0.5 * (x[0] ** 2 + 4.0 * x[1] ** 2) - a * (x[0] + x[1]),
+        eval_grad_phi=lambda x, t: np.array([x[0] - a, 4.0 * x[1] - a]),
+        eval_g=lambda x, t: np.array([x[0] + x[1] - 1.5 * a]),
+        eval_jac_g=lambda x, t: np.array([[1.0, 1.0]]),
+        convexity=c.Convexity(True, (True,), ())))
+    cfg = c.AlmConfig()
+    report = c.solve(prob, cfg, c.Trajectory.constant(c.make_uniform_grid(1.0, 5),
+                                                      [0.0, 0.0]))
+    assert report.status is SolveStatus.AKKT_CONVERGED
+    assert len(report.iterations) == 1
+    assert (report.certificates["sufficiency"].kind
+            is c.CertificateKind.GLOBAL_OPTIMAL_BY_CONVEXITY)
+    assert np.allclose(report.x.values, [a, a / 4.0], rtol=1e-9)
+    mult = MultiplierSet(np.zeros(0), np.zeros(1))
+    node, one_step = (c.solve_node(prob, 0.0, np.zeros(2), mult, cfg.rho_init, inner)
+                      for inner in (cfg.inner, c.InnerConfig(max_iters=1)))
+    assert node.status is InnerStatus.CONVERGED
+    assert node.iterations < cfg.inner.max_iters
+    assert node.x_star.tobytes() == one_step.x_star.tobytes()
+    assert (node.iterations, node.grad_inf_norm) == (one_step.iterations,
+                                                     one_step.grad_inf_norm)
 
 
 def test_solve_rejects_out_of_box_initial_multipliers():
@@ -405,24 +452,25 @@ def test_each_point_is_evaluated_once(name, expected, monkeypatch):
     assert dict(calls) == evaluations
 
 
-# Evaluator calls of ex3 at 17 nodes from its conftest start, where every node
-# exhausts the descent budget and the polish lands it.  The outer loop
-# evaluates x0 and 9 changed iterates (10 calls of each).  phi is called once
-# per descent trial block: 4,494 Armijo passes make 6,273 trial calls.
-# grad_phi and jac_h are called once per descent block that picks a point
-# (4,494), and once per augmented gradient of the polish and the fallback
-# (774: 9 polish starts, 321 for the central differences of the psi gradient,
-# one call for both sides of each, 442 polish trial blocks and 2 fallbacks);
-# h and g once per descent trial block and once per such gradient.  A trial
-# call per halving made 11,706 phi and 13,189 h and g calls, and 5,987
-# gradient calls; a call per side of the central differences made 5,599
-# gradient and 7,378 h and g calls.
+# Evaluator calls of ex3 at 17 nodes from its conftest start, where no node
+# converges in descent and the polish lands every one: in the first
+# subproblem after the whole descent budget, in the later ones once the row
+# runs away.  The outer loop evaluates x0 and 9 changed iterates (10 calls of
+# each).  phi is called once per descent trial block: 654 Armijo passes make
+# 878 trial calls.  grad_phi and jac_h are called once per descent block
+# that picks a point (654), and once per augmented gradient of the polish
+# and the fallback (774: 9 polish starts, 321 for the central differences of
+# the psi gradient, one call for both sides of each, 442 polish trial blocks
+# and 2 fallbacks); h and g once per descent trial block and once per such
+# gradient.  Descent that ran every row to its budget made 6,283 phi, 7,057
+# h and g and 5,278 gradient calls; a trial call per halving besides made
+# 11,706 phi and 13,189 h and g calls, and 5,987 gradient calls.
 def test_ex3_backtracks_in_blocks_of_halvings():
     problem, calls = counting(c.builtin("ex3"))
     report, _, _ = run_builtin(problem, *RUN_STARTS["ex3"], nodes=17)
     assert report.status is SolveStatus.AKKT_CONVERGED
-    assert dict(calls) == {"phi": 6283, "grad_phi": 5278, "h": 7057, "jac_h": 5278,
-                           "g": 7057, "jac_g": 5278}
+    assert dict(calls) == {"phi": 888, "grad_phi": 1438, "h": 1662, "jac_h": 1438,
+                           "g": 1662, "jac_g": 1438}
 
 
 def record_update_passes(monkeypatch):
@@ -650,17 +698,18 @@ def test_the_start_is_built_once_per_outer_iteration(name, outer, monkeypatch):
 
 
 def test_every_iterate_a_subproblem_returns_is_evaluated(monkeypatch):
-    """ex3 on 9 nodes from x0 = (1, 1, 0), u0 = 0.5 diverges in every
-    subproblem and stops after 53 outer iterations on InnerFailure.  In 47 of
-    them the subproblem returns its warm start bit for bit; the loop
-    evaluates that iterate as it evaluates the others, and each record's
-    residuals are those of the iterate's own evaluation."""
+    """ex3 on 9 nodes from x0 = (-100, -100, -100), u0 = 1.01, v0 = (1, 1)
+    fails in its subproblems and stops after 55 outer iterations on
+    InnerFailure.  In 43 of them the subproblem returns its warm start bit
+    for bit; the loop evaluates that iterate as it evaluates the others, and
+    each record's residuals are those of the iterate's own evaluation."""
     returned, moved, inputs, kept, evaluations = record_update_passes(monkeypatch)
-    report, problem, _ = run_builtin("ex3", [1.0, 1.0, 0.0], [0.5], nodes=9)
+    report, problem, _ = run_builtin("ex3", [-100.0, -100.0, -100.0], [1.01],
+                                    [1.0, 1.0], nodes=9)
     assert report.status is SolveStatus.INNER_FAILURE
-    assert len(report.iterations) == len(returned) == 53
-    assert len(moved) - sum(moved) == 47
-    assert len(evaluations) == 1 + 53
+    assert len(report.iterations) == len(returned) == 55
+    assert len(moved) - sum(moved) == 43
+    assert len(evaluations) == 1 + 55
     for xs, (_, xs_evaluated, _), (bundle, gradient, v), (us, vs, rho) in zip(
             returned, evaluations[1:], kept, inputs):
         assert xs_evaluated is xs

@@ -420,18 +420,24 @@ def test_whole_batch_descent_trial_takes_views(monkeypatch):
 
 
 def test_lockstep_ex3_batch_mixes_every_outcome():
-    """ex3 at rho = 1: rows converging in descent, rows the polish rescues,
-    rows falling back to the min-penalty iterate (one diverged, one with an
-    exhausted polish) all match the reference."""
+    """ex3 at rho = 1: rows converging in descent, rows the polish rescues
+    (after a runaway or after the whole descent budget), rows falling back
+    to the min-penalty iterate (one diverged, one with an exhausted polish)
+    all match the reference."""
     prob = c.builtin("ex3")
     starts = [[1.0, 1.0, 0.0], [-100.0, -100.0, -100.0], [0.5, 0.5, 0.5],
               [2.0, -1.0, 3.0], [0.0, 0.0, 0.0], [10.0, 10.0, 10.0],
               [-1.0, 2.0, -5.0], [1.0, 1.0, 5.0]]
-    # Two multiplier blocks of the same starts, plus one row whose descent
-    # escapes the iterate box.
-    xs = np.array(starts * 2 + [[-5.0, 3.0, 4.0]])
+    # Two multiplier blocks of the same starts, plus far starts whose
+    # objective starts so high that descent does not run away: one row runs
+    # out of the iterate box, one spends its descent budget and the polish
+    # lands it, one spends both budgets.
+    far = [[-5.0, 3.0, 4.0], [-356.0, -280.0, 254.0], [-107.0, 38.0, -284.0],
+           [-256.0, -271.0, 16.0]]
+    xs = np.array(starts * 2 + far)
     us = np.zeros((len(xs), 1))
-    vs = np.array([[0.0, 0.0]] * len(starts) + [[0.0, 1.0]] * len(starts) + [[0.5, 0.0]])
+    vs = np.array([[0.0, 0.0]] * len(starts) + [[0.0, 1.0]] * len(starts)
+                  + [[0.5, 0.0], [0.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
     grid = c.make_uniform_grid(1.0, len(xs))
     cfg = c.AlmConfig().inner
     solo = assert_rows_match_reference("ex3", grid, xs, us, vs, 1.0, cfg)

@@ -19,9 +19,9 @@ the `--config` run:
     trajectory CSV;
   - ex1 from the conftest start at 85 nodes with every option taken from a
     `--config` file, at the non-default values of `tests/test_cli.py`;
-  - ex3 from x0 = (1, 1, 0), u0 = 0.5 at 9 nodes, which exits 3
-    (InnerFailure) after 53 outer iterations; in 47 of them the subproblem
-    returns its warm start unchanged;
+  - ex3 from x0 = (-100, -100, -100), u0 = 1.01, v0 = (1, 1) at 9 nodes,
+    which exits 3 (InnerFailure) after 55 outer iterations; in 43 of them
+    the subproblem returns its warm start unchanged;
   - the six one-node solves of acceptance criterion 10 (`solve_node` on ex1
     and ex2 at three instants each, grad_tol 1e-8, rho 1), on one line;
   - three `solve_subproblem` batches of infeasible1 on 9 nodes, each
@@ -132,7 +132,8 @@ RUNS = (
     (f"ex4@seed{SEED}", "ex4", [1.0, 1.0], None, [1.0, 1.0, 1.0, 1.0, 1.0], 85, 0.1),
     (f"infeasible1@seed{SEED}", "infeasible1", [5.0], None, None, 85, 0.5),
     ("ex1@config", "ex1", [1.0, 1.0], None, [1.0, 1.0], 85, 0.0, CONFIG_OPTIONS),
-    ("ex3@9-inner-failure", "ex3", [1.0, 1.0, 0.0], [0.5], None, 9, 0.0),
+    ("ex3@9-u1.01-inner-failure", "ex3", [-100.0, -100.0, -100.0], [1.01], [1.0, 1.0], 9,
+     0.0),
 )
 
 
